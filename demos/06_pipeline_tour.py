@@ -11,7 +11,7 @@ import numpy as np
 from normmatch.config import DataConfig, TrainConfig
 from normmatch.data import generate_pair
 from normmatch.features import extract_keypoint_features, global_token
-from normmatch.geometry import build_graph
+from normmatch.geometry import build_graph, delaunay
 from normmatch.matching import accuracy, affinity, decode_matching, sinkhorn_log
 from normmatch.model import MatchingModel
 from normmatch.splineconv import gnn_refine
@@ -38,7 +38,7 @@ print(f"global token: {g1.shape}, norm {np.linalg.norm(g1):.12f}")
 
 graph = build_graph(pair.keypoints1)
 print(f"graph: {graph.num_nodes} nodes, {len(graph.arcs)} arcs "
-      f"({len(graph.edge_set())} undirected edges)")
+      f"({len(delaunay(pair.keypoints1))} Delaunay edges + {graph.num_nodes} self-loops)")
 
 tokens, _ = gnn_refine(desc, graph, model.store)
 print(f"GNN tokens: {tokens.shape}, "

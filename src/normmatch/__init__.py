@@ -5,95 +5,27 @@ refining interpolated backbone features with a spline-kernel graph network,
 mixing the two streams in a normalized transformer decoder, and decoding the
 cosine affinities through log-space Sinkhorn. All gradients are hand-written
 reverse mode and verified against central finite differences.
+
+The package root re-exports the entry points for configuring, generating
+data, training and evaluating; everything else is imported from its module.
 """
 
-from .config import DataConfig, TrainConfig, full_scale, parse_config_file, parse_config_text
-from .data import PairSample, generate_dataset, generate_pair, read_dataset, write_dataset
-from .decoder import FeatureSequence, decode, modulate_global, norm_cross_attn, norm_mlp, norm_self_attn
-from .features import (
-    BackboneOutput,
-    FeatureMap,
-    bilinear_sample,
-    extract_keypoint_features,
-    global_token,
-    read_feature_file,
-    synthetic_backbone,
-    write_feature_file,
-)
-from .geometry import KeypointGraph, build_graph, delaunay, pseudo_coords
-from .gradcheck import ParamReport, all_passed, grad_check
-from .losses import (
-    LossReport,
-    hyperspherical,
-    info_nce,
-    layer_hyperspherical,
-    total_loss,
-)
-from .matching import Matching, TransportPlan, accuracy, affinity, decode_matching, sinkhorn_log
+from .config import DataConfig, TrainConfig, full_scale
+from .data import generate_dataset, generate_pair
+from .losses import total_loss
 from .model import MatchingModel
-from .ops import l2_normalize
-from .params import ParameterStore
-from .checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
-from .splineconv import gnn_refine, spline_basis, spline_conv_forward
-from .train import Adam, evaluate, format_accuracy_table, lr_at_epoch, train
+from .train import evaluate, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam",
-    "BackboneOutput",
     "DataConfig",
-    "FeatureMap",
-    "FeatureSequence",
-    "KeypointGraph",
-    "LossReport",
-    "Matching",
     "MatchingModel",
-    "PairSample",
-    "ParamReport",
-    "ParameterStore",
     "TrainConfig",
-    "TransportPlan",
-    "accuracy",
-    "affinity",
-    "all_passed",
-    "bilinear_sample",
-    "build_graph",
-    "decode",
-    "decode_matching",
-    "delaunay",
     "evaluate",
-    "extract_keypoint_features",
-    "format_accuracy_table",
     "full_scale",
     "generate_dataset",
     "generate_pair",
-    "global_token",
-    "gnn_refine",
-    "grad_check",
-    "hyperspherical",
-    "info_nce",
-    "l2_normalize",
-    "layer_hyperspherical",
-    "load_checkpoint",
-    "lr_at_epoch",
-    "model_from_checkpoint",
-    "modulate_global",
-    "norm_cross_attn",
-    "norm_mlp",
-    "norm_self_attn",
-    "parse_config_file",
-    "parse_config_text",
-    "pseudo_coords",
-    "read_dataset",
-    "read_feature_file",
-    "save_checkpoint",
-    "sinkhorn_log",
-    "spline_basis",
-    "spline_conv_forward",
-    "synthetic_backbone",
     "total_loss",
     "train",
-    "write_dataset",
-    "write_feature_file",
 ]

@@ -105,9 +105,8 @@ def _cmd_match(args) -> int:
     print("plan:")
     for row in plan.values:
         print("  " + " ".join(f"{v:.4f}" for v in row))
-    if pair.truth is not None:
-        correct = float(np.mean(matching.assignment == pair.truth))
-        print(f"accuracy_vs_truth: {correct:.4f}")
+    correct = float(np.mean(matching.assignment == pair.truth))
+    print(f"accuracy_vs_truth: {correct:.4f}")
     return 0
 
 
@@ -125,10 +124,9 @@ def _cmd_gradcheck(args) -> int:
         model.store.set_trainable(name, any(name.startswith(p) for p in prefixes))
 
     def forward(store):
-        store_model = model
         total = 0.0
         for pair in pairs:
-            total += store_model.loss_and_grads(pair).total
+            total += model.loss_and_grads(pair).total
         return total
 
     reports = grad_check(forward, model.store, eps=1e-5, tol=1e-4)

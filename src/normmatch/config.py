@@ -108,14 +108,8 @@ class DataConfig:
             raise ValueError("need 0 < scale_min <= scale_max")
 
 
-def _coerce(name: str, raw: str, annotation, current):
+def _coerce(raw: str, current):
     raw = raw.strip()
-    if isinstance(current, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"cannot parse boolean {name} = {raw!r}")
     if isinstance(current, int):
         return int(raw)
     if isinstance(current, float):
@@ -131,8 +125,8 @@ def parse_config_text(text: str) -> tuple[TrainConfig, DataConfig]:
     """Parse ``key = value`` lines into (TrainConfig, DataConfig)."""
     train_cfg = TrainConfig()
     data_cfg = DataConfig()
-    train_fields = {f.name: f for f in fields(TrainConfig)}
-    data_fields = {f.name: f for f in fields(DataConfig)}
+    train_fields = {f.name for f in fields(TrainConfig)}
+    data_fields = {f.name for f in fields(DataConfig)}
     train_updates: dict = {}
     data_updates: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -144,11 +138,9 @@ def parse_config_text(text: str) -> tuple[TrainConfig, DataConfig]:
         key, raw = stripped.split("=", 1)
         key = key.strip()
         if key in train_fields:
-            current = getattr(train_cfg, key)
-            train_updates[key] = _coerce(key, raw, train_fields[key].type, current)
+            train_updates[key] = _coerce(raw, getattr(train_cfg, key))
         elif key in data_fields:
-            current = getattr(data_cfg, key)
-            data_updates[key] = _coerce(key, raw, data_fields[key].type, current)
+            data_updates[key] = _coerce(raw, getattr(data_cfg, key))
         else:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
     train_cfg = replace(train_cfg, **train_updates)

@@ -15,7 +15,7 @@ latent array (image-1 order) or paths to precomputed feature-map files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,7 +112,7 @@ def _warp(rng, points: np.ndarray, spec: DataConfig) -> np.ndarray:
 
 
 def generate_pair(spec: DataConfig, class_id: int, seed: int,
-                  latent_dim: int, shuffle: bool = True) -> PairSample:
+                  latent_dim: int) -> PairSample:
     """One synthetic correspondence pair; fully determined by its arguments."""
     rng = np.random.default_rng([31415, seed])
     m = int(rng.integers(spec.m_min, spec.m_max + 1))
@@ -131,10 +131,7 @@ def generate_pair(spec: DataConfig, class_id: int, seed: int,
             break
     kp2_aligned = np.clip(kp2_aligned, 0.0, IMAGE_SIZE)
 
-    if shuffle:
-        truth = rng.permutation(m)
-    else:
-        truth = np.arange(m)
+    truth = rng.permutation(m)
     kp2 = np.empty_like(kp2_aligned)
     kp2[truth] = kp2_aligned
 

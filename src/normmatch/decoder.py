@@ -52,17 +52,13 @@ class FeatureSequence:
     tokens: np.ndarray  # (m, d_model)
     global_token: np.ndarray  # (d_model,)
 
-    def copy(self) -> "FeatureSequence":
-        return FeatureSequence(self.tokens.copy(), self.global_token.copy())
 
-
-def init_decoder_params(store, rng, d_model: int, layers: int, mlp_mult: int,
-                        prefix: str = "dec") -> None:
+def init_decoder_params(store, rng, d_model: int, layers: int, mlp_mult: int) -> None:
     """Register per-layer decoder parameters (shared by both streams)."""
     hidden = mlp_mult * d_model
     alpha0 = 1.0 / layers
     for layer in range(layers):
-        p = f"{prefix}{layer}."
+        p = f"dec{layer}."
         for block in ("sa", "ca"):
             for w in ("wq", "wk", "wv", "wo"):
                 store.register(p + f"{block}.{w}",
@@ -243,8 +239,7 @@ def norm_mlp_backward(cache, g_tokens, g_global, store):
     return g_x[:-1], g_x[-1]
 
 
-def decode(f1: FeatureSequence, f2: FeatureSequence, store, layers: int,
-           heads: int, prefix: str = "dec"):
+def decode(f1: FeatureSequence, f2: FeatureSequence, store, layers: int, heads: int):
     """Run the full decoder stack.
 
     Returns (f1, f2, snapshots, caches) where snapshots[k] is the pair of
@@ -254,7 +249,7 @@ def decode(f1: FeatureSequence, f2: FeatureSequence, store, layers: int,
     snapshots = []
     caches = []
     for layer in range(layers):
-        p = f"{prefix}{layer}."
+        p = f"dec{layer}."
         f1, c_sa1 = norm_self_attn(f1, store, p, heads)
         f2, c_sa2 = norm_self_attn(f2, store, p, heads)
         f1, c_ca1 = norm_cross_attn(f1, f2, store, p, heads)

@@ -104,23 +104,23 @@ def _pooled(backbone_out: BackboneOutput) -> np.ndarray:
     return np.concatenate([mu_last, mu_second])
 
 
-def global_token(backbone_out: BackboneOutput, store, name: str = "backbone.global_proj"):
+def global_token(backbone_out: BackboneOutput, store):
     """Mean of all spatial features, projected to d_model and normalized."""
     pooled = _pooled(backbone_out)
-    proj = store.value(name)
+    proj = store.value("backbone.global_proj")
     if pooled.shape[0] != proj.shape[0]:
         raise ValueError(
             f"pooled width {pooled.shape[0]} does not match projection input {proj.shape[0]}"
         )
     raw = pooled @ proj
     out, nc = normalize_rows(raw[None, :])
-    return out[0], (pooled, nc, name)
+    return out[0], (pooled, nc)
 
 
 def global_token_backward(cache, g_token, store):
-    pooled, nc, name = cache
+    pooled, nc = cache
     g_raw = normalize_rows_backward(nc, g_token[None, :])[0]
-    store.add_grad(name, np.outer(pooled, g_raw))
+    store.add_grad("backbone.global_proj", np.outer(pooled, g_raw))
 
 
 def synthetic_backbone(latents, keypoints, noise_level: float, seed,

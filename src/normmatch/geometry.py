@@ -26,26 +26,18 @@ class KeypointGraph:
     """Directed-arc view of an undirected keypoint graph.
 
     arcs: (n_arcs, 2) int array of (src, dst); every non-loop arc appears in
-    both directions, self-loops (i, i) come last. pseudo: (n_arcs, 2) edge
-    attributes in [0, 1]^2 feeding the spline kernels.
+    both directions, and one self-loop (i, i) per node comes last. pseudo:
+    (n_arcs, 2) edge attributes in [0, 1]^2 feeding the spline kernels.
     """
 
     num_nodes: int
     arcs: np.ndarray
     pseudo: np.ndarray
-    self_loops: bool
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        """Undirected non-loop edges as (min, max) pairs."""
-        return {
-            (min(u, v), max(u, v))
-            for u, v in self.arcs
-            if u != v
-        }
 
 
-def _signed_area(a, b, c) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def _orient(a, b, c) -> float:
+    """Twice the signed area of triangle (a, b, c); positive when counter-clockwise."""
+    return float((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
 
 
 def _complete_edges(m: int) -> list[tuple[int, int]]:
@@ -63,13 +55,9 @@ def _is_degenerate(points: np.ndarray) -> bool:
     # all collinear
     a, b = points[0], points[1]
     for c in points[2:]:
-        if abs(_signed_area(a, b, c)) > 1e-12:
+        if abs(_orient(a, b, c)) > 1e-12:
             return False
     return True
-
-
-def _orient(a, b, c) -> float:
-    return float((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
 
 
 def _tie_blocks(points, a: int, b: int, c: int, o: int) -> bool:
@@ -203,19 +191,16 @@ def pseudo_coords(points, arcs) -> np.ndarray:
     return out
 
 
-def build_graph(points, self_loops: bool = True) -> KeypointGraph:
+def build_graph(points) -> KeypointGraph:
     """Delaunay arcs plus pseudo-coordinates, with self-loops at (0.5, 0.5)."""
     points = np.asarray(points, dtype=np.float64)
     m = len(points)
-    edges = delaunay(points)
     arc_list: list[tuple[int, int]] = []
-    for u, v in edges:
+    for u, v in delaunay(points):
         arc_list.append((u, v))
         arc_list.append((v, u))
-    pseudo = pseudo_coords(points, np.asarray(arc_list).reshape(-1, 2)) if arc_list else np.zeros((0, 2))
-    if self_loops:
-        loops = [(i, i) for i in range(m)]
-        arc_list.extend(loops)
-        pseudo = np.vstack([pseudo, np.full((m, 2), 0.5)]) if m else pseudo
+    pseudo = pseudo_coords(points, np.asarray(arc_list, dtype=np.intp).reshape(-1, 2))
+    arc_list.extend((i, i) for i in range(m))
     arcs = np.asarray(arc_list, dtype=np.intp).reshape(-1, 2)
-    return KeypointGraph(num_nodes=m, arcs=arcs, pseudo=pseudo, self_loops=self_loops)
+    return KeypointGraph(num_nodes=m, arcs=arcs,
+                         pseudo=np.vstack([pseudo, np.full((m, 2), 0.5)]))

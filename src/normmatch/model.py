@@ -108,15 +108,9 @@ class MatchingModel:
 
     # ---------------- inference ----------------
 
-    def match_pair(self, pair: PairSample,
-                   temperature: float | None = None,
-                   iters: int | None = None) -> tuple[Matching, TransportPlan, np.ndarray]:
+    def match_pair(self, pair: PairSample) -> tuple[Matching, TransportPlan, np.ndarray]:
         """Run inference: returns (matching, transport plan, affinity matrix)."""
         f1, f2, _ = self.forward_pair(pair)
         C = affinity(f1.tokens, f2.tokens)
-        plan = sinkhorn_log(
-            C,
-            self.config.sinkhorn_temperature if temperature is None else temperature,
-            self.config.sinkhorn_iters if iters is None else iters,
-        )
+        plan = sinkhorn_log(C, self.config.sinkhorn_temperature, self.config.sinkhorn_iters)
         return decode_matching(plan), plan, C

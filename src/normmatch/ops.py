@@ -11,7 +11,6 @@ import numpy as np
 
 __all__ = [
     "EPS_GUARD",
-    "l2_normalize",
     "normalize_rows",
     "normalize_rows_backward",
     "silu",
@@ -26,24 +25,17 @@ __all__ = [
 EPS_GUARD = 1e-12
 
 
-def l2_normalize(v, eps_guard: float = EPS_GUARD) -> np.ndarray:
-    """Return ``v / max(||v||_2, eps_guard)``.
+def normalize_rows(x):
+    """Unit-normalize each row of ``x``. Returns (y, cache).
 
-    The guard keeps the map total: a zero vector comes back as a zero vector
-    instead of NaN.
+    Each row becomes ``x / max(||x||_2, EPS_GUARD)``; the guard keeps the
+    map total, so a zero row comes back as a zero row instead of NaN.
     """
-    v = np.asarray(v, dtype=np.float64)
-    norm = np.linalg.norm(v)
-    return v / max(norm, eps_guard)
-
-
-def normalize_rows(x, eps_guard: float = EPS_GUARD):
-    """Unit-normalize each row of ``x``. Returns (y, cache)."""
     x = np.asarray(x, dtype=np.float64)
     norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    denom = np.maximum(norms, eps_guard)
+    denom = np.maximum(norms, EPS_GUARD)
     y = x / denom
-    active = norms >= eps_guard
+    active = norms >= EPS_GUARD
     return y, (y, denom, active)
 
 
@@ -51,7 +43,7 @@ def normalize_rows_backward(cache, gy):
     """Backward of :func:`normalize_rows`.
 
     Active rows use d(x/||x||) = (g - y (y.g)) / ||x||; guarded rows are the
-    linear map x/eps_guard whose Jacobian is I/eps_guard.
+    linear map x/EPS_GUARD whose Jacobian is I/EPS_GUARD.
     """
     y, denom, active = cache
     dot = np.sum(y * gy, axis=-1, keepdims=True)

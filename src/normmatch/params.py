@@ -80,13 +80,6 @@ class ParameterStore:
         for v in self._values.values():
             v[...] = v.astype(np.float32).astype(np.float64)
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {n: v.copy() for n, v in self._values.items()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for n, v in state.items():
-            self.set_value(n, v)
-
     def __contains__(self, name: str) -> bool:
         return name in self._values
 

@@ -14,43 +14,12 @@ import numpy as np
 from .ops import normalize_rows, normalize_rows_backward
 
 __all__ = [
-    "spline_basis",
     "spline_conv_forward",
     "spline_conv_backward",
     "init_gnn_params",
     "gnn_refine",
     "gnn_refine_backward",
 ]
-
-
-def spline_basis(u, kernel_size: int) -> list[tuple[tuple[int, int], float]]:
-    """Active B-spline basis entries at a point of [0, 1]^2.
-
-    Returns up to four ((i1, i2), weight) pairs with positive weights that
-    sum to 1. Degree-1 basis: per dimension the scaled coordinate
-    s = u * (kernel_size - 1) activates knots floor(s) and floor(s) + 1 with
-    weights (1 - frac, frac).
-    """
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (2,):
-        raise ValueError("u must be a 2-vector")
-    if np.any(u < 0.0) or np.any(u > 1.0):
-        raise ValueError(f"pseudo-coordinate {u} outside [0, 1]^2")
-    if kernel_size < 2:
-        raise ValueError("kernel_size must be >= 2")
-    per_dim = []
-    for c in range(2):
-        s = u[c] * (kernel_size - 1)
-        i = int(min(np.floor(s), kernel_size - 2))
-        frac = s - i
-        per_dim.append(((i, 1.0 - frac), (i + 1, frac)))
-    pairs = []
-    for i1, w1 in per_dim[0]:
-        for i2, w2 in per_dim[1]:
-            w = w1 * w2
-            if w > 0.0:
-                pairs.append(((i1, i2), w))
-    return pairs
 
 
 def _basis_arrays(pseudo: np.ndarray, kernel_size: int):
@@ -71,6 +40,35 @@ def _basis_arrays(pseudo: np.ndarray, kernel_size: int):
             wgt[k] = wa * wb
             k += 1
     return idx, wgt
+
+
+def _max_aggregate(msgs, dst, counts):
+    """Element-wise max of the messages arriving at each node.
+
+    counts[v] is the in-degree of node v. Returns (agg, argmax_arc), both
+    (m, out_dim). Each node's messages are padded, in stable arc order, into
+    one row of a (m, max in-degree, out_dim) block, so argmax ties resolve
+    to the lowest arc index and the -inf padding never wins.
+    """
+    m, out_dim = len(counts), msgs.shape[1]
+    order = np.argsort(dst, kind="stable")
+    starts = np.cumsum(counts) - counts
+    node = dst[order]
+    padded = np.full((m, counts.max(initial=0), out_dim), -np.inf)
+    padded[node, np.arange(len(dst)) - starts[node]] = msgs[order]
+    local = padded.argmax(axis=1)
+    agg = np.take_along_axis(padded, local[:, None, :], axis=1)[:, 0]
+    return agg, order[starts[:, None] + local]
+
+
+def _scatter_to_argmax(argmax_arc, g_out, n_arcs):
+    """Per-arc message gradients, each output coordinate's on its argmax arc.
+
+    Every arc feeds one destination, so the argmax arcs never collide.
+    """
+    g_msgs = np.zeros((n_arcs, g_out.shape[1]))
+    g_msgs[argmax_arc, np.arange(g_out.shape[1])] = g_out
+    return g_msgs
 
 
 def spline_conv_forward(features, graph, weight, bias, apply_relu: bool):
@@ -105,19 +103,7 @@ def spline_conv_forward(features, graph, weight, bias, apply_relu: bool):
             rows = np.nonzero(idx[c] == b)[0]
             msgs[rows] += wgt[c, rows, None] * (x_src[rows] @ weight[b])
 
-    # stable sort keeps arc order inside each destination group, so argmax
-    # ties resolve to the lowest arc index
-    order = np.argsort(dst, kind="stable")
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    agg = np.empty((m, out_dim))
-    argmax_arc = np.empty((m, out_dim), dtype=np.intp)
-    for v in range(m):
-        rows = order[starts[v] : starts[v + 1]]
-        block = msgs[rows]
-        local = block.argmax(axis=0)
-        agg[v] = block[local, np.arange(out_dim)]
-        argmax_arc[v] = rows[local]
-
+    agg, argmax_arc = _max_aggregate(msgs, dst, counts)
     pre = agg + bias
     out = np.maximum(pre, 0.0) if apply_relu else pre
     cache = (features, graph, weight, idx, wgt, argmax_arc, pre if apply_relu else None)
@@ -135,11 +121,7 @@ def spline_conv_backward(cache, g_out):
         g_out = g_out * (relu_pre > 0.0)
     g_bias = g_out.sum(axis=0)
 
-    m, out_dim = g_out.shape
-    g_msgs = np.zeros((len(graph.arcs), out_dim))
-    cols = np.arange(out_dim)
-    for v in range(m):
-        np.add.at(g_msgs, (argmax_arc[v], cols), g_out[v])
+    g_msgs = _scatter_to_argmax(argmax_arc, g_out, len(graph.arcs))
 
     src = graph.arcs[:, 0]
     x_src = features[src]
@@ -155,39 +137,39 @@ def spline_conv_backward(cache, g_out):
     return g_features, g_weight, g_bias
 
 
-def init_gnn_params(store, rng, in_dim: int, d_model: int, kernel_size: int, prefix: str = "gnn."):
+def init_gnn_params(store, rng, in_dim: int, d_model: int, kernel_size: int):
     """Register the two-layer GNN parameters."""
     k2 = kernel_size * kernel_size
-    store.register(prefix + "w1", rng.standard_normal((k2, in_dim, d_model)) / np.sqrt(in_dim))
-    store.register(prefix + "b1", np.zeros(d_model))
-    store.register(prefix + "w2", rng.standard_normal((k2, d_model, d_model)) / np.sqrt(d_model))
-    store.register(prefix + "b2", np.zeros(d_model))
+    store.register("gnn.w1", rng.standard_normal((k2, in_dim, d_model)) / np.sqrt(in_dim))
+    store.register("gnn.b1", np.zeros(d_model))
+    store.register("gnn.w2", rng.standard_normal((k2, d_model, d_model)) / np.sqrt(d_model))
+    store.register("gnn.b2", np.zeros(d_model))
 
 
-def gnn_refine(features, graph, store, prefix: str = "gnn."):
+def gnn_refine(features, graph, store):
     """Two spline convolutions (ReLU after the first only), then unit rows.
 
     Returns (tokens, cache) with tokens of shape (m, d_model), each row on
     the unit sphere ready for the decoder.
     """
     h1, c1 = spline_conv_forward(
-        features, graph, store.value(prefix + "w1"), store.value(prefix + "b1"), apply_relu=True
+        features, graph, store.value("gnn.w1"), store.value("gnn.b1"), apply_relu=True
     )
     h2, c2 = spline_conv_forward(
-        h1, graph, store.value(prefix + "w2"), store.value(prefix + "b2"), apply_relu=False
+        h1, graph, store.value("gnn.w2"), store.value("gnn.b2"), apply_relu=False
     )
     out, nc = normalize_rows(h2)
-    return out, (c1, c2, nc, prefix)
+    return out, (c1, c2, nc)
 
 
 def gnn_refine_backward(cache, g_out, store):
     """Accumulates parameter gradients into the store; returns g_features."""
-    c1, c2, nc, prefix = cache
+    c1, c2, nc = cache
     g_h2 = normalize_rows_backward(nc, g_out)
     g_h1, g_w2, g_b2 = spline_conv_backward(c2, g_h2)
-    store.add_grad(prefix + "w2", g_w2)
-    store.add_grad(prefix + "b2", g_b2)
+    store.add_grad("gnn.w2", g_w2)
+    store.add_grad("gnn.b2", g_b2)
     g_features, g_w1, g_b1 = spline_conv_backward(c1, g_h1)
-    store.add_grad(prefix + "w1", g_w1)
-    store.add_grad(prefix + "b1", g_b1)
+    store.add_grad("gnn.w1", g_w1)
+    store.add_grad("gnn.b1", g_b1)
     return g_features

@@ -14,17 +14,18 @@ __all__ = ["Adam", "lr_at_epoch", "train", "evaluate", "format_accuracy_table"]
 class Adam:
     """Bias-corrected moment-adaptive updates, one (m, v) pair per parameter.
 
-    Parameters whose names start with "backbone." take the learning rate
-    scaled by backbone_lr_factor.
+    Moment decays are 0.9 and 0.999 with denominator guard 1e-8. Parameters
+    whose names start with "backbone." take the learning rate scaled by
+    backbone_lr_factor.
     """
 
-    def __init__(self, store, backbone_lr_factor: float = 1.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, store, backbone_lr_factor: float = 1.0):
         self.store = store
         self.backbone_lr_factor = backbone_lr_factor
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {n: np.zeros_like(store.value(n)) for n in store.trainable_names()}
         self.v = {n: np.zeros_like(store.value(n)) for n in store.trainable_names()}

@@ -1,0 +1,83 @@
+"""Scalar reference implementations that the vectorized code is tested against.
+
+None of these run in the library; each one is the plain, loop-by-loop form
+of a computation whose array form lives in ``src/normmatch``.
+"""
+
+import numpy as np
+
+from normmatch.ops import EPS_GUARD
+
+
+def l2_normalize(v, eps_guard: float = EPS_GUARD) -> np.ndarray:
+    """Return ``v / max(||v||_2, eps_guard)`` for one vector.
+
+    The guard keeps the map total: a zero vector comes back as a zero vector
+    instead of NaN. Oracle for ``normalize_rows``.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    norm = np.linalg.norm(v)
+    return v / max(norm, eps_guard)
+
+
+def spline_basis(u, kernel_size: int) -> list[tuple[tuple[int, int], float]]:
+    """Active B-spline basis entries at a point of [0, 1]^2.
+
+    Returns up to four ((i1, i2), weight) pairs with positive weights that
+    sum to 1. Degree-1 basis: per dimension the scaled coordinate
+    s = u * (kernel_size - 1) activates knots floor(s) and floor(s) + 1 with
+    weights (1 - frac, frac). Oracle for ``splineconv._basis_arrays``.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != (2,):
+        raise ValueError("u must be a 2-vector")
+    if np.any(u < 0.0) or np.any(u > 1.0):
+        raise ValueError(f"pseudo-coordinate {u} outside [0, 1]^2")
+    if kernel_size < 2:
+        raise ValueError("kernel_size must be >= 2")
+    per_dim = []
+    for c in range(2):
+        s = u[c] * (kernel_size - 1)
+        i = int(min(np.floor(s), kernel_size - 2))
+        frac = s - i
+        per_dim.append(((i, 1.0 - frac), (i + 1, frac)))
+    pairs = []
+    for i1, w1 in per_dim[0]:
+        for i2, w2 in per_dim[1]:
+            w = w1 * w2
+            if w > 0.0:
+                pairs.append(((i1, i2), w))
+    return pairs
+
+
+def loop_max_aggregate(msgs, dst, counts):
+    """Per-node max over incoming messages. Oracle for ``splineconv._max_aggregate``.
+
+    A stable sort keeps arc order inside each destination group, so argmax
+    ties resolve to the lowest arc index.
+    """
+    m, out_dim = len(counts), msgs.shape[1]
+    order = np.argsort(dst, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    agg = np.empty((m, out_dim))
+    argmax_arc = np.empty((m, out_dim), dtype=np.intp)
+    for v in range(m):
+        rows = order[starts[v] : starts[v + 1]]
+        block = msgs[rows]
+        local = block.argmax(axis=0)
+        agg[v] = block[local, np.arange(out_dim)]
+        argmax_arc[v] = rows[local]
+    return agg, argmax_arc
+
+
+def loop_scatter_to_argmax(argmax_arc, g_out, n_arcs):
+    """Per-node accumulation of g_out onto argmax arcs.
+
+    Oracle for ``splineconv._scatter_to_argmax``.
+    """
+    m, out_dim = g_out.shape
+    g_msgs = np.zeros((n_arcs, out_dim))
+    cols = np.arange(out_dim)
+    for v in range(m):
+        np.add.at(g_msgs, (argmax_arc[v], cols), g_out[v])
+    return g_msgs

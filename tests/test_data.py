@@ -57,12 +57,6 @@ class TestGeneratePair:
         assert np.array_equal(a.truth, b.truth)
         assert np.array_equal(a.latents, b.latents)
 
-    def test_identity_warp_no_shuffle_coincides(self):
-        pair = generate_pair(_identity_spec(), class_id=0, seed=3,
-                             latent_dim=8, shuffle=False)
-        assert np.array_equal(pair.truth, np.arange(pair.m))
-        assert np.allclose(pair.keypoints2, pair.keypoints1, atol=1e-12)
-
     def test_truth_records_the_shuffle(self):
         # with an identity warp, row truth[i] of image 2 is keypoint i of image 1
         pair = generate_pair(_identity_spec(), class_id=0, seed=4, latent_dim=8)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from normmatch import FeatureSequence, ParameterStore, grad_check, l2_normalize
 from normmatch.decoder import (
+    FeatureSequence,
     decode,
     decode_backward,
     init_decoder_params,
@@ -11,7 +11,9 @@ from normmatch.decoder import (
     norm_mlp,
     norm_self_attn,
 )
-from normmatch.gradcheck import all_passed
+from normmatch.gradcheck import all_passed, grad_check
+from normmatch.params import ParameterStore
+from oracles import l2_normalize
 
 
 def _make_store(d_model, layers, mlp_mult=2, seed=0):
@@ -23,6 +25,10 @@ def _make_store(d_model, layers, mlp_mult=2, seed=0):
 def _unit_rows(rng, m, d):
     x = rng.standard_normal((m, d))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def _copy(seq):
+    return FeatureSequence(seq.tokens.copy(), seq.global_token.copy())
 
 
 def _seq(rng, m, d):
@@ -273,11 +279,11 @@ class TestDecode:
         rng = np.random.default_rng(3)
         store = _make_store(8, 2)
         f1, f2 = _seq(rng, 6, 8), _seq(rng, 4, 8)
-        o1, o2, _, _ = decode(f1.copy(), f2.copy(), store, 2, heads=2)
+        o1, o2, _, _ = decode(_copy(f1), _copy(f2), store, 2, heads=2)
 
         perm = rng.permutation(6)
         f1_perm = FeatureSequence(f1.tokens[perm], f1.global_token.copy())
-        p1, p2, _, _ = decode(f1_perm, f2.copy(), store, 2, heads=2)
+        p1, p2, _, _ = decode(f1_perm, _copy(f2), store, 2, heads=2)
         np.testing.assert_allclose(p1.tokens, o1.tokens[perm], atol=1e-12)
         np.testing.assert_allclose(p2.tokens, o2.tokens, atol=1e-12)
 
@@ -289,8 +295,8 @@ class TestDecode:
         store = _make_store(8, layers)
         _set_alphas(store, layers, 0.0, blocks=("c",))
         f1, f2 = _seq(rng, 5, 8), _seq(rng, 5, 8)
-        a1, a2, _, _ = decode(f1.copy(), f2.copy(), store, layers, heads=2)
-        b1, b2, _, _ = decode(f2.copy(), f1.copy(), store, layers, heads=2)
+        a1, a2, _, _ = decode(_copy(f1), _copy(f2), store, layers, heads=2)
+        b1, b2, _, _ = decode(_copy(f2), _copy(f1), store, layers, heads=2)
         np.testing.assert_allclose(a1.tokens, b2.tokens, atol=1e-12)
         np.testing.assert_allclose(a2.tokens, b1.tokens, atol=1e-12)
 
@@ -317,7 +323,7 @@ class TestDecode:
         ]
 
         def forward(params):
-            o1, o2, snapshots, caches = decode(f1.copy(), f2.copy(), params, layers, heads)
+            o1, o2, snapshots, caches = decode(_copy(f1), _copy(f2), params, layers, heads)
             loss = (
                 float((o1.tokens * r_t1).sum())
                 + float((o2.tokens * r_t2).sum())

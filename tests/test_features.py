@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from normmatch import ParameterStore, bilinear_sample, grad_check
 from normmatch.features import (
     BackboneOutput,
     FeatureMap,
+    bilinear_sample,
     extract_keypoint_features,
     global_token,
     global_token_backward,
@@ -12,7 +12,8 @@ from normmatch.features import (
     synthetic_backbone,
     write_feature_file,
 )
-from normmatch.gradcheck import all_passed
+from normmatch.gradcheck import all_passed, grad_check
+from normmatch.params import ParameterStore
 
 
 def _map(grid, stride=2.0, tag="last"):

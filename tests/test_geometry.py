@@ -5,7 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normmatch import build_graph, delaunay, pseudo_coords
+from normmatch.geometry import build_graph, delaunay, pseudo_coords
+
+
+def _non_loop(graph):
+    """Arcs and pseudo-coordinates of the graph without its self-loops."""
+    keep = graph.arcs[:, 0] != graph.arcs[:, 1]
+    return graph.arcs[keep], graph.pseudo[keep]
+
+
+def _edge_set(graph):
+    """Undirected non-loop edges as (min, max) pairs."""
+    return {(min(u, v), max(u, v)) for u, v in _non_loop(graph)[0].tolist()}
 
 
 def _circumcircle(a, b, c):
@@ -141,16 +152,15 @@ class TestPseudoCoords:
 
     def test_square_offsets_rescale_to_three_levels(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        graph = build_graph(pts, self_loops=False)
-        assert len(graph.arcs) == 10  # 5 undirected edges
-        levels = np.unique(np.round(graph.pseudo, 12))
+        arcs, pseudo = _non_loop(build_graph(pts))
+        assert len(arcs) == 10  # 5 undirected edges
+        levels = np.unique(np.round(pseudo, 12))
         np.testing.assert_allclose(levels, [0.0, 0.5, 1.0])
 
     def test_bounds_and_extremes_attained(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(0.0, 8.0, size=(7, 2))
-        graph = build_graph(pts, self_loops=False)
-        ps = graph.pseudo
+        _, ps = _non_loop(build_graph(pts))
         assert ps.min() >= 0.0 and ps.max() <= 1.0
         for c in range(2):
             assert np.isclose(ps[:, c].min(), 0.0)
@@ -159,8 +169,8 @@ class TestPseudoCoords:
     def test_arc_reversal_reflects_pseudo(self):
         rng = np.random.default_rng(4)
         pts = rng.uniform(0.0, 8.0, size=(6, 2))
-        graph = build_graph(pts, self_loops=False)
-        lookup = {(u, v): p for (u, v), p in zip(map(tuple, graph.arcs), graph.pseudo)}
+        arcs, pseudo = _non_loop(build_graph(pts))
+        lookup = {(u, v): p for (u, v), p in zip(map(tuple, arcs), pseudo)}
         for (u, v), p in lookup.items():
             np.testing.assert_allclose(lookup[(v, u)], 1.0 - p, atol=1e-12)
 
@@ -175,7 +185,6 @@ class TestBuildGraph:
     def test_self_loops_pinned_at_center(self):
         pts = np.random.default_rng(5).uniform(0.0, 4.0, size=(5, 2))
         graph = build_graph(pts)
-        assert graph.self_loops
         loops = graph.arcs[:, 0] == graph.arcs[:, 1]
         assert loops.sum() == 5
         np.testing.assert_allclose(graph.pseudo[loops], 0.5)
@@ -190,8 +199,8 @@ class TestBuildGraph:
 
     def test_degenerate_input_still_connected(self):
         graph = build_graph(np.zeros((3, 2)))
-        assert graph.edge_set() == {(0, 1), (0, 2), (1, 2)}
+        assert _edge_set(graph) == {(0, 1), (0, 2), (1, 2)}
 
     def test_graph_connected_for_small_m(self):
         graph = build_graph(np.array([[0.0, 0.0], [3.0, 1.0]]))
-        assert graph.edge_set() == {(0, 1)}
+        assert _edge_set(graph) == {(0, 1)}

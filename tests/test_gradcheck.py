@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from normmatch import ParameterStore, all_passed, grad_check
 from normmatch.config import DataConfig, TrainConfig
 from normmatch.data import generate_pair
+from normmatch.gradcheck import all_passed, grad_check
 from normmatch.model import MatchingModel
+from normmatch.params import ParameterStore
 
 
 def _quadratic_store():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from normmatch import hyperspherical, info_nce, layer_hyperspherical, total_loss
 from normmatch.losses import (
+    hyperspherical,
     hyperspherical_backward,
+    info_nce,
     info_nce_backward,
+    layer_hyperspherical,
     layer_hyperspherical_backward,
+    total_loss,
     total_loss_backward,
 )
 

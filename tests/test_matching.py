@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from normmatch import TransportPlan, accuracy, affinity, decode_matching, sinkhorn_log
+from normmatch.matching import accuracy, affinity, decode_matching, sinkhorn_log
 
 
 def _naive_sinkhorn(C, temperature, iters):

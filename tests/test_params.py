@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from normmatch import ParameterStore
+from normmatch.params import ParameterStore
 
 
 def test_register_and_lookup():
@@ -66,11 +66,3 @@ def test_quantize_float32_is_idempotent():
     # quantized values survive an f32 round trip exactly
     np.testing.assert_array_equal(once.astype(np.float32).astype(np.float64), once)
 
-
-def test_state_dict_round_trip():
-    store = ParameterStore()
-    store.register("w", np.arange(4.0))
-    state = store.state_dict()
-    store.value("w")[...] = 0.0
-    store.load_state_dict(state)
-    np.testing.assert_array_equal(store.value("w"), np.arange(4.0))

@@ -3,15 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normmatch import KeypointGraph, ParameterStore, build_graph, grad_check, spline_basis
-from normmatch.gradcheck import all_passed
+from normmatch import splineconv
+from normmatch.geometry import KeypointGraph, build_graph
+from normmatch.gradcheck import all_passed, grad_check
+from normmatch.params import ParameterStore
 from normmatch.splineconv import (
+    _basis_arrays,
     gnn_refine,
     gnn_refine_backward,
     init_gnn_params,
     spline_conv_backward,
     spline_conv_forward,
 )
+from oracles import loop_max_aggregate, loop_scatter_to_argmax, spline_basis
 
 
 def _manual_graph(num_nodes, arcs, pseudo):
@@ -19,7 +23,6 @@ def _manual_graph(num_nodes, arcs, pseudo):
         num_nodes=num_nodes,
         arcs=np.asarray(arcs, dtype=np.intp).reshape(-1, 2),
         pseudo=np.asarray(pseudo, dtype=np.float64).reshape(-1, 2),
-        self_loops=True,
     )
 
 
@@ -70,6 +73,20 @@ class TestSplineBasis:
     def test_kernel_size_below_two_rejected(self):
         with pytest.raises(ValueError):
             spline_basis(np.array([0.5, 0.5]), 1)
+
+    @given(
+        st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=6),
+        st.integers(2, 8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_basis_arrays_match_scalar_oracle(self, points, kernel_size):
+        pseudo = np.asarray(points, dtype=np.float64)
+        idx, wgt = _basis_arrays(pseudo, kernel_size)
+        assert np.all(wgt >= 0.0)
+        for n, u in enumerate(pseudo):
+            expected = {i1 * kernel_size + i2: w for (i1, i2), w in spline_basis(u, kernel_size)}
+            active = {int(i): float(w) for i, w in zip(idx[:, n], wgt[:, n]) if w > 0.0}
+            assert active == expected
 
 
 def _dense_reference(features, graph, weight, bias, apply_relu):
@@ -149,7 +166,6 @@ class TestSplineConv:
             num_nodes=m,
             arcs=perm[graph.arcs][reorder],
             pseudo=graph.pseudo[reorder],
-            self_loops=True,
         )
         feats_perm = np.empty_like(feats)
         feats_perm[perm] = feats
@@ -218,6 +234,71 @@ class TestSplineConv:
                 assert rel < 1e-4, f"{name}[{c}]: analytic {analytic}, numeric {numeric}"
 
 
+def _oracle_graphs():
+    """(name, graph, features) cases where argmax ties and NaN routing matter."""
+    rng = np.random.default_rng(70)
+    cases = [
+        ("lone self-loop", build_graph(np.array([[4.0, 4.0]])), np.array([[1.0, -2.0, 0.0]])),
+    ]
+    # on a square, equal offsets give equal pseudo-coordinates, so equal
+    # integer features send exactly tied messages
+    square = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
+    cases.append(("tied messages", build_graph(square), np.ones((4, 3))))
+    cases.append(("integer ties", build_graph(square),
+                  rng.integers(-2, 3, size=(4, 3)).astype(np.float64)))
+    nan_feats = rng.standard_normal((6, 3))
+    nan_feats[2] = np.nan
+    cases.append(("NaN feature row", build_graph(rng.uniform(0.0, 8.0, size=(6, 2))), nan_feats))
+    dup = rng.uniform(0.0, 8.0, size=(5, 2))
+    dup[3] = dup[1]
+    cases.append(("duplicate points", build_graph(dup), rng.standard_normal((5, 3))))
+    for _ in range(4):
+        m = int(rng.integers(2, 12))
+        cases.append((f"random m={m}", build_graph(rng.uniform(0.0, 8.0, size=(m, 2))),
+                      rng.standard_normal((m, 3))))
+    return cases
+
+
+class TestMaxAggregationOracle:
+    """The array aggregation reproduces the per-node loop bit for bit."""
+
+    def _run(self, graph, feats, integer_weights):
+        rng = np.random.default_rng(71)
+        if integer_weights:
+            weight = rng.integers(-1, 2, size=(9, 3, 4)).astype(np.float64)
+        else:
+            weight = rng.standard_normal((9, 3, 4))
+        bias = rng.standard_normal(4)
+        g_out = rng.standard_normal((graph.num_nodes, 4))
+        out, cache = spline_conv_forward(feats, graph, weight, bias, apply_relu=True)
+        argmax_arc = cache[5]
+        return out, argmax_arc, spline_conv_backward(cache, g_out)
+
+    @pytest.mark.parametrize("integer_weights", [False, True])
+    def test_matches_per_node_loop(self, monkeypatch, integer_weights):
+        for name, graph, feats in _oracle_graphs():
+            got = self._run(graph, feats, integer_weights)
+            with monkeypatch.context() as patch:
+                patch.setattr(splineconv, "_max_aggregate", loop_max_aggregate)
+                patch.setattr(splineconv, "_scatter_to_argmax", loop_scatter_to_argmax)
+                want = self._run(graph, feats, integer_weights)
+            np.testing.assert_array_equal(got[0], want[0], err_msg=f"{name}: output")
+            np.testing.assert_array_equal(got[1], want[1], err_msg=f"{name}: argmax arcs")
+            for label, g, w in zip(("features", "weight", "bias"), got[2], want[2]):
+                np.testing.assert_array_equal(g, w, err_msg=f"{name}: g_{label}")
+
+    def test_ties_and_nan_pick_the_lowest_arc(self):
+        # three arcs into node 0 carry tied messages, except a NaN in arc 1
+        msgs = np.array([[1.0, 2.0], [1.0, np.nan], [1.0, 2.0], [5.0, 5.0]])
+        dst = np.array([0, 0, 0, 1])
+        counts = np.bincount(dst, minlength=2)
+        agg, argmax_arc = splineconv._max_aggregate(msgs, dst, counts)
+        want_agg, want_arc = loop_max_aggregate(msgs, dst, counts)
+        np.testing.assert_array_equal(agg, want_agg)
+        np.testing.assert_array_equal(argmax_arc, want_arc)
+        np.testing.assert_array_equal(argmax_arc, [[0, 1], [3, 3]])
+
+
 class TestGnnRefine:
     def _setup(self, m=5, in_dim=32, d_model=16, kernel_size=5, seed=0):
         rng = np.random.default_rng(seed)
@@ -249,7 +330,6 @@ class TestGnnRefine:
             num_nodes=7,
             arcs=perm[graph.arcs][reorder],
             pseudo=graph.pseudo[reorder],
-            self_loops=True,
         )
         feats_perm = np.empty_like(feats)
         feats_perm[perm] = feats

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from normmatch import ParameterStore
 from normmatch.config import DataConfig, TrainConfig
 from normmatch.data import generate_dataset, generate_pair
 from normmatch.matching import Matching
 from normmatch.model import MatchingModel
+from normmatch.params import ParameterStore
 from normmatch.train import Adam, evaluate, format_accuracy_table, lr_at_epoch, train
+
+
+def _snapshot(store):
+    return {name: store.value(name).copy() for name in store.names()}
 
 
 def _tiny_config(**overrides):
@@ -102,10 +106,10 @@ class TestTrain:
         config = _tiny_config(base_lr=0.0, epochs=3)
         pairs = generate_dataset(_tiny_data(), latent_dim=config.gnn_input_dim, seed=0)
         model = MatchingModel(config)
-        before = model.store.state_dict()
+        before = _snapshot(model.store)
         model, _, history, aborted = train(config, pairs, model=model)
         assert not aborted
-        after = model.store.state_dict()
+        after = _snapshot(model.store)
         for name in before:
             assert np.array_equal(before[name], after[name])
         # per-pair losses are identical; the epoch mean may differ in the
@@ -143,11 +147,11 @@ class TestTrain:
                             latent_dim=config.gnn_input_dim)
         bad.latents = bad.latents * np.inf
         model = MatchingModel(config)
-        before = model.store.state_dict()
+        before = _snapshot(model.store)
         model, _, history, aborted = train(config, [bad], model=model)
         assert aborted
         assert history == []
-        after = model.store.state_dict()
+        after = _snapshot(model.store)
         for name in before:
             assert np.array_equal(before[name], after[name])
 
