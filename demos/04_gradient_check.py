@@ -6,8 +6,6 @@ coordinates of every trainable parameter. This runs the full composed
 model: backbone projection -> spline GNN -> normalized decoder -> loss.
 """
 
-import numpy as np
-
 from normmatch.config import DataConfig, TrainConfig
 from normmatch.data import generate_pair
 from normmatch.gradcheck import all_passed, grad_check
@@ -23,7 +21,7 @@ model = MatchingModel(config)
 
 def forward(store):
     # populates analytic grads as a side effect, returns the scalar loss
-    return model.loss_and_grads(pair).total
+    return model.loss_and_grads([pair])[0].total
 
 
 reports = grad_check(forward, model.store, eps=1e-5, tol=1e-4)

@@ -124,10 +124,7 @@ def _cmd_gradcheck(args) -> int:
         model.store.set_trainable(name, any(name.startswith(p) for p in prefixes))
 
     def forward(store):
-        total = 0.0
-        for pair in pairs:
-            total += model.loss_and_grads(pair).total
-        return total
+        return sum(report.total for report in model.loss_and_grads(pairs))
 
     reports = grad_check(forward, model.store, eps=1e-5, tol=1e-4)
     failures = 0

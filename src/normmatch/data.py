@@ -141,7 +141,7 @@ def generate_pair(spec: DataConfig, class_id: int, seed: int,
         class_id=class_id,
         keypoints1=kp1,
         keypoints2=kp2,
-        truth=truth,
+        truth=truth.astype(np.intp),
         latents=latents,
         noise_level=spec.noise_level,
         seed=seed,
@@ -177,7 +177,15 @@ def pair_to_record(pair: PairSample) -> dict:
     return record
 
 
+def _numeric_field(record: dict, key: str) -> np.ndarray:
+    try:
+        return np.asarray(record[key], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key!r} is not a numeric array ({exc})") from None
+
+
 def record_to_pair(record: dict) -> PairSample:
+    """Checks every array field's shape and values before building the pair."""
     required = ["image1", "image2", "class_id", "keypoints1", "keypoints2", "truth"]
     for key in required:
         if key not in record:
@@ -186,17 +194,33 @@ def record_to_pair(record: dict) -> PairSample:
     has_files = "features1" in record and "features2" in record
     if not has_latents and not has_files:
         raise ValueError("pair record needs either 'latents' or 'features1'/'features2'")
-    truth = np.asarray(record["truth"], dtype=np.intp)
-    if sorted(truth.tolist()) != list(range(len(truth))):
+    kp1, kp2 = _numeric_field(record, "keypoints1"), _numeric_field(record, "keypoints2")
+    m = len(kp1) if kp1.ndim else 0
+    for key, kp in (("keypoints1", kp1), ("keypoints2", kp2)):
+        if m < 1 or kp.shape != (m, 2):
+            raise ValueError(f"{key!r} must have shape (m, 2) with m >= 1 matching "
+                             f"'keypoints1', got {kp.shape}")
+        if not np.all(np.isfinite(kp)):
+            raise ValueError(f"{key!r} must be finite")
+    truth = _numeric_field(record, "truth")
+    if truth.shape != (m,):
+        raise ValueError(f"'truth' must have shape ({m},), got {truth.shape}")
+    if sorted(truth.tolist()) != list(range(m)):
         raise ValueError("'truth' must be a permutation")
+    latents = None
+    if has_latents:
+        latents = _numeric_field(record, "latents")
+        if latents.ndim != 2 or len(latents) != m or latents.shape[1] % 2:
+            raise ValueError(f"'latents' must have shape ({m}, even width), "
+                             f"got {latents.shape}")
     return PairSample(
         image1=str(record["image1"]),
         image2=str(record["image2"]),
         class_id=int(record["class_id"]),
-        keypoints1=np.asarray(record["keypoints1"], dtype=np.float64),
-        keypoints2=np.asarray(record["keypoints2"], dtype=np.float64),
-        truth=truth,
-        latents=np.asarray(record["latents"], dtype=np.float64) if has_latents else None,
+        keypoints1=kp1,
+        keypoints2=kp2,
+        truth=truth.astype(np.intp),
+        latents=latents,
         noise_level=float(record.get("noise_level", 0.0)),
         seed=int(record.get("seed", 0)),
         feature_files=(record["features1"], record["features2"]) if has_files else None,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KeypointGraph", "delaunay", "pseudo_coords", "build_graph"]
+__all__ = ["KeypointGraph", "delaunay", "pseudo_coords", "build_graph", "batch_graphs"]
 
 
 @dataclass
@@ -26,7 +26,8 @@ class KeypointGraph:
     """Directed-arc view of an undirected keypoint graph.
 
     arcs: (n_arcs, 2) int array of (src, dst); every non-loop arc appears in
-    both directions, and one self-loop (i, i) per node comes last. pseudo:
+    both directions, then one self-loop (i, i) per node; a batch_graphs
+    union keeps each member's arcs as one block in that order. pseudo:
     (n_arcs, 2) edge attributes in [0, 1]^2 feeding the spline kernels.
     """
 
@@ -204,3 +205,10 @@ def build_graph(points) -> KeypointGraph:
     arcs = np.asarray(arc_list, dtype=np.intp).reshape(-1, 2)
     return KeypointGraph(num_nodes=m, arcs=arcs,
                          pseudo=np.vstack([pseudo, np.full((m, 2), 0.5)]))
+
+
+def batch_graphs(graphs) -> KeypointGraph:
+    """Disjoint union: each graph's arcs offset by the node count before it."""
+    offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
+    arcs = np.vstack([g.arcs + o for g, o in zip(graphs, offsets)])
+    return KeypointGraph(int(offsets[-1]), arcs, np.vstack([g.pseudo for g in graphs]))

@@ -13,7 +13,7 @@ from .config import TrainConfig
 from .data import PairSample
 from .decoder import FeatureSequence, decode, decode_backward, init_decoder_params
 from .features import extract_keypoint_features, global_token, global_token_backward
-from .geometry import build_graph
+from .geometry import batch_graphs, build_graph
 from .losses import LossReport, total_loss, total_loss_backward
 from .matching import Matching, TransportPlan, affinity, decode_matching, sinkhorn_log
 from .params import ParameterStore
@@ -46,65 +46,72 @@ class MatchingModel:
 
     # ---------------- forward ----------------
 
-    def _encode_image(self, backbone_out, keypoints):
-        """Backbone output + keypoints -> (FeatureSequence, cache)."""
-        feats = extract_keypoint_features(backbone_out, keypoints)
-        if feats.shape[1] != self.config.gnn_input_dim:
-            raise ValueError(
-                f"backbone width {feats.shape[1]} does not match configured "
-                f"gnn_input_dim {self.config.gnn_input_dim}"
-            )
-        graph = build_graph(keypoints)
-        tokens, gnn_cache = gnn_refine(feats, graph, self.store)
-        glob, glob_cache = global_token(backbone_out, self.store)
-        return FeatureSequence(tokens, glob), (gnn_cache, glob_cache)
+    def _encode(self, pairs):
+        """Token sequences of every image of pairs, through one GNN call on the union.
 
-    def forward_pair(self, pair: PairSample, want_caches: bool = False):
-        """Decoder outputs for one pair.
-
-        Returns (f1, f2, snapshots) and, when want_caches is set, the cache
-        bundle needed for the backward pass.
+        Each pair's feature maps are released once sampled. Returns
+        ([(seq1, seq2, global cache 1, global cache 2) per pair], gnn cache).
         """
-        b1, b2 = pair.backbone_outputs()
-        seq1, enc1 = self._encode_image(b1, pair.keypoints1)
-        seq2, enc2 = self._encode_image(b2, pair.keypoints2)
-        f1, f2, snapshots, dec_caches = decode(
+        feats, graphs, globs, glob_caches = [], [], [], []
+        for pair in pairs:
+            for backbone_out, keypoints in zip(pair.backbone_outputs(),
+                                               (pair.keypoints1, pair.keypoints2)):
+                f = extract_keypoint_features(backbone_out, keypoints)
+                if f.shape[1] != self.config.gnn_input_dim:
+                    raise ValueError(
+                        f"backbone width {f.shape[1]} does not match configured "
+                        f"gnn_input_dim {self.config.gnn_input_dim}"
+                    )
+                feats.append(f)
+                graphs.append(build_graph(keypoints))
+                glob, glob_cache = global_token(backbone_out, self.store)
+                globs.append(glob)
+                glob_caches.append(glob_cache)
+        tokens, gnn_cache = gnn_refine(np.vstack(feats), batch_graphs(graphs), self.store)
+        splits = np.cumsum([len(f) for f in feats])[:-1]
+        seqs = [FeatureSequence(t, g) for t, g in zip(np.split(tokens, splits), globs)]
+        per_pair = zip(seqs[0::2], seqs[1::2], glob_caches[0::2], glob_caches[1::2])
+        return list(per_pair), gnn_cache
+
+    def forward_pair(self, pair: PairSample):
+        """Decoder outputs (f1, f2, snapshots) for one pair."""
+        [(seq1, seq2, _, _)], _ = self._encode([pair])
+        f1, f2, snapshots, _ = decode(
             seq1, seq2, self.store, self.config.decoder_layers, self.config.heads
         )
-        if want_caches:
-            return f1, f2, snapshots, (enc1, enc2, dec_caches)
         return f1, f2, snapshots
 
     # ---------------- training ----------------
 
-    def loss_and_grads(self, pair: PairSample) -> LossReport:
-        """Full loss for one pair; accumulates gradients into the store."""
-        f1, f2, snapshots, (enc1, enc2, dec_caches) = self.forward_pair(
-            pair, want_caches=True
-        )
-        report, loss_cache = total_loss(
-            f1.tokens,
-            f2.tokens,
-            snapshots,
-            pair.truth,
-            float(self.store.value("loss.tau_raw")),
-            self.config.layer_loss_p,
-            self.config.infonce_mode,
-        )
-        g_f1, g_f2, snapshot_grads, g_tau = total_loss_backward(loss_cache)
-        self.store.add_grad("loss.tau_raw", g_tau)
-        d = self.config.d_model
-        g_t1, g_g1, g_t2, g_g2 = decode_backward(
-            dec_caches, self.store, g_f1, np.zeros(d), g_f2, np.zeros(d),
-            snapshot_grads,
-        )
-        for (gnn_cache, glob_cache), g_tokens, g_glob in (
-            (enc1, g_t1, g_g1),
-            (enc2, g_t2, g_g2),
-        ):
-            gnn_refine_backward(gnn_cache, g_tokens, self.store)
-            global_token_backward(glob_cache, g_glob, self.store)
-        return report
+    def loss_and_grads(self, pairs) -> list[LossReport]:
+        """Loss report per pair; accumulates the summed gradients into the store.
+
+        The GNN runs once over all pairs; decoder and loss run forward and
+        backward one pair at a time, so one pair's decoder caches are alive.
+        """
+        encoded, gnn_cache = self._encode(pairs)
+        cfg, d = self.config, self.config.d_model
+        reports, g_tokens = [], []
+        for pair, (seq1, seq2, glob1, glob2) in zip(pairs, encoded):
+            f1, f2, snapshots, dec_caches = decode(
+                seq1, seq2, self.store, cfg.decoder_layers, cfg.heads
+            )
+            report, loss_cache = total_loss(
+                f1.tokens, f2.tokens, snapshots, pair.truth,
+                float(self.store.value("loss.tau_raw")), cfg.layer_loss_p, cfg.infonce_mode,
+            )
+            g_f1, g_f2, snapshot_grads, g_tau = total_loss_backward(loss_cache)
+            self.store.add_grad("loss.tau_raw", g_tau)
+            g_t1, g_g1, g_t2, g_g2 = decode_backward(
+                dec_caches, self.store, g_f1, np.zeros(d), g_f2, np.zeros(d),
+                snapshot_grads,
+            )
+            global_token_backward(glob1, g_g1, self.store)
+            global_token_backward(glob2, g_g2, self.store)
+            g_tokens += [g_t1, g_t2]
+            reports.append(report)
+        gnn_refine_backward(gnn_cache, np.vstack(g_tokens), self.store)
+        return reports
 
     # ---------------- inference ----------------
 

@@ -79,11 +79,7 @@ def train(config: TrainConfig, train_pairs, val_pairs=None,
         for start in range(0, len(order), config.batch_size):
             batch = [train_pairs[i] for i in order[start : start + config.batch_size]]
             model.store.zero_grads()
-            batch_loss = 0.0
-            for pair in batch:
-                report = model.loss_and_grads(pair)
-                batch_loss += report.total
-            batch_loss /= len(batch)
+            batch_loss = sum(r.total for r in model.loss_and_grads(batch)) / len(batch)
             if not np.isfinite(batch_loss):
                 aborted = True
                 break

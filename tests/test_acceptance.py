@@ -23,7 +23,7 @@ from normmatch.decoder import (
     norm_self_attn,
 )
 from normmatch.geometry import build_graph
-from normmatch.gradcheck import all_passed, grad_check
+from normmatch.gradcheck import grad_check
 from normmatch.losses import (
     hyperspherical,
     info_nce,

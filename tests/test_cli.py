@@ -28,6 +28,14 @@ noise_level = 0.01
 """
 
 
+def _drop_last_keypoint2(record):
+    record["keypoints2"].pop()
+
+
+def _nan_keypoint1(record):
+    record["keypoints1"][0][0] = float("nan")
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "run.cfg"
@@ -118,6 +126,21 @@ class TestTrainEvalMatch:
         bad.write_text("{broken\n", encoding="utf-8")
         assert main(["match", "--checkpoint", str(ckpt), "--pair", str(bad)]) == 2
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, corrupt", [
+        ("keypoints2", _drop_last_keypoint2),
+        ("keypoints1", _nan_keypoint1),
+    ])
+    def test_match_invalid_record_names_field_and_exits_2(self, trained, tmp_path,
+                                                           capsys, field, corrupt):
+        ckpt, pairs_path, _ = trained
+        record = json.loads(pairs_path.read_text().splitlines()[0])
+        corrupt(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["match", "--checkpoint", str(ckpt), "--pair", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and repr(field) in err
 
     def test_missing_checkpoint_exits_2(self, tmp_path, config_path, capsys):
         pairs_path = tmp_path / "pairs.jsonl"

@@ -14,7 +14,7 @@ from normmatch.data import (
     record_to_pair,
     write_dataset,
 )
-from normmatch.features import synthetic_backbone, write_feature_file
+from normmatch.features import write_feature_file
 
 
 def _identity_spec(**overrides):
@@ -187,6 +187,32 @@ class TestDatasetIO:
         record["truth"] = [0] * pair.m
         with pytest.raises(ValueError, match="permutation"):
             record_to_pair(record)
+
+    @pytest.mark.parametrize("field, value", [
+        ("keypoints1", []),
+        ("keypoints1", [[1.0, 2.0, 3.0]] * 6),
+        ("keypoints1", [[1.0, float("inf")]] + [[1.0, 2.0]] * 5),
+        ("keypoints2", [[1.0, 2.0]] * 5),
+        ("keypoints2", [[1.0, 2.0]] * 5 + [[float("nan"), 2.0]]),
+        ("keypoints2", [[1.0, 2.0], [3.0]]),
+        ("truth", [[0, 1, 2, 3, 4, 5]]),
+        ("truth", [0, 1, 2, 3, 4, 5, 6]),
+        ("truth", [0.5, 1, 2, 3, 4, 5]),
+        ("latents", [[0.0] * 8] * 5),
+        ("latents", [[0.0] * 7] * 6),
+    ])
+    def test_record_field_shapes_checked(self, field, value):
+        pair = generate_pair(DataConfig(m_min=6, m_max=6), class_id=0, seed=0,
+                             latent_dim=8)
+        record = pair_to_record(pair)
+        record[field] = value
+        with pytest.raises(ValueError, match=repr(field)):
+            record_to_pair(record)
+
+    def test_single_keypoint_record_accepted(self):
+        pair = generate_pair(DataConfig(m_min=1, m_max=1), class_id=0, seed=0,
+                             latent_dim=8)
+        assert record_to_pair(pair_to_record(pair)).m == 1
 
     def test_record_requires_latents_or_feature_files(self):
         pair = generate_pair(DataConfig(), class_id=0, seed=0, latent_dim=8)

@@ -1,11 +1,10 @@
 import itertools
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normmatch.geometry import build_graph, delaunay, pseudo_coords
+from normmatch.geometry import batch_graphs, build_graph, delaunay, pseudo_coords
 
 
 def _non_loop(graph):
@@ -204,3 +203,23 @@ class TestBuildGraph:
     def test_graph_connected_for_small_m(self):
         graph = build_graph(np.array([[0.0, 0.0], [3.0, 1.0]]))
         assert _edge_set(graph) == {(0, 1)}
+
+
+class TestBatchGraphs:
+    def test_union_offsets_arcs_and_stacks_pseudo(self):
+        rng = np.random.default_rng(7)
+        graphs = [build_graph(rng.uniform(0.0, 10.0, size=(m, 2))) for m in (5, 1, 3)]
+        union = batch_graphs(graphs)
+        assert union.num_nodes == 9
+        starts = np.cumsum([0] + [len(g.arcs) for g in graphs])
+        for g, offset, lo, hi in zip(graphs, (0, 5, 6), starts, starts[1:]):
+            np.testing.assert_array_equal(union.arcs[lo:hi], g.arcs + offset)
+            np.testing.assert_array_equal(union.pseudo[lo:hi], g.pseudo)
+        assert len(union.arcs) == starts[-1]
+
+    def test_single_member_union_is_the_graph(self):
+        graph = build_graph(np.random.default_rng(8).uniform(0.0, 10.0, size=(6, 2)))
+        union = batch_graphs([graph])
+        assert union.num_nodes == graph.num_nodes
+        np.testing.assert_array_equal(union.arcs, graph.arcs)
+        np.testing.assert_array_equal(union.pseudo, graph.pseudo)

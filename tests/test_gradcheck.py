@@ -97,7 +97,7 @@ def test_full_pipeline_loss_on_four_keypoint_pair():
     model = MatchingModel(config)
 
     def forward(store):
-        return model.loss_and_grads(pair).total
+        return model.loss_and_grads([pair])[0].total
 
     reports = grad_check(forward, model.store, eps=1e-5, tol=1e-4)
     assert len(reports) == 36

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normmatch import splineconv
-from normmatch.geometry import KeypointGraph, build_graph
+from normmatch.geometry import KeypointGraph, batch_graphs, build_graph
 from normmatch.gradcheck import all_passed, grad_check
 from normmatch.params import ParameterStore
 from normmatch.splineconv import (
@@ -369,3 +369,50 @@ class TestGnnRefine:
             analytic = g_feats.ravel()[c]
             rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
             assert rel < 1e-4
+
+
+class TestDisjointUnion:
+    """One GNN call on a batch_graphs union against one call per member."""
+
+    def _members(self, in_dim=12):
+        rng = np.random.default_rng(11)
+        points = [
+            rng.uniform(0.0, 10.0, size=(6, 2)),
+            np.array([[4.0, 4.0]]),  # m = 1: a lone self-loop
+            np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]),  # collinear
+            rng.uniform(0.0, 10.0, size=(9, 2)),
+        ]
+        graphs = [build_graph(p) for p in points]
+        assert len(graphs[2].arcs) == 4 * 3 + 4  # complete-graph fallback plus loops
+        feats = [rng.standard_normal((len(p), in_dim)) for p in points]
+        probes = [rng.standard_normal((len(p), 8)) for p in points]
+        store = ParameterStore()
+        init_gnn_params(store, rng, in_dim, 8, 5)
+        return store, graphs, feats, probes
+
+    def test_forward_matches_per_graph_outputs(self):
+        store, graphs, feats, _ = self._members()
+        union_out, _ = gnn_refine(np.vstack(feats), batch_graphs(graphs), store)
+        splits = np.cumsum([len(f) for f in feats])[:-1]
+        for got, graph, f in zip(np.split(union_out, splits), graphs, feats):
+            expected, _ = gnn_refine(f, graph, store)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_backward_matches_per_graph_sums(self):
+        store, graphs, feats, probes = self._members()
+        names = store.trainable_names()
+        store.zero_grads()
+        _, cache = gnn_refine(np.vstack(feats), batch_graphs(graphs), store)
+        g_union = gnn_refine_backward(cache, np.vstack(probes), store)
+        union_grads = {n: store.grad(n).copy() for n in names}
+
+        store.zero_grads()
+        g_members = []
+        for graph, f, probe in zip(graphs, feats, probes):
+            _, cache = gnn_refine(f, graph, store)
+            g_members.append(gnn_refine_backward(cache, probe, store))
+        for name in names:
+            expected = store.grad(name)
+            err = np.max(np.abs(union_grads[name] - expected)) / np.max(np.abs(expected))
+            assert err < 1e-12, f"{name}: {err:.3e}"
+        np.testing.assert_allclose(g_union, np.vstack(g_members), rtol=0, atol=1e-12)

@@ -95,7 +95,7 @@ class TestTrain:
         losses = []
         for _ in range(50):
             model.store.zero_grads()
-            losses.append(model.loss_and_grads(pair).total)
+            losses.append(model.loss_and_grads([pair])[0].total)
             opt.step(lr=1e-4)
             model.store.quantize_float32()
         decreases = sum(1 for a, b in zip(losses, losses[1:]) if b < a)
@@ -124,16 +124,16 @@ class TestTrain:
         model = MatchingModel(config)
 
         model.store.zero_grads()
-        for pair in pairs:
-            model.loss_and_grads(pair)
+        reports = model.loss_and_grads(pairs)
         batched = {}
         for name in model.store.trainable_names():
             batched[name] = model.store.grad(name) / len(pairs)
 
         singles = {name: np.zeros_like(g) for name, g in batched.items()}
-        for pair in pairs:
+        for pair, report in zip(pairs, reports, strict=True):
             model.store.zero_grads()
-            model.loss_and_grads(pair)
+            single = model.loss_and_grads([pair])[0]
+            assert single.total == pytest.approx(report.total, rel=1e-12)
             for name in singles:
                 singles[name] += model.store.grad(name) / len(pairs)
 
