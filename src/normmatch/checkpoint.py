@@ -14,6 +14,7 @@ bit-identical forward passes.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -73,16 +74,27 @@ def save_checkpoint(path, model: MatchingModel, optimizer: Adam | None = None,
             arrays.append((f"opt.v.{n}", np.atleast_1d(optimizer.v[n])))
     config_blob = config_to_text(model.config).encode("utf-8")
     meta_blob = json.dumps(meta).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(config_blob)))
-        fh.write(config_blob)
-        fh.write(struct.pack("<I", len(meta_blob)))
-        fh.write(meta_blob)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays:
-            _write_array(fh, name, arr)
+    # write a temporary file beside the target and rename it over the
+    # target, so a failed save leaves the previous checkpoint intact
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<I", len(config_blob)))
+            fh.write(config_blob)
+            fh.write(struct.pack("<I", len(meta_blob)))
+            fh.write(meta_blob)
+            fh.write(struct.pack("<I", len(arrays)))
+            for name, arr in arrays:
+                _write_array(fh, name, arr)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path):

@@ -49,10 +49,6 @@ class BackboneOutput:
     last: FeatureMap
     second_last: FeatureMap
 
-    @property
-    def concat_width(self) -> int:
-        return self.last.grid.shape[2] + self.second_last.grid.shape[2]
-
 
 def bilinear_sample(fmap: FeatureMap, point) -> np.ndarray:
     """Sample one feature vector at an image-pixel location.

@@ -209,6 +209,6 @@ def build_graph(points) -> KeypointGraph:
 
 def batch_graphs(graphs) -> KeypointGraph:
     """Disjoint union: each graph's arcs offset by the node count before it."""
-    offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
-    arcs = np.vstack([g.arcs + o for g, o in zip(graphs, offsets)])
-    return KeypointGraph(int(offsets[-1]), arcs, np.vstack([g.pseudo for g in graphs]))
+    offsets = list(itertools.accumulate((g.num_nodes for g in graphs), initial=0))
+    arcs = np.concatenate([g.arcs + o for g, o in zip(graphs, offsets)])
+    return KeypointGraph(offsets[-1], arcs, np.concatenate([g.pseudo for g in graphs]))

@@ -7,6 +7,8 @@ Sinkhorn stage is inference-only.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .config import TrainConfig
@@ -67,9 +69,9 @@ class MatchingModel:
                 glob, glob_cache = global_token(backbone_out, self.store)
                 globs.append(glob)
                 glob_caches.append(glob_cache)
-        tokens, gnn_cache = gnn_refine(np.vstack(feats), batch_graphs(graphs), self.store)
-        splits = np.cumsum([len(f) for f in feats])[:-1]
-        seqs = [FeatureSequence(t, g) for t, g in zip(np.split(tokens, splits), globs)]
+        tokens, gnn_cache = gnn_refine(np.concatenate(feats), batch_graphs(graphs), self.store)
+        starts = itertools.accumulate((len(f) for f in feats), initial=0)
+        seqs = [FeatureSequence(tokens[s:s + len(f)], g) for s, f, g in zip(starts, feats, globs)]
         per_pair = zip(seqs[0::2], seqs[1::2], glob_caches[0::2], glob_caches[1::2])
         return list(per_pair), gnn_cache
 

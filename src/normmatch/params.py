@@ -35,9 +35,6 @@ class ParameterStore:
     def grad(self, name: str) -> np.ndarray:
         return self._grads[name]
 
-    def is_trainable(self, name: str) -> bool:
-        return self._trainable[name]
-
     def set_trainable(self, name: str, flag: bool) -> None:
         if name not in self._values:
             raise KeyError(name)

@@ -14,6 +14,7 @@ import numpy as np
 from .ops import normalize_rows, normalize_rows_backward
 
 __all__ = [
+    "spline_plan",
     "spline_conv_forward",
     "spline_conv_backward",
     "init_gnn_params",
@@ -71,42 +72,56 @@ def _scatter_to_argmax(argmax_arc, g_out, n_arcs):
     return g_msgs
 
 
-def spline_conv_forward(features, graph, weight, bias, apply_relu: bool):
+def spline_plan(graph, kernel_size: int):
+    """(kernel_size, segments, (rows, arcs, srcs, weights), in_degree, senders) of a graph.
+
+    Row c * n_arcs + a is (corner c, arc a). Rows are stably sorted by knot; segment
+    (knot, i, j) spans one knot's rows, which never repeat an arc. senders: arcs sorted
+    by source, the nodes that send, and where each starts. Built once per graph.
+    """
+    src, dst = graph.arcs[:, 0], graph.arcs[:, 1]
+    in_degree = np.bincount(dst, minlength=graph.num_nodes)
+    if np.any(in_degree == 0):
+        raise ValueError("isolated vertex: aggregation undefined without self-loops")
+    idx, wgt = _basis_arrays(graph.pseudo, kernel_size)
+    rows = np.argsort(idx.ravel(), kind="stable")
+    arcs = rows % len(src)
+    ends = np.cumsum(np.bincount(idx.ravel(), minlength=kernel_size**2)).tolist()
+    segments = [(b, i, j) for b, (i, j) in enumerate(zip([0] + ends, ends)) if i < j]
+    out_degree = np.bincount(src, minlength=graph.num_nodes)
+    nodes = np.flatnonzero(out_degree)
+    senders = (np.argsort(src, kind="stable"), nodes, (np.cumsum(out_degree) - out_degree)[nodes])
+    return (kernel_size, segments, (rows, arcs, src[arcs], wgt.ravel()[rows, None]),
+            in_degree, senders)
+
+
+def spline_conv_forward(features, graph, weight, bias, plan, apply_relu: bool):
     """One spline-kernel convolution. Returns (out, cache).
 
-    weight: (K^2, in_dim, out_dim); bias: (out_dim,). Message for arc
-    (u -> v) is sum_b basis_w_b * features[u] @ weight[b]; each node takes
-    the element-wise max over incoming messages, adds the bias, and applies
-    ReLU when requested.
+    weight: (K^2, in_dim, out_dim); bias: (out_dim,); plan: the graph's
+    :func:`spline_plan` for the same K. Message for arc (u -> v) is
+    sum_b basis_w_b * features[u] @ weight[b]; each node takes the element-wise
+    max over incoming messages, adds the bias, and applies ReLU when requested.
     """
     features = np.asarray(features, dtype=np.float64)
     k2, in_dim, out_dim = weight.shape
-    kernel_size = int(round(np.sqrt(k2)))
-    if kernel_size * kernel_size != k2:
-        raise ValueError("weight leading dim must be a square K^2")
+    kernel_size, segments, (rows, _, srcs, weights), in_degree, _ = plan
+    if kernel_size**2 != k2:
+        raise ValueError(f"plan built for K = {kernel_size}, weight has {k2} knots")
     if features.shape[1] != in_dim:
         raise ValueError(
             f"feature width {features.shape[1]} does not match kernel input {in_dim}"
         )
-    m = graph.num_nodes
-    arcs = graph.arcs
-    src, dst = arcs[:, 0], arcs[:, 1]
-    counts = np.bincount(dst, minlength=m)
-    if np.any(counts == 0):
-        raise ValueError("isolated vertex: aggregation undefined without self-loops")
+    by_corner = np.empty((4 * len(graph.arcs), out_dim))
+    for b, i, j in segments:
+        by_corner[rows[i:j]] = weights[i:j] * (features[srcs[i:j]] @ weight[b])
+    # a sum over the leading axis of 4 adds corners 0, 1, 2, 3 in order
+    msgs = by_corner.reshape(4, -1, out_dim).sum(axis=0)
 
-    idx, wgt = _basis_arrays(graph.pseudo, kernel_size)
-    x_src = features[src]
-    msgs = np.zeros((len(arcs), out_dim))
-    for c in range(4):
-        for b in np.unique(idx[c]):
-            rows = np.nonzero(idx[c] == b)[0]
-            msgs[rows] += wgt[c, rows, None] * (x_src[rows] @ weight[b])
-
-    agg, argmax_arc = _max_aggregate(msgs, dst, counts)
+    agg, argmax_arc = _max_aggregate(msgs, graph.arcs[:, 1], in_degree)
     pre = agg + bias
     out = np.maximum(pre, 0.0) if apply_relu else pre
-    cache = (features, graph, weight, idx, wgt, argmax_arc, pre if apply_relu else None)
+    cache = (features, graph, weight, plan, argmax_arc, pre if apply_relu else None)
     return out, cache
 
 
@@ -116,24 +131,22 @@ def spline_conv_backward(cache, g_out):
     Returns (g_features, g_weight, g_bias). Max aggregation routes each
     output coordinate's gradient to its recorded argmax arc only.
     """
-    features, graph, weight, idx, wgt, argmax_arc, relu_pre = cache
+    features, graph, weight, plan, argmax_arc, relu_pre = cache
     if relu_pre is not None:
         g_out = g_out * (relu_pre > 0.0)
     g_bias = g_out.sum(axis=0)
 
     g_msgs = _scatter_to_argmax(argmax_arc, g_out, len(graph.arcs))
-
-    src = graph.arcs[:, 0]
-    x_src = features[src]
     g_weight = np.zeros_like(weight)
+    g_arcs = np.zeros((len(graph.arcs), features.shape[1]))
+    _, segments, (_, arcs, srcs, weights), _, (by_source, nodes, starts) = plan
+    for b, i, j in segments:
+        g_seg = g_msgs[arcs[i:j]]
+        g_weight[b] = (features[srcs[i:j]] * weights[i:j]).T @ g_seg
+        g_arcs[arcs[i:j]] += weights[i:j] * (g_seg @ weight[b].T)
     g_features = np.zeros_like(features)
-    for c in range(4):
-        for b in np.unique(idx[c]):
-            rows = np.nonzero(idx[c] == b)[0]
-            w_rows = wgt[c, rows, None]
-            g_weight[b] += (x_src[rows] * w_rows).T @ g_msgs[rows]
-            contrib = w_rows * (g_msgs[rows] @ weight[b].T)
-            np.add.at(g_features, src[rows], contrib)
+    # only senders: reduceat gives a node with no outgoing arc the row at its start
+    g_features[nodes] = np.add.reduceat(g_arcs[by_source], starts)
     return g_features, g_weight, g_bias
 
 
@@ -152,11 +165,13 @@ def gnn_refine(features, graph, store):
     Returns (tokens, cache) with tokens of shape (m, d_model), each row on
     the unit sphere ready for the decoder.
     """
+    w1 = store.value("gnn.w1")
+    plan = spline_plan(graph, round(len(w1) ** 0.5))
     h1, c1 = spline_conv_forward(
-        features, graph, store.value("gnn.w1"), store.value("gnn.b1"), apply_relu=True
+        features, graph, w1, store.value("gnn.b1"), plan, apply_relu=True
     )
     h2, c2 = spline_conv_forward(
-        h1, graph, store.value("gnn.w2"), store.value("gnn.b2"), apply_relu=False
+        h1, graph, store.value("gnn.w2"), store.value("gnn.b2"), plan, apply_relu=False
     )
     out, nc = normalize_rows(h2)
     return out, (c1, c2, nc)

@@ -6,6 +6,7 @@ of a computation whose array form lives in ``src/normmatch``.
 
 import numpy as np
 
+from normmatch import splineconv
 from normmatch.ops import EPS_GUARD
 
 
@@ -81,3 +82,52 @@ def loop_scatter_to_argmax(argmax_arc, g_out, n_arcs):
     for v in range(m):
         np.add.at(g_msgs, (argmax_arc[v], cols), g_out[v])
     return g_msgs
+
+
+def loop_spline_conv_forward(features, graph, weight, bias, apply_relu):
+    """Spline convolution with the basis derived per call and one GEMM per
+    (basis corner, knot) group. Oracle for ``splineconv.spline_conv_forward``.
+
+    Returns (out, cache); the cache feeds :func:`loop_spline_conv_backward`.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    k2, _, out_dim = weight.shape
+    kernel_size = int(round(np.sqrt(k2)))
+    m = graph.num_nodes
+    src, dst = graph.arcs[:, 0], graph.arcs[:, 1]
+    counts = np.bincount(dst, minlength=m)
+    idx, wgt = splineconv._basis_arrays(graph.pseudo, kernel_size)
+    x_src = features[src]
+    msgs = np.zeros((len(graph.arcs), out_dim))
+    for c in range(4):
+        for b in np.unique(idx[c]):
+            rows = np.nonzero(idx[c] == b)[0]
+            msgs[rows] += wgt[c, rows, None] * (x_src[rows] @ weight[b])
+    agg, argmax_arc = splineconv._max_aggregate(msgs, dst, counts)
+    pre = agg + bias
+    out = np.maximum(pre, 0.0) if apply_relu else pre
+    return out, (features, graph, weight, idx, wgt, argmax_arc, pre if apply_relu else None)
+
+
+def loop_spline_conv_backward(cache, g_out):
+    """Backward of :func:`loop_spline_conv_forward`: (g_features, g_weight, g_bias).
+
+    One GEMM pair and one ``np.add.at`` scatter per (basis corner, knot)
+    group. Oracle for ``splineconv.spline_conv_backward``.
+    """
+    features, graph, weight, idx, wgt, argmax_arc, relu_pre = cache
+    if relu_pre is not None:
+        g_out = g_out * (relu_pre > 0.0)
+    g_bias = g_out.sum(axis=0)
+    g_msgs = splineconv._scatter_to_argmax(argmax_arc, g_out, len(graph.arcs))
+    src = graph.arcs[:, 0]
+    x_src = features[src]
+    g_weight = np.zeros_like(weight)
+    g_features = np.zeros_like(features)
+    for c in range(4):
+        for b in np.unique(idx[c]):
+            rows = np.nonzero(idx[c] == b)[0]
+            w_rows = wgt[c, rows, None]
+            g_weight[b] += (x_src[rows] * w_rows).T @ g_msgs[rows]
+            np.add.at(g_features, src[rows], w_rows * (g_msgs[rows] @ weight[b].T))
+    return g_features, g_weight, g_bias

@@ -1,0 +1,67 @@
+"""The names the benchmark tracer hooks must keep resolving.
+
+``perfbench/tracer.py`` wraps functions and methods by name from outside the
+package; a renamed or moved name makes its layer absent from every traced
+run. These tests run one inference and one training step under the tracer
+and require every layer those calls reach to be found and counted.
+"""
+
+import importlib
+import os
+import sys
+
+import pytest
+
+from normmatch.config import DataConfig, TrainConfig
+from normmatch.data import generate_pair
+from normmatch.model import MatchingModel
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+# layers reached by match_pair and by loss_and_grads
+INFERENCE_LAYERS = (
+    "features.render", "features.sample", "features.global", "geometry.build_graph",
+    "splineconv.forward", "decoder.forward", "matching.affinity", "matching.sinkhorn",
+    "matching.decode",
+)
+TRAINING_LAYERS = (
+    "splineconv.backward", "decoder.backward", "losses.forward", "losses.backward",
+)
+
+
+@pytest.fixture
+def tracer_module():
+    """perfbench's tracer, imported with os.environ and sys.path restored after.
+
+    perfbench/env.py sets the BLAS thread variables at import; later
+    subprocess tests must not inherit them.
+    """
+    environ = dict(os.environ)
+    path = list(sys.path)
+    sys.path.insert(0, PERFBENCH)
+    try:
+        importlib.import_module("env")
+        yield importlib.import_module("tracer")
+    finally:
+        for name in ("env", "tracer"):
+            sys.modules.pop(name, None)
+        sys.path[:] = path
+        os.environ.clear()
+        os.environ.update(environ)
+
+
+def test_traced_layers_present_and_counted(tracer_module):
+    config = TrainConfig()
+    data = DataConfig(m_min=5, m_max=8, num_classes=3)
+    p1, p2 = (generate_pair(data, class_id=i, seed=i, latent_dim=config.gnn_input_dim)
+              for i in range(2))
+    model = MatchingModel(config)
+    with tracer_module.Tracer() as t:
+        model.match_pair(p1)
+        model.loss_and_grads([p1, p2])
+    assert t.absent == []
+    for layer in INFERENCE_LAYERS + TRAINING_LAYERS:
+        assert t.calls[layer] > 0, layer
+    assert t.counts["splineconv.gemm_flops"] > 0
+    assert t.counts["geometry.arcs"] > 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from normmatch import checkpoint
 from normmatch.checkpoint import (
     load_checkpoint,
     model_from_checkpoint,
@@ -137,6 +138,36 @@ class TestErrors:
         path_bad.write_bytes(relabeled)
         with pytest.raises(ValueError, match="missing parameter"):
             model_from_checkpoint(path_bad)
+
+
+class TestAtomicSave:
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        model = MatchingModel(_config())
+        path = tmp_path / "run.nmtc"
+        save_checkpoint(path, model)
+        before = path.read_bytes()
+
+        original, written = checkpoint._write_array, []
+
+        def failing_write(fh, name, arr):  # fails on the third array
+            if len(written) == 2:
+                raise OSError("disk full")
+            written.append(name)
+            original(fh, name, arr)
+
+        monkeypatch.setattr(checkpoint, "_write_array", failing_write)
+        model.store.set_value("loss.tau_raw", np.float32(-3.0))
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, model)
+        assert len(written) == 2
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.nmtc"]
+
+    def test_successful_save_leaves_no_temporary_file(self, tmp_path):
+        path = tmp_path / "fresh.nmtc"
+        save_checkpoint(path, MatchingModel(_config()))
+        load_checkpoint(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.nmtc"]
 
 
 def _swap_config(raw: bytes, config) -> bytes:

@@ -27,6 +27,10 @@ def _random_backbone(rng, h=4, w=5, c_last=3, c_second=2, stride=2.0):
     )
 
 
+def _concat_width(bb):
+    return bb.last.grid.shape[2] + bb.second_last.grid.shape[2]
+
+
 def _cell_center(row, col, stride):
     return ((col + 0.5) * stride, (row + 0.5) * stride)
 
@@ -139,7 +143,7 @@ class TestGlobalToken:
     def test_pooled_input_is_the_spatial_mean(self):
         rng = np.random.default_rng(8)
         bb = _random_backbone(rng)
-        store = self._store(rng, bb.concat_width, 4)
+        store = self._store(rng, _concat_width(bb), 4)
         token, _ = global_token(bb, store)
         pooled = np.concatenate(
             [bb.last.grid.mean(axis=(0, 1)), bb.second_last.grid.mean(axis=(0, 1))]
@@ -151,21 +155,21 @@ class TestGlobalToken:
         rng = np.random.default_rng(9)
         for _ in range(5):
             bb = _random_backbone(rng)
-            store = self._store(rng, bb.concat_width, 8)
+            store = self._store(rng, _concat_width(bb), 8)
             token, _ = global_token(bb, store)
             assert abs(np.linalg.norm(token) - 1.0) < 1e-9
 
     def test_width_mismatch_rejected(self):
         rng = np.random.default_rng(10)
         bb = _random_backbone(rng)
-        store = self._store(rng, bb.concat_width + 1, 4)
+        store = self._store(rng, _concat_width(bb) + 1, 4)
         with pytest.raises(ValueError, match="pooled width"):
             global_token(bb, store)
 
     def test_projection_gradient(self):
         rng = np.random.default_rng(11)
         bb = _random_backbone(rng)
-        store = self._store(rng, bb.concat_width, 6)
+        store = self._store(rng, _concat_width(bb), 6)
         probe = rng.standard_normal(6)
 
         def forward(params):
@@ -193,7 +197,7 @@ class TestSyntheticBackbone:
         assert bb.last.layer_tag == "last"
         assert bb.second_last.layer_tag == "second_last"
         assert bb.last.stride == 2.0
-        assert bb.concat_width == 8
+        assert _concat_width(bb) == 8
 
     def test_noise_free_round_trip_recovers_latents(self):
         latents, kps = self._well_separated()

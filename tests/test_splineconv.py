@@ -14,8 +14,15 @@ from normmatch.splineconv import (
     init_gnn_params,
     spline_conv_backward,
     spline_conv_forward,
+    spline_plan,
 )
-from oracles import loop_max_aggregate, loop_scatter_to_argmax, spline_basis
+from oracles import (
+    loop_max_aggregate,
+    loop_scatter_to_argmax,
+    loop_spline_conv_backward,
+    loop_spline_conv_forward,
+    spline_basis,
+)
 
 
 def _manual_graph(num_nodes, arcs, pseudo):
@@ -115,7 +122,8 @@ class TestSplineConv:
         weight = np.zeros((25, 2, 2))
         weight[2 * 5 + 2] = np.eye(2)  # the knot that (0.5, 0.5) activates
         out, _ = spline_conv_forward(
-            np.array([[1.0, -1.0]]), graph, weight, np.zeros(2), apply_relu=True
+            np.array([[1.0, -1.0]]), graph, weight, np.zeros(2), spline_plan(graph, 5),
+            apply_relu=True,
         )
         np.testing.assert_allclose(out, [[1.0, 0.0]])
 
@@ -124,7 +132,8 @@ class TestSplineConv:
         weight = np.zeros((9, 3, 2))
         bias = np.array([0.5, -0.25])
         feats = np.arange(6.0).reshape(2, 3)
-        out, _ = spline_conv_forward(feats, graph, weight, bias, apply_relu=True)
+        out, _ = spline_conv_forward(feats, graph, weight, bias, spline_plan(graph, 3),
+                                     apply_relu=True)
         np.testing.assert_allclose(out, [[0.5, 0.0], [0.5, 0.0]])
 
     @pytest.mark.parametrize("apply_relu", [False, True])
@@ -135,7 +144,8 @@ class TestSplineConv:
         feats = rng.standard_normal((4, 3))
         weight = rng.standard_normal((25, 3, 4))
         bias = rng.standard_normal(4)
-        out, _ = spline_conv_forward(feats, graph, weight, bias, apply_relu)
+        out, _ = spline_conv_forward(feats, graph, weight, bias, spline_plan(graph, 5),
+                                     apply_relu)
         ref = _dense_reference(feats, graph, weight, bias, apply_relu)
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
@@ -147,7 +157,8 @@ class TestSplineConv:
             feats = rng.standard_normal((m, 5))
             weight = rng.standard_normal((16, 5, 3))
             bias = rng.standard_normal(3)
-            out, _ = spline_conv_forward(feats, graph, weight, bias, apply_relu=True)
+            out, _ = spline_conv_forward(feats, graph, weight, bias, spline_plan(graph, 4),
+                                         apply_relu=True)
             ref = _dense_reference(feats, graph, weight, bias, apply_relu=True)
             np.testing.assert_allclose(out, ref, atol=1e-12, err_msg=f"seed {seed}")
 
@@ -158,7 +169,8 @@ class TestSplineConv:
         feats = rng.standard_normal((m, 4))
         weight = rng.standard_normal((9, 4, 4))
         bias = rng.standard_normal(4)
-        out1, _ = spline_conv_forward(feats, graph, weight, bias, apply_relu=True)
+        out1, _ = spline_conv_forward(feats, graph, weight, bias, spline_plan(graph, 3),
+                                      apply_relu=True)
 
         perm = rng.permutation(m)
         reorder = rng.permutation(len(graph.arcs))
@@ -169,18 +181,20 @@ class TestSplineConv:
         )
         feats_perm = np.empty_like(feats)
         feats_perm[perm] = feats
-        out2, _ = spline_conv_forward(feats_perm, relabeled, weight, bias, apply_relu=True)
+        out2, _ = spline_conv_forward(feats_perm, relabeled, weight, bias,
+                                      spline_plan(relabeled, 3), apply_relu=True)
         np.testing.assert_allclose(out2[perm], out1, atol=1e-12)
 
     def test_isolated_vertex_rejected(self):
         graph = _manual_graph(2, [(0, 0)], [(0.5, 0.5)])
         with pytest.raises(ValueError, match="isolated"):
-            spline_conv_forward(np.ones((2, 2)), graph, np.zeros((4, 2, 2)), np.zeros(2), True)
+            spline_plan(graph, 2)
 
     def test_width_mismatch_rejected(self):
         graph = _manual_graph(1, [(0, 0)], [(0.5, 0.5)])
         with pytest.raises(ValueError, match="width"):
-            spline_conv_forward(np.ones((1, 3)), graph, np.zeros((4, 2, 2)), np.zeros(2), True)
+            spline_conv_forward(np.ones((1, 3)), graph, np.zeros((4, 2, 2)), np.zeros(2),
+                                spline_plan(graph, 2), True)
 
     def test_max_tie_routes_gradient_to_lowest_arc(self):
         # nodes 0 and 1 send identical messages to node 2; the subgradient
@@ -193,7 +207,8 @@ class TestSplineConv:
         weight = np.zeros((9, 2, 2))
         weight[4] = np.eye(2)  # (0.5, 0.5) with K=3 activates knot (1,1)
         feats = np.array([[1.0, 1.0], [1.0, 1.0], [-5.0, -5.0]])
-        out, cache = spline_conv_forward(feats, graph, weight, np.zeros(2), apply_relu=False)
+        out, cache = spline_conv_forward(feats, graph, weight, np.zeros(2),
+                                         spline_plan(graph, 3), apply_relu=False)
         np.testing.assert_allclose(out[2], [1.0, 1.0])
         g_feats, _, _ = spline_conv_backward(cache, np.ones((3, 2)))
         # node 0 receives gradient from its self-loop and from node 2's pick;
@@ -209,12 +224,13 @@ class TestSplineConv:
         weight = rng.standard_normal((9, 3, 4))
         bias = rng.standard_normal(4)
         probe = rng.standard_normal((m, 4))
+        plan = spline_plan(graph, 3)
 
         def scalar(f, w, b):
-            out, _ = spline_conv_forward(f, graph, w, b, apply_relu=True)
+            out, _ = spline_conv_forward(f, graph, w, b, plan, apply_relu=True)
             return float((out * probe).sum())
 
-        _, cache = spline_conv_forward(feats, graph, weight, bias, apply_relu=True)
+        _, cache = spline_conv_forward(feats, graph, weight, bias, plan, apply_relu=True)
         g_feats, g_weight, g_bias = spline_conv_backward(cache, probe)
 
         eps = 1e-6
@@ -270,8 +286,9 @@ class TestMaxAggregationOracle:
             weight = rng.standard_normal((9, 3, 4))
         bias = rng.standard_normal(4)
         g_out = rng.standard_normal((graph.num_nodes, 4))
-        out, cache = spline_conv_forward(feats, graph, weight, bias, apply_relu=True)
-        argmax_arc = cache[5]
+        out, cache = spline_conv_forward(feats, graph, weight, bias, spline_plan(graph, 3),
+                                         apply_relu=True)
+        argmax_arc = cache[4]
         return out, argmax_arc, spline_conv_backward(cache, g_out)
 
     @pytest.mark.parametrize("integer_weights", [False, True])
@@ -297,6 +314,58 @@ class TestMaxAggregationOracle:
         np.testing.assert_array_equal(agg, want_agg)
         np.testing.assert_array_equal(argmax_arc, want_arc)
         np.testing.assert_array_equal(argmax_arc, [[0, 1], [3, 3]])
+
+
+def _plan_oracle_cases():
+    """(name, graph) cases for the knot plan against the per-group loop."""
+    rng = np.random.default_rng(80)
+    cases = [(f"delaunay m={m}", build_graph(rng.uniform(0.0, 8.0, size=(m, 2))))
+             for m in (3, 5, 8, 12)]
+    members = [build_graph(rng.uniform(0.0, 8.0, size=(int(rng.integers(1, 13)), 2)))
+               for _ in range(16)]
+    cases.append(("16-member union", batch_graphs(members)))
+    cases.append(("m = 1", build_graph(np.array([[4.0, 4.0]]))))
+    collinear = build_graph(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
+    assert len(collinear.arcs) == 4 * 3 + 4  # complete-graph fallback plus loops
+    cases.append(("collinear fallback", collinear))
+    # nodes 1 and 3 receive arcs but send none, so reduceat must skip them
+    arcs = [(0, 1), (2, 1), (0, 0), (2, 2), (0, 3), (2, 3), (0, 2), (2, 0)]
+    cases.append(("no outgoing arc", _manual_graph(4, arcs, rng.uniform(0.0, 1.0, (8, 2)))))
+    return cases
+
+
+class TestKnotPlanOracle:
+    """The knot-plan conv against the per-(corner, knot) loop it replaced."""
+
+    @staticmethod
+    def _rel(got, want):
+        return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
+
+    @pytest.mark.parametrize("apply_relu", [False, True])
+    def test_matches_loop_oracle(self, apply_relu):
+        rng = np.random.default_rng(81)
+        for name, graph in _plan_oracle_cases():
+            m = graph.num_nodes
+            feats = rng.standard_normal((m, 6))
+            weight = rng.standard_normal((16, 6, 5))
+            bias = rng.standard_normal(5)
+            g_out = rng.standard_normal((m, 5))
+            out, cache = spline_conv_forward(feats, graph, weight, bias,
+                                             spline_plan(graph, 4), apply_relu)
+            want_out, want_cache = loop_spline_conv_forward(feats, graph, weight, bias,
+                                                            apply_relu)
+            assert self._rel(out, want_out) < 1e-12, f"{name}: output"
+            got = spline_conv_backward(cache, g_out)
+            want = loop_spline_conv_backward(want_cache, g_out)
+            for label, g, w in zip(("features", "weight", "bias"), got, want):
+                assert self._rel(g, w) < 1e-12, f"{name}: g_{label}"
+
+    def test_plan_for_other_kernel_size_rejected(self):
+        graph = build_graph(np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 2.0]]))
+        plan = spline_plan(graph, 3)
+        with pytest.raises(ValueError, match="plan built for K = 3"):
+            spline_conv_forward(np.ones((3, 2)), graph, np.zeros((25, 2, 2)), np.zeros(2),
+                                plan, True)
 
 
 class TestGnnRefine:
