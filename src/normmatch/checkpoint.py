@@ -1,94 +1,64 @@
-"""Binary checkpoint persistence.
+"""Checkpoint persistence as a numpy ``.npz`` (zip) archive.
 
-Layout (little-endian throughout):
-
-    magic "NMTC" | version u32 | config u32+utf8 | meta u32+utf8 (JSON)
-    | n_arrays u32 | arrays
-
-Each array: name (u32 length + utf8), ndim u32, dims u32 each, then f32
-data. Parameter values are float32-quantized in memory after every
-optimizer step, so the f32 serialization is exact and a load reproduces
-bit-identical forward passes.
+Members, one ``.npy`` each: ``version``, ``config`` (the config text as a 0-d
+unicode array), ``meta`` (JSON: epoch, history, optimizer step),
+``param.<name>`` and, with optimizer state, ``opt.m.<name>``/``opt.v.<name>``.
+Every float array is stored as float32. Parameter values are
+float32-quantized in memory after every optimizer step, so a load reproduces
+bit-identical forward passes; the Adam moments lose precision. Each member
+carries a CRC-32, which zipfile checks when it reads the member.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
-import struct
+import zipfile
 
 import numpy as np
+from numpy.lib.format import read_array, write_array
 
 from .config import config_to_text, parse_config_text
 from .model import MatchingModel
 from .train import Adam
 
-__all__ = ["CHECKPOINT_MAGIC", "save_checkpoint", "load_checkpoint",
-           "model_from_checkpoint"]
+__all__ = ["save_checkpoint", "load_checkpoint", "model_from_checkpoint"]
 
-CHECKPOINT_MAGIC = b"NMTC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
-def _write_array(fh, name: str, arr: np.ndarray) -> None:
-    encoded = name.encode("utf-8")
-    fh.write(struct.pack("<I", len(encoded)))
-    fh.write(encoded)
-    fh.write(struct.pack("<I", arr.ndim))
-    fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-def _read_exact(fh, n: int) -> bytes:
-    raw = fh.read(n)
-    if len(raw) != n:
-        raise ValueError("truncated checkpoint file")
-    return raw
-
-
-def _read_array(fh) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-    name = _read_exact(fh, name_len).decode("utf-8")
-    (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
-    shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim)) if ndim else ()
-    count = int(np.prod(shape)) if shape else 1
-    raw = _read_exact(fh, 4 * count)
-    arr = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
-    return name, arr
+def _members(model: MatchingModel, optimizer: Adam | None, meta: dict):
+    """(name, array) pairs, converted one at a time as the writer asks."""
+    yield "version", np.array(CHECKPOINT_VERSION)
+    yield "config", np.array(config_to_text(model.config))
+    yield "meta", np.array(json.dumps(meta))
+    store = model.store
+    for n in store.names():
+        yield f"param.{n}", store.value(n).astype(np.float32)
+    if optimizer is not None:
+        for n in store.trainable_names():
+            yield f"opt.m.{n}", optimizer.m[n].astype(np.float32)
+            yield f"opt.v.{n}", optimizer.v[n].astype(np.float32)
 
 
 def save_checkpoint(path, model: MatchingModel, optimizer: Adam | None = None,
                     epoch: int = 0, history=None) -> None:
-    store = model.store
     meta = {
         "epoch": int(epoch),
         "history": history or [],
         "opt_t": int(optimizer.t) if optimizer is not None else None,
     }
-    arrays: list[tuple[str, np.ndarray]] = [
-        (f"param.{n}", np.atleast_1d(store.value(n))) for n in store.names()
-    ]
-    if optimizer is not None:
-        for n in store.trainable_names():
-            arrays.append((f"opt.m.{n}", np.atleast_1d(optimizer.m[n])))
-            arrays.append((f"opt.v.{n}", np.atleast_1d(optimizer.v[n])))
-    config_blob = config_to_text(model.config).encode("utf-8")
-    meta_blob = json.dumps(meta).encode("utf-8")
     # write a temporary file beside the target and rename it over the
     # target, so a failed save leaves the previous checkpoint intact
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     fh = open(tmp, "wb")
     try:
         with fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<I", len(config_blob)))
-            fh.write(config_blob)
-            fh.write(struct.pack("<I", len(meta_blob)))
-            fh.write(meta_blob)
-            fh.write(struct.pack("<I", len(arrays)))
-            for name, arr in arrays:
-                _write_array(fh, name, arr)
+            with zipfile.ZipFile(fh, "w") as archive:
+                for name, arr in _members(model, optimizer, meta):
+                    with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                        write_array(member, arr, allow_pickle=False)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -98,21 +68,33 @@ def save_checkpoint(path, model: MatchingModel, optimizer: Adam | None = None,
 
 
 def load_checkpoint(path):
-    """Returns (TrainConfig, arrays dict, meta dict)."""
+    """Returns (TrainConfig, {member name: stored array}, meta dict).
+
+    A file that does not parse raises ValueError naming the path; OSError
+    passes through.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a checkpoint file (magic {magic!r})")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (clen,) = struct.unpack("<I", _read_exact(fh, 4))
-        config_text = _read_exact(fh, clen).decode("utf-8")
-        (mlen,) = struct.unpack("<I", _read_exact(fh, 4))
-        meta = json.loads(_read_exact(fh, mlen).decode("utf-8"))
-        (n_arrays,) = struct.unpack("<I", _read_exact(fh, 4))
-        arrays = dict(_read_array(fh) for _ in range(n_arrays))
-    config, _ = parse_config_text(config_text)
+        if magic != b"PK\x03\x04":
+            raise ValueError(f"{path}: not a checkpoint archive (magic {magic!r})")
+        try:
+            # read each member whole, so zipfile checks its CRC-32 before numpy parses it
+            with zipfile.ZipFile(fh) as archive:
+                arrays = {info.filename.removesuffix(".npy"):
+                          read_array(io.BytesIO(archive.read(info)), allow_pickle=False)
+                          for info in archive.infolist()}
+            version = int(arrays.pop("version"))
+            if version == CHECKPOINT_VERSION:
+                config, _ = parse_config_text(str(arrays.pop("config")))
+                meta = json.loads(str(arrays.pop("meta")))
+                if not isinstance(meta, dict) or type(meta.get("opt_t")) not in (int, type(None)):
+                    raise ValueError("meta is not a JSON object with an integer 'opt_t'")
+        except OSError:
+            raise
+        except Exception as exc:  # zipfile, numpy and the parsers raise many kinds
+            raise ValueError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
     return config, arrays, meta
 
 
@@ -120,17 +102,18 @@ def model_from_checkpoint(path) -> tuple[MatchingModel, Adam | None, dict]:
     """Rebuild a model (and optimizer state if present) from a checkpoint."""
     config, arrays, meta = load_checkpoint(path)
     model = MatchingModel(config)
+    # zipfile silently drops the entries after a corrupt directory entry
     for name in model.store.names():
-        stored = arrays.get(f"param.{name}")
-        if stored is None:
-            raise ValueError(f"checkpoint missing parameter {name!r}")
-        model.store.set_value(name, stored.reshape(model.store.value(name).shape))
+        if f"param.{name}" not in arrays:
+            raise ValueError(f"{path}: checkpoint missing parameter {name!r}")
+        model.store.set_value(name, arrays[f"param.{name}"])
     optimizer = None
     if meta.get("opt_t") is not None:
         optimizer = Adam(model.store, backbone_lr_factor=config.backbone_lr_factor)
-        optimizer.t = int(meta["opt_t"])
+        optimizer.t = meta["opt_t"]
         for n in model.store.trainable_names():
-            if f"opt.m.{n}" in arrays:
-                optimizer.m[n] = arrays[f"opt.m.{n}"].reshape(optimizer.m[n].shape)
-                optimizer.v[n] = arrays[f"opt.v.{n}"].reshape(optimizer.v[n].shape)
+            for moments, key in ((optimizer.m, f"opt.m.{n}"), (optimizer.v, f"opt.v.{n}")):
+                if key not in arrays:
+                    raise ValueError(f"{path}: checkpoint missing Adam moment {key!r}")
+                moments[n] = arrays[key].astype(np.float64).reshape(moments[n].shape)
     return model, optimizer, meta

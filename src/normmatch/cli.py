@@ -19,7 +19,7 @@ import numpy as np
 
 from .checkpoint import model_from_checkpoint, save_checkpoint
 from .config import DataConfig, TrainConfig, parse_config_file
-from .data import generate_dataset, read_dataset, record_to_pair, write_dataset
+from .data import generate_dataset, read_dataset, write_dataset
 from .gradcheck import grad_check
 from .model import MatchingModel
 from .train import evaluate, format_accuracy_table, train
@@ -77,25 +77,12 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _read_single_pair(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        content = fh.read().strip()
-    if not content:
-        raise ValueError(f"{path}: empty pair file")
-    first_line = content.splitlines()[0]
-    try:
-        record = json.loads(first_line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: line 1: invalid JSON ({exc})") from exc
-    try:
-        return record_to_pair(record)
-    except ValueError as exc:
-        raise ValueError(f"{path}: line 1: {exc}") from exc
-
-
 def _cmd_match(args) -> int:
     model, _, _ = model_from_checkpoint(args.checkpoint)
-    pair = _read_single_pair(args.pair)
+    pairs = read_dataset(args.pair)
+    if not pairs:
+        raise ValueError(f"{args.pair}: empty pair file")
+    pair = pairs[0]
     matching, plan, C = model.match_pair(pair)
     scores = C[np.arange(len(matching.assignment)), matching.assignment]
     print("assignment:", " ".join(str(int(j)) for j in matching.assignment))

@@ -15,6 +15,7 @@ latent array (image-1 order) or paths to precomputed feature-map files.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,6 +185,13 @@ def _numeric_field(record: dict, key: str) -> np.ndarray:
         raise ValueError(f"{key!r} is not a numeric array ({exc})") from None
 
 
+def _integer_field(record: dict, key: str) -> int:
+    value = record.get(key, 0)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{key!r} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def record_to_pair(record: dict) -> PairSample:
     """Checks every array field's shape and values before building the pair."""
     required = ["image1", "image2", "class_id", "keypoints1", "keypoints2", "truth"]
@@ -207,6 +215,10 @@ def record_to_pair(record: dict) -> PairSample:
         raise ValueError(f"'truth' must have shape ({m},), got {truth.shape}")
     if sorted(truth.tolist()) != list(range(m)):
         raise ValueError("'truth' must be a permutation")
+    noise_level = record.get("noise_level", 0.0)
+    if (isinstance(noise_level, bool) or not isinstance(noise_level, (int, float))
+            or not 0 <= noise_level <= sys.float_info.max):
+        raise ValueError(f"'noise_level' must be finite and >= 0, got {noise_level!r}")
     latents = None
     if has_latents:
         latents = _numeric_field(record, "latents")
@@ -216,13 +228,13 @@ def record_to_pair(record: dict) -> PairSample:
     return PairSample(
         image1=str(record["image1"]),
         image2=str(record["image2"]),
-        class_id=int(record["class_id"]),
+        class_id=_integer_field(record, "class_id"),
         keypoints1=kp1,
         keypoints2=kp2,
         truth=truth.astype(np.intp),
         latents=latents,
-        noise_level=float(record.get("noise_level", 0.0)),
-        seed=int(record.get("seed", 0)),
+        noise_level=float(noise_level),
+        seed=_integer_field(record, "seed"),
         feature_files=(record["features1"], record["features2"]) if has_files else None,
     )
 

@@ -33,13 +33,9 @@ __all__ = [
     "FeatureSequence",
     "init_decoder_params",
     "norm_self_attn",
-    "norm_self_attn_backward",
     "norm_cross_attn",
-    "norm_cross_attn_backward",
     "modulate_global",
-    "modulate_global_backward",
     "norm_mlp",
-    "norm_mlp_backward",
     "decode",
     "decode_backward",
 ]
@@ -138,8 +134,27 @@ def _norm_residual_backward(cache, g_out):
     return g_base, g_raw, g_alpha_raw
 
 
-def _attn_names(store, prefix, block):
-    return tuple(store.value(f"{prefix}{block}.{w}") for w in ("wq", "wk", "wv", "wo"))
+_ATTN_WEIGHTS = ("wq", "wk", "wv", "wo")
+_ALPHA = {"sa": "alpha_a", "ca": "alpha_c"}
+
+
+def _norm_attn(tokens, kv, store, prefix: str, block: str, heads: int):
+    """Norm(tokens + |alpha| * (Norm(MHA(tokens, kv)) - tokens)). Returns (out, cache)."""
+    wq, wk, wv, wo = (store.value(f"{prefix}{block}.{w}") for w in _ATTN_WEIGHTS)
+    raw, mc = _mha_forward(tokens, kv, wq, wk, wv, wo, heads)
+    out, rc = _norm_residual_forward(tokens, raw, store.value(prefix + _ALPHA[block]))
+    return out, (mc, rc, prefix, block)
+
+
+def _norm_attn_backward(cache, g_out, store):
+    """Returns (g_tokens, g_kv) and accumulates parameter grads."""
+    mc, rc, prefix, block = cache
+    g_base, g_raw, g_alpha = _norm_residual_backward(rc, g_out)
+    g_q_in, g_kv, g_weights = _mha_backward(mc, g_raw)
+    store.add_grad(prefix + _ALPHA[block], g_alpha)
+    for w, g in zip(_ATTN_WEIGHTS, g_weights):
+        store.add_grad(f"{prefix}{block}.{w}", g)
+    return g_base + g_q_in, g_kv
 
 
 def norm_self_attn(seq: FeatureSequence, store, prefix: str, heads: int):
@@ -149,46 +164,16 @@ def norm_self_attn(seq: FeatureSequence, store, prefix: str, heads: int):
     read whole-image context, but only the m keypoint tokens are updated;
     the global token passes through unchanged.
     """
-    tokens = seq.tokens
-    kv = np.vstack([tokens, seq.global_token[None, :]])
-    wq, wk, wv, wo = _attn_names(store, prefix, "sa")
-    raw, mc = _mha_forward(tokens, kv, wq, wk, wv, wo, heads)
-    out, rc = _norm_residual_forward(tokens, raw, store.value(prefix + "alpha_a"))
-    return FeatureSequence(out, seq.global_token), (mc, rc, prefix)
-
-
-def norm_self_attn_backward(cache, g_tokens, g_global, store):
-    """Returns (g_tokens_in, g_global_in) and accumulates parameter grads."""
-    mc, rc, prefix = cache
-    m = g_tokens.shape[0]
-    g_base, g_raw, g_alpha = _norm_residual_backward(rc, g_tokens)
-    g_q_in, g_kv, (g_wq, g_wk, g_wv, g_wo) = _mha_backward(mc, g_raw)
-    store.add_grad(prefix + "alpha_a", g_alpha)
-    for name, g in zip(("wq", "wk", "wv", "wo"), (g_wq, g_wk, g_wv, g_wo)):
-        store.add_grad(f"{prefix}sa.{name}", g)
-    g_tokens_in = g_base + g_q_in + g_kv[:m]
-    g_global_in = g_global + g_kv[m]
-    return g_tokens_in, g_global_in
+    kv = np.vstack([seq.tokens, seq.global_token[None, :]])
+    out, cache = _norm_attn(seq.tokens, kv, store, prefix, "sa", heads)
+    return FeatureSequence(out, seq.global_token), cache
 
 
 def norm_cross_attn(seq: FeatureSequence, other: FeatureSequence, store,
                     prefix: str, heads: int):
     """Normalized cross-attention: seq tokens query the other stream's tokens."""
-    wq, wk, wv, wo = _attn_names(store, prefix, "ca")
-    raw, mc = _mha_forward(seq.tokens, other.tokens, wq, wk, wv, wo, heads)
-    out, rc = _norm_residual_forward(seq.tokens, raw, store.value(prefix + "alpha_c"))
-    return FeatureSequence(out, seq.global_token), (mc, rc, prefix)
-
-
-def norm_cross_attn_backward(cache, g_tokens, store):
-    """Returns (g_tokens_in, g_other_tokens) and accumulates parameter grads."""
-    mc, rc, prefix = cache
-    g_base, g_raw, g_alpha = _norm_residual_backward(rc, g_tokens)
-    g_q_in, g_kv, (g_wq, g_wk, g_wv, g_wo) = _mha_backward(mc, g_raw)
-    store.add_grad(prefix + "alpha_c", g_alpha)
-    for name, g in zip(("wq", "wk", "wv", "wo"), (g_wq, g_wk, g_wv, g_wo)):
-        store.add_grad(f"{prefix}ca.{name}", g)
-    return g_base + g_q_in, g_kv
+    out, cache = _norm_attn(seq.tokens, other.tokens, store, prefix, "ca", heads)
+    return FeatureSequence(out, seq.global_token), cache
 
 
 def modulate_global(seq: FeatureSequence):
@@ -198,7 +183,7 @@ def modulate_global(seq: FeatureSequence):
     return FeatureSequence(out, seq.global_token), (seq.tokens, seq.global_token, nc)
 
 
-def modulate_global_backward(cache, g_tokens, g_global):
+def _modulate_global_backward(cache, g_tokens, g_global):
     tokens, glob, nc = cache
     g_h = normalize_rows_backward(nc, g_tokens)
     g_tokens_in = g_h * glob[None, :]
@@ -221,7 +206,7 @@ def norm_mlp(seq: FeatureSequence, store, prefix: str):
     return seq_out, (x, a, sc, rc, prefix)
 
 
-def norm_mlp_backward(cache, g_tokens, g_global, store):
+def _norm_mlp_backward(cache, g_tokens, g_global, store):
     """Returns (g_tokens_in, g_global_in) and accumulates parameter grads."""
     x, a, sc, rc, prefix = cache
     g_out = np.vstack([g_tokens, g_global[None, :]])
@@ -258,36 +243,37 @@ def decode(f1: FeatureSequence, f2: FeatureSequence, store, layers: int, heads: 
         f2, c_mod2 = modulate_global(f2)
         f1, c_mlp1 = norm_mlp(f1, store, p)
         f2, c_mlp2 = norm_mlp(f2, store, p)
-        snapshots.append((f1.tokens.copy(), f2.tokens.copy()))
+        snapshots.append((f1.tokens, f2.tokens))
         caches.append((c_sa1, c_sa2, c_ca1, c_ca2, c_mod1, c_mod2, c_mlp1, c_mlp2))
     return f1, f2, snapshots, caches
 
 
 def decode_backward(caches, store, g_f1_tokens, g_f1_global, g_f2_tokens,
-                    g_f2_global, snapshot_grads=None):
+                    g_f2_global, snapshot_grads):
     """Backward through the decoder stack.
 
-    snapshot_grads, when given, is a list of per-layer (g_tokens1, g_tokens2)
-    pairs injected at each layer boundary (gradients of losses that read the
-    layer snapshots). Returns input gradients
+    snapshot_grads is a list of per-layer (g_tokens1, g_tokens2) pairs
+    injected at each layer boundary (gradients of losses that read the layer
+    snapshots). Returns input gradients
     (g_f1_tokens, g_f1_global, g_f2_tokens, g_f2_global).
     """
-    g_t1, g_g1 = g_f1_tokens.copy(), g_f1_global.copy()
-    g_t2, g_g2 = g_f2_tokens.copy(), g_f2_global.copy()
+    g_t1, g_g1, g_t2, g_g2 = g_f1_tokens, g_f1_global, g_f2_tokens, g_f2_global
     for layer in reversed(range(len(caches))):
-        if snapshot_grads is not None:
-            s1, s2 = snapshot_grads[layer]
-            g_t1 = g_t1 + s1
-            g_t2 = g_t2 + s2
+        s1, s2 = snapshot_grads[layer]
+        g_t1 = g_t1 + s1
+        g_t2 = g_t2 + s2
         c_sa1, c_sa2, c_ca1, c_ca2, c_mod1, c_mod2, c_mlp1, c_mlp2 = caches[layer]
-        g_t2, g_g2 = norm_mlp_backward(c_mlp2, g_t2, g_g2, store)
-        g_t1, g_g1 = norm_mlp_backward(c_mlp1, g_t1, g_g1, store)
-        g_t2, g_g2 = modulate_global_backward(c_mod2, g_t2, g_g2)
-        g_t1, g_g1 = modulate_global_backward(c_mod1, g_t1, g_g1)
-        g_t2, g_other = norm_cross_attn_backward(c_ca2, g_t2, store)
+        g_t2, g_g2 = _norm_mlp_backward(c_mlp2, g_t2, g_g2, store)
+        g_t1, g_g1 = _norm_mlp_backward(c_mlp1, g_t1, g_g1, store)
+        g_t2, g_g2 = _modulate_global_backward(c_mod2, g_t2, g_g2)
+        g_t1, g_g1 = _modulate_global_backward(c_mod1, g_t1, g_g1)
+        g_t2, g_other = _norm_attn_backward(c_ca2, g_t2, store)
         g_t1 = g_t1 + g_other
-        g_t1, g_other = norm_cross_attn_backward(c_ca1, g_t1, store)
+        g_t1, g_other = _norm_attn_backward(c_ca1, g_t1, store)
         g_t2 = g_t2 + g_other
-        g_t2, g_g2 = norm_self_attn_backward(c_sa2, g_t2, g_g2, store)
-        g_t1, g_g1 = norm_self_attn_backward(c_sa1, g_t1, g_g1, store)
+        # self-attention keys end with the global token
+        g_t2, g_kv = _norm_attn_backward(c_sa2, g_t2, store)
+        g_t2, g_g2 = g_t2 + g_kv[:-1], g_g2 + g_kv[-1]
+        g_t1, g_kv = _norm_attn_backward(c_sa1, g_t1, store)
+        g_t1, g_g1 = g_t1 + g_kv[:-1], g_g1 + g_kv[-1]
     return g_t1, g_g1, g_t2, g_g2

@@ -27,24 +27,22 @@ __all__ = ["MatchingModel"]
 class MatchingModel:
     """The full pipeline behind one ParameterStore."""
 
-    def __init__(self, config: TrainConfig, store: ParameterStore | None = None):
+    def __init__(self, config: TrainConfig):
         config.validate()
         self.config = config
-        if store is None:
-            store = ParameterStore()
-            rng = np.random.default_rng([20240319, config.seed])
-            init_gnn_params(store, rng, config.gnn_input_dim, config.d_model,
-                            config.kernel_size)
-            init_decoder_params(store, rng, config.d_model, config.decoder_layers,
-                                config.mlp_mult)
-            store.register(
-                "backbone.global_proj",
-                rng.standard_normal((config.gnn_input_dim, config.d_model))
-                / np.sqrt(config.gnn_input_dim),
-            )
-            store.register("loss.tau_raw", np.log(0.07))
-            store.quantize_float32()
-        self.store = store
+        self.store = store = ParameterStore()
+        rng = np.random.default_rng([20240319, config.seed])
+        init_gnn_params(store, rng, config.gnn_input_dim, config.d_model,
+                        config.kernel_size)
+        init_decoder_params(store, rng, config.d_model, config.decoder_layers,
+                            config.mlp_mult)
+        store.register(
+            "backbone.global_proj",
+            rng.standard_normal((config.gnn_input_dim, config.d_model))
+            / np.sqrt(config.gnn_input_dim),
+        )
+        store.register("loss.tau_raw", np.log(0.07))
+        store.quantize_float32()
 
     # ---------------- forward ----------------
 

@@ -76,9 +76,3 @@ class ParameterStore:
         """
         for v in self._values.values():
             v[...] = v.astype(np.float32).astype(np.float64)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._values
-
-    def __len__(self) -> int:
-        return len(self._values)

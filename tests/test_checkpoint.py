@@ -1,3 +1,5 @@
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from normmatch.checkpoint import (
     model_from_checkpoint,
     save_checkpoint,
 )
-from normmatch.config import DataConfig, TrainConfig
+from normmatch.config import DataConfig, TrainConfig, config_to_text
 from normmatch.data import generate_dataset, generate_pair
 from normmatch.model import MatchingModel
 from normmatch.train import train
@@ -113,9 +115,7 @@ class TestErrors:
         model = MatchingModel(_config())
         path = tmp_path / "run.nmtc"
         save_checkpoint(path, model)
-        raw = bytearray(path.read_bytes())
-        raw[4:8] = (255).to_bytes(4, "little")
-        path.write_bytes(bytes(raw))
+        _replace_members(path, version=np.array(255))
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
@@ -133,11 +133,9 @@ class TestErrors:
         model = MatchingModel(_config())
         path = tmp_path / "run.nmtc"
         save_checkpoint(path, model)
-        relabeled = _swap_config(path.read_bytes(), _config(decoder_layers=3))
-        path_bad = tmp_path / "bad.nmtc"
-        path_bad.write_bytes(relabeled)
+        _replace_members(path, config=np.array(config_to_text(_config(decoder_layers=3))))
         with pytest.raises(ValueError, match="missing parameter"):
-            model_from_checkpoint(path_bad)
+            model_from_checkpoint(path)
 
 
 class TestAtomicSave:
@@ -147,15 +145,15 @@ class TestAtomicSave:
         save_checkpoint(path, model)
         before = path.read_bytes()
 
-        original, written = checkpoint._write_array, []
+        original, written = checkpoint.write_array, []
 
-        def failing_write(fh, name, arr):  # fails on the third array
+        def failing_write(fh, arr, **kwargs):  # fails on the third member
             if len(written) == 2:
                 raise OSError("disk full")
-            written.append(name)
-            original(fh, name, arr)
+            written.append(arr)
+            original(fh, arr, **kwargs)
 
-        monkeypatch.setattr(checkpoint, "_write_array", failing_write)
+        monkeypatch.setattr(checkpoint, "write_array", failing_write)
         model.store.set_value("loss.tau_raw", np.float32(-3.0))
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, model)
@@ -170,12 +168,71 @@ class TestAtomicSave:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.nmtc"]
 
 
-def _swap_config(raw: bytes, config) -> bytes:
-    import struct
+class TestCorruption:
+    def test_corrupted_desk_checkpoints_fail_cleanly(self, tmp_path):
+        # a third truncations, a third 1-3 byte overwrites anywhere, a third
+        # 1-3 byte overwrites in the zip headers and central directory
+        config = TrainConfig(epochs=1)
+        pairs = generate_dataset(DataConfig(), latent_dim=config.gnn_input_dim, seed=0,
+                                 num_pairs=config.batch_size)
+        model, optimizer, history, _ = train(config, pairs)
+        path = tmp_path / "desk.nmtc"
+        save_checkpoint(path, model, optimizer, epoch=1, history=history)
+        raw = path.read_bytes()
+        in_data = np.zeros(len(raw), dtype=bool)
+        with zipfile.ZipFile(path) as archive:
+            for info in archive.infolist():
+                start = _member_data_start(raw, info.header_offset)
+                in_data[start:start + info.compress_size] = True
+        saved = [model.store.value(n) for n in model.store.names()]
+        saved += [moments[n].astype(np.float32)
+                  for moments in (optimizer.m, optimizer.v) for n in moments]
 
-    from normmatch.config import config_to_text
+        rng = np.random.default_rng(20261018)
+        bad = tmp_path / "bad.nmtc"
+        escapes, accepted, altered = [], [], []
+        for case in range(1002):
+            corrupt = bytearray(raw)
+            if case % 3 == 0:
+                offsets = np.array([], dtype=int)
+                del corrupt[rng.integers(len(raw)):]
+            else:
+                pool = len(raw) if case % 3 == 1 else np.flatnonzero(~in_data)
+                offsets = rng.choice(pool, size=rng.integers(1, 4), replace=False)
+                for off in offsets:
+                    corrupt[off] = (corrupt[off] + rng.integers(1, 256)) % 256
+            bad.write_bytes(bytes(corrupt))
+            try:
+                loaded, loaded_opt, _ = model_from_checkpoint(bad)
+            except (ValueError, OSError):
+                continue
+            except Exception as exc:
+                escapes.append(f"case {case}: {exc!r}")
+                continue
+            # truncations and changes to stored member bytes must be caught
+            if len(offsets) == 0 or in_data[offsets].any():
+                accepted.append(case)
+            # a header field the reader ignores may change; the state may not
+            got = [loaded.store.value(n) for n in loaded.store.names()]
+            got += [moments[n] for moments in (loaded_opt.m, loaded_opt.v) for n in moments]
+            if not all(np.array_equal(a, b) for a, b in zip(saved, got, strict=True)):
+                altered.append(case)
+        assert escapes == []
+        assert accepted == []
+        assert altered == []
 
-    clen = struct.unpack("<I", raw[8:12])[0]
-    rest = raw[12 + clen:]
-    blob = config_to_text(config).encode("utf-8")
-    return raw[:8] + struct.pack("<I", len(blob)) + blob + rest
+
+def _replace_members(path, **members) -> None:
+    """Rewrite the archive at path with some members replaced."""
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    arrays.update(members)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _member_data_start(raw: bytes, header_offset: int) -> int:
+    """Offset of a member's stored bytes, past its local header."""
+    name_len, extra_len = (int.from_bytes(raw[header_offset + k:header_offset + k + 2], "little")
+                           for k in (26, 28))
+    return header_offset + 30 + name_len + extra_len

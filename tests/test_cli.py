@@ -36,6 +36,22 @@ def _nan_keypoint1(record):
     record["keypoints1"][0][0] = float("nan")
 
 
+def _null_class_id(record):
+    record["class_id"] = None
+
+
+def _fractional_class_id(record):
+    record["class_id"] = 1.7
+
+
+def _null_noise_level(record):
+    record["noise_level"] = None
+
+
+def _negative_noise_level(record):
+    record["noise_level"] = -1
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "run.cfg"
@@ -127,9 +143,25 @@ class TestTrainEvalMatch:
         assert main(["match", "--checkpoint", str(ckpt), "--pair", str(bad)]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, message", [
+        ("\n{broken\n", "line 2: invalid JSON"),
+        ("\n\n", "empty pair file"),
+    ])
+    def test_match_pair_file_errors_exit_2(self, trained, tmp_path, capsys,
+                                           content, message):
+        ckpt, _, _ = trained
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(content, encoding="utf-8")
+        assert main(["match", "--checkpoint", str(ckpt), "--pair", str(bad)]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("field, corrupt", [
         ("keypoints2", _drop_last_keypoint2),
         ("keypoints1", _nan_keypoint1),
+        ("class_id", _null_class_id),
+        ("class_id", _fractional_class_id),
+        ("noise_level", _null_noise_level),
+        ("noise_level", _negative_noise_level),
     ])
     def test_match_invalid_record_names_field_and_exits_2(self, trained, tmp_path,
                                                            capsys, field, corrupt):

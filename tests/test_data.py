@@ -200,6 +200,18 @@ class TestDatasetIO:
         ("truth", [0.5, 1, 2, 3, 4, 5]),
         ("latents", [[0.0] * 8] * 5),
         ("latents", [[0.0] * 7] * 6),
+        ("class_id", None),
+        ("class_id", 1.7),
+        ("class_id", True),
+        ("seed", None),
+        ("seed", 2.0),
+        ("seed", -1),
+        ("noise_level", None),
+        ("noise_level", -1),
+        ("noise_level", float("nan")),
+        ("noise_level", float("inf")),
+        pytest.param("noise_level", 2 ** 1024, id="noise_level-2**1024"),
+        ("noise_level", "0.1"),
     ])
     def test_record_field_shapes_checked(self, field, value):
         pair = generate_pair(DataConfig(m_min=6, m_max=6), class_id=0, seed=0,

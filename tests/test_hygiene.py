@@ -1,7 +1,9 @@
-"""Every imported name is referenced: a stdlib-ast scan of src/, tests/ and demos/.
+"""Stdlib-ast scans of the sources.
 
-A name counts as used when the module mentions it anywhere (scopes are not
-tracked) or lists it in ``__all__``; ``from __future__`` imports are exempt.
+Every imported name in src/, tests/ and demos/ is referenced: a name counts
+as used when the module mentions it anywhere (scopes are not tracked) or
+lists it in ``__all__``; ``from __future__`` imports are exempt. Every name a
+src/normmatch module lists in ``__all__`` is bound at its top level.
 """
 
 import ast
@@ -26,13 +28,33 @@ def unused_imports(source: str) -> list[str]:
                 if alias.name != "*":
                     imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= set(_exported(tree))
+    unused = [(line, name) for name, line in imported.items() if name not in used]
+    return [f"line {line}: {name}" for line, name in sorted(unused)]
+
+
+def _exported(tree: ast.Module) -> list[str]:
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used |= set(ast.literal_eval(node.value))
-    unused = [(line, name) for name, line in imported.items() if name not in used]
-    return [f"line {line}: {name}" for line, name in sorted(unused)]
+            return ast.literal_eval(node.value)
+    return []
+
+
+def unbound_exports(source: str) -> list[str]:
+    """Names in ``__all__`` that no top-level def, class, import or assignment binds."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return [name for name in _exported(tree) if name not in bound]
 
 
 def test_scanner_flags_only_unreferenced_names():
@@ -48,6 +70,21 @@ def test_scanner_flags_only_unreferenced_names():
     assert unused_imports(source) == ["line 3: sys", "line 5: dumps"]
 
 
+def test_export_scanner_flags_only_unbound_names():
+    source = (
+        "import numpy as np\n"
+        "from json import dumps\n"
+        "__all__ = ['np', 'dumps', 'LIMIT', 'Box', 'run', 'gone', 'x', 'y']\n"
+        "LIMIT: int = 3\n"
+        "x, y = 1, 2\n"
+        "class Box: pass\n"
+        "def run(): pass\n"
+        "def helper():\n"
+        "    gone = 1\n"
+    )
+    assert unbound_exports(source) == ["gone"]
+
+
 def test_files_found():
     assert any(p.name == "model.py" for p in FILES)
     assert any(p.parent.name == "demos" for p in FILES)
@@ -56,3 +93,9 @@ def test_files_found():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "normmatch").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_all_entries_are_bound(path):
+    assert unbound_exports(path.read_text(encoding="utf-8")) == []

@@ -11,7 +11,7 @@ def test_register_and_lookup():
     assert store.value("w").dtype == np.float64
     assert store.grad("w").shape == (2, 3)
     assert np.all(store.grad("w") == 0.0)
-    assert "w" in store and len(store) == 1
+    assert store.names() == ["w"]
 
 
 def test_duplicate_registration_rejected():
