@@ -43,10 +43,16 @@ __all__ = [
 
 @dataclass
 class FeatureSequence:
-    """Per-image decoder state: m unit-norm tokens plus one global token."""
+    """Decoder state: unit-norm tokens plus one global token per image.
 
-    tokens: np.ndarray  # (m, d_model)
-    global_token: np.ndarray  # (d_model,)
+    tokens is (m, d_model) for one image or (B, n, d_model) for B images;
+    pad, (B, n), is True on zero padding rows, which attention ignores, and
+    None when no row is padded.
+    """
+
+    tokens: np.ndarray  # (..., n, d_model)
+    global_token: np.ndarray  # (..., d_model)
+    pad: np.ndarray | None = None
 
 
 def init_decoder_params(store, rng, d_model: int, layers: int, mlp_mult: int) -> None:
@@ -68,50 +74,24 @@ def init_decoder_params(store, rng, d_model: int, layers: int, mlp_mult: int) ->
         store.register(p + "alpha_m", np.full(d_model, alpha0))
 
 
-def _mha_forward(q_in, kv_in, wq, wk, wv, wo, heads: int):
-    """Standard multi-head scaled dot-product attention. Returns (out, cache)."""
-    nq, d = q_in.shape
-    nk = kv_in.shape[0]
-    if d % heads:
-        raise ValueError("head count must divide d_model")
-    dh = d // heads
-    scale = 1.0 / np.sqrt(dh)
-    q = (q_in @ wq).reshape(nq, heads, dh).transpose(1, 0, 2)
-    k = (kv_in @ wk).reshape(nk, heads, dh).transpose(1, 0, 2)
-    v = (kv_in @ wv).reshape(nk, heads, dh).transpose(1, 0, 2)
-    scores = q @ k.transpose(0, 2, 1) * scale  # (heads, nq, nk)
-    p, _ = softmax_rows(scores)
-    ctx = p @ v
-    merged = ctx.transpose(1, 0, 2).reshape(nq, d)
-    out = merged @ wo
-    cache = (q_in, kv_in, q, k, v, p, merged, wq, wk, wv, wo, scale)
-    return out, cache
+def _rows(x):
+    """(..., n, d) -> (rows, d): each weight is one GEMM over every image's rows."""
+    return x.reshape(-1, x.shape[-1])
 
 
-def _mha_backward(cache, g_out):
-    """Returns (g_q_in, g_kv_in, (g_wq, g_wk, g_wv, g_wo))."""
-    q_in, kv_in, q, k, v, p, merged, wq, wk, wv, wo, scale = cache
-    heads, nq, dh = q.shape
-    nk = kv_in.shape[0]
+def _split_heads(rows, shape, heads: int):
+    """GEMM rows of a (..., n, d) input -> (..., heads, n, d // heads)."""
+    return rows.reshape(*shape[:-1], heads, shape[-1] // heads).swapaxes(-3, -2)
 
-    g_wo = merged.T @ g_out
-    g_merged = g_out @ wo.T
-    g_ctx = g_merged.reshape(nq, heads, dh).transpose(1, 0, 2)
-    g_p = g_ctx @ v.transpose(0, 2, 1)
-    g_v = p.transpose(0, 2, 1) @ g_ctx
-    g_scores = softmax_rows_backward(p, g_p)
-    g_q = (g_scores @ k) * scale
-    g_k = (g_scores.transpose(0, 2, 1) @ q) * scale
 
-    g_q_flat = g_q.transpose(1, 0, 2).reshape(nq, -1)
-    g_k_flat = g_k.transpose(1, 0, 2).reshape(nk, -1)
-    g_v_flat = g_v.transpose(1, 0, 2).reshape(nk, -1)
-    g_wq = q_in.T @ g_q_flat
-    g_wk = kv_in.T @ g_k_flat
-    g_wv = kv_in.T @ g_v_flat
-    g_q_in = g_q_flat @ wq.T
-    g_kv_in = g_k_flat @ wk.T + g_v_flat @ wv.T
-    return g_q_in, g_kv_in, (g_wq, g_wk, g_wv, g_wo)
+def _merge_heads(x):
+    """(..., heads, n, dh) -> (rows, heads * dh), the inverse of _split_heads."""
+    return x.swapaxes(-3, -2).reshape(-1, x.shape[-3] * x.shape[-1])
+
+
+def _with_global(tokens, glob):
+    """Tokens followed by the global token: (..., n + 1, d)."""
+    return np.concatenate([tokens, glob[..., None, :]], axis=-2)
 
 
 def _norm_residual_forward(base, raw, alpha_raw):
@@ -120,15 +100,15 @@ def _norm_residual_forward(base, raw, alpha_raw):
     alpha = np.abs(alpha_raw)
     z = base + alpha * (f_a - base)
     out, nc2 = normalize_rows(z)
-    return out, (base, f_a, alpha_raw, nc1, nc2)
+    return out, (alpha_raw, nc1, nc2)
 
 
-def _norm_residual_backward(cache, g_out):
-    """Returns (g_base, g_raw, g_alpha_raw)."""
-    base, f_a, alpha_raw, nc1, nc2 = cache
+def _norm_residual_backward(cache, g_out, base):
+    """Returns (g_base, g_raw, g_alpha_raw); base is the forward's."""
+    alpha_raw, nc1, nc2 = cache
     alpha = np.abs(alpha_raw)
     g_z = normalize_rows_backward(nc2, g_out)
-    g_alpha_raw = np.sign(alpha_raw) * np.sum(g_z * (f_a - base), axis=0)
+    g_alpha_raw = np.sign(alpha_raw) * _rows(g_z * (nc1[0] - base)).sum(axis=0)
     g_raw = normalize_rows_backward(nc1, g_z * alpha)
     g_base = g_z * (1.0 - alpha)
     return g_base, g_raw, g_alpha_raw
@@ -138,23 +118,49 @@ _ATTN_WEIGHTS = ("wq", "wk", "wv", "wo")
 _ALPHA = {"sa": "alpha_a", "ca": "alpha_c"}
 
 
-def _norm_attn(tokens, kv, store, prefix: str, block: str, heads: int):
-    """Norm(tokens + |alpha| * (Norm(MHA(tokens, kv)) - tokens)). Returns (out, cache)."""
+def _norm_attn(tokens, other, store, prefix: str, block: str, heads: int, q_pad, key_pad):
+    """Norm(tokens + |alpha| * (Norm(MHA(tokens, keys)) - tokens)). Returns (out, cache).
+
+    The keys are other's tokens, or for self-attention the tokens and then
+    the global token passed as other, rebuilt in backward rather than cached.
+    Keys on key_pad get probability 0 and rows on q_pad stay zero; both masks
+    are None when nothing is padded.
+    """
     wq, wk, wv, wo = (store.value(f"{prefix}{block}.{w}") for w in _ATTN_WEIGHTS)
-    raw, mc = _mha_forward(tokens, kv, wq, wk, wv, wo, heads)
+    kv = _with_global(tokens, other) if block == "sa" else other
+    q, k, v = (_split_heads(_rows(x) @ w, x.shape, heads)
+               for x, w in ((tokens, wq), (kv, wk), (kv, wv)))
+    scores = q @ k.swapaxes(-1, -2) * (1.0 / np.sqrt(q.shape[-1]))  # (..., heads, nq, nk)
+    if key_pad is not None:
+        scores = np.where(key_pad[:, None, None, :], -np.inf, scores)
+    p, _ = softmax_rows(scores)
+    raw = (_merge_heads(p @ v) @ wo).reshape(tokens.shape)
+    if q_pad is not None:
+        raw[q_pad] = 0.0
     out, rc = _norm_residual_forward(tokens, raw, store.value(prefix + _ALPHA[block]))
-    return out, (mc, rc, prefix, block)
+    return out, (q, k, v, p, rc, tokens, other, prefix, block)
 
 
 def _norm_attn_backward(cache, g_out, store):
-    """Returns (g_tokens, g_kv) and accumulates parameter grads."""
-    mc, rc, prefix, block = cache
-    g_base, g_raw, g_alpha = _norm_residual_backward(rc, g_out)
-    g_q_in, g_kv, g_weights = _mha_backward(mc, g_raw)
+    """Returns (g_tokens, g_keys) and accumulates parameter grads; recomputes p @ v."""
+    q, k, v, p, rc, tokens, other, prefix, block = cache
+    wq, wk, wv, wo = (store.value(f"{prefix}{block}.{w}") for w in _ATTN_WEIGHTS)
+    kv = _with_global(tokens, other) if block == "sa" else other
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    g_base, g_raw, g_alpha = _norm_residual_backward(rc, g_out, tokens)
+    g_raw = _rows(g_raw)
+    g_ctx = _split_heads(g_raw @ wo.T, tokens.shape, q.shape[-3])
+    g_scores = softmax_rows_backward(p, g_ctx @ v.swapaxes(-1, -2))
+    g_q = _merge_heads((g_scores @ k) * scale)
+    g_k = _merge_heads((g_scores.swapaxes(-1, -2) @ q) * scale)
+    g_v = _merge_heads(p.swapaxes(-1, -2) @ g_ctx)
+    g_weights = (_rows(tokens).T @ g_q, _rows(kv).T @ g_k, _rows(kv).T @ g_v,
+                 _merge_heads(p @ v).T @ g_raw)
     store.add_grad(prefix + _ALPHA[block], g_alpha)
     for w, g in zip(_ATTN_WEIGHTS, g_weights):
         store.add_grad(f"{prefix}{block}.{w}", g)
-    return g_base + g_q_in, g_kv
+    g_tokens = g_base + (g_q @ wq.T).reshape(tokens.shape)
+    return g_tokens, (g_k @ wk.T + g_v @ wv.T).reshape(kv.shape)
 
 
 def norm_self_attn(seq: FeatureSequence, store, prefix: str, heads: int):
@@ -164,64 +170,66 @@ def norm_self_attn(seq: FeatureSequence, store, prefix: str, heads: int):
     read whole-image context, but only the m keypoint tokens are updated;
     the global token passes through unchanged.
     """
-    kv = np.vstack([seq.tokens, seq.global_token[None, :]])
-    out, cache = _norm_attn(seq.tokens, kv, store, prefix, "sa", heads)
-    return FeatureSequence(out, seq.global_token), cache
+    key_pad = None if seq.pad is None else np.pad(seq.pad, ((0, 0), (0, 1)))
+    out, cache = _norm_attn(seq.tokens, seq.global_token, store, prefix, "sa", heads,
+                            seq.pad, key_pad)
+    return FeatureSequence(out, seq.global_token, seq.pad), cache
 
 
 def norm_cross_attn(seq: FeatureSequence, other: FeatureSequence, store,
                     prefix: str, heads: int):
     """Normalized cross-attention: seq tokens query the other stream's tokens."""
-    out, cache = _norm_attn(seq.tokens, other.tokens, store, prefix, "ca", heads)
-    return FeatureSequence(out, seq.global_token), cache
+    out, cache = _norm_attn(seq.tokens, other.tokens, store, prefix, "ca", heads,
+                            seq.pad, other.pad)
+    return FeatureSequence(out, seq.global_token, seq.pad), cache
 
 
 def modulate_global(seq: FeatureSequence):
     """Replace each token by Norm(token * global), element-wise product."""
-    h = seq.tokens * seq.global_token[None, :]
+    h = seq.tokens * seq.global_token[..., None, :]
     out, nc = normalize_rows(h)
-    return FeatureSequence(out, seq.global_token), (seq.tokens, seq.global_token, nc)
+    return FeatureSequence(out, seq.global_token, seq.pad), (seq.tokens, seq.global_token, nc)
 
 
 def _modulate_global_backward(cache, g_tokens, g_global):
     tokens, glob, nc = cache
     g_h = normalize_rows_backward(nc, g_tokens)
-    g_tokens_in = g_h * glob[None, :]
-    g_global_in = g_global + np.sum(g_h * tokens, axis=0)
+    g_tokens_in = g_h * glob[..., None, :]
+    g_global_in = g_global + np.sum(g_h * tokens, axis=-2)
     return g_tokens_in, g_global_in
 
 
 def norm_mlp(seq: FeatureSequence, store, prefix: str):
     """Normalized MLP block over the m tokens and the global token."""
-    x = np.vstack([seq.tokens, seq.global_token[None, :]])
-    w1 = store.value(prefix + "mlp.w1")
-    b1 = store.value(prefix + "mlp.b1")
-    w2 = store.value(prefix + "mlp.w2")
-    b2 = store.value(prefix + "mlp.b2")
-    h = x @ w1 + b1
-    a, sc = silu(h)
-    raw = a @ w2 + b2
+    x = _with_global(seq.tokens, seq.global_token)
+    w1, b1, w2, b2 = (store.value(f"{prefix}mlp.{w}") for w in ("w1", "b1", "w2", "b2"))
+    h = _rows(x) @ w1 + b1
+    raw = (silu(h)[0] @ w2 + b2).reshape(x.shape)
+    if seq.pad is not None:
+        raw[..., :-1, :][seq.pad] = 0.0
     out, rc = _norm_residual_forward(x, raw, store.value(prefix + "alpha_m"))
-    seq_out = FeatureSequence(out[:-1], out[-1])
-    return seq_out, (x, a, sc, rc, prefix)
+    seq_out = FeatureSequence(out[..., :-1, :], out[..., -1, :], seq.pad)
+    return seq_out, (seq.tokens, seq.global_token, h, rc, prefix)
 
 
 def _norm_mlp_backward(cache, g_tokens, g_global, store):
     """Returns (g_tokens_in, g_global_in) and accumulates parameter grads."""
-    x, a, sc, rc, prefix = cache
-    g_out = np.vstack([g_tokens, g_global[None, :]])
-    g_base, g_raw, g_alpha = _norm_residual_backward(rc, g_out)
-    w1 = store.value(prefix + "mlp.w1")
-    w2 = store.value(prefix + "mlp.w2")
+    tokens, glob, h, rc, prefix = cache
+    x = _with_global(tokens, glob)
+    g_base, g_raw, g_alpha = _norm_residual_backward(rc, _with_global(g_tokens, g_global), x)
+    g_raw = _rows(g_raw)
+    w1, w2 = store.value(prefix + "mlp.w1"), store.value(prefix + "mlp.w2")
+    # SiLU is recomputed from h rather than cached: two fewer hidden-width arrays
+    a, sc = silu(h)
     g_a = g_raw @ w2.T
     g_h = silu_backward(sc, g_a)
     store.add_grad(prefix + "alpha_m", g_alpha)
     store.add_grad(prefix + "mlp.w2", a.T @ g_raw)
     store.add_grad(prefix + "mlp.b2", g_raw.sum(axis=0))
-    store.add_grad(prefix + "mlp.w1", x.T @ g_h)
+    store.add_grad(prefix + "mlp.w1", _rows(x).T @ g_h)
     store.add_grad(prefix + "mlp.b1", g_h.sum(axis=0))
-    g_x = g_h @ w1.T + g_base
-    return g_x[:-1], g_x[-1]
+    g_x = (g_h @ w1.T).reshape(x.shape) + g_base
+    return g_x[..., :-1, :], g_x[..., -1, :]
 
 
 def decode(f1: FeatureSequence, f2: FeatureSequence, store, layers: int, heads: int):
@@ -255,7 +263,8 @@ def decode_backward(caches, store, g_f1_tokens, g_f1_global, g_f2_tokens,
     snapshot_grads is a list of per-layer (g_tokens1, g_tokens2) pairs
     injected at each layer boundary (gradients of losses that read the layer
     snapshots). Returns input gradients
-    (g_f1_tokens, g_f1_global, g_f2_tokens, g_f2_global).
+    (g_f1_tokens, g_f1_global, g_f2_tokens, g_f2_global). Gradients given on
+    padding rows must be zero; those returned there are zero.
     """
     g_t1, g_g1, g_t2, g_g2 = g_f1_tokens, g_f1_global, g_f2_tokens, g_f2_global
     for layer in reversed(range(len(caches))):
@@ -273,7 +282,7 @@ def decode_backward(caches, store, g_f1_tokens, g_f1_global, g_f2_tokens,
         g_t2 = g_t2 + g_other
         # self-attention keys end with the global token
         g_t2, g_kv = _norm_attn_backward(c_sa2, g_t2, store)
-        g_t2, g_g2 = g_t2 + g_kv[:-1], g_g2 + g_kv[-1]
+        g_t2, g_g2 = g_t2 + g_kv[..., :-1, :], g_g2 + g_kv[..., -1, :]
         g_t1, g_kv = _norm_attn_backward(c_sa1, g_t1, store)
-        g_t1, g_g1 = g_t1 + g_kv[:-1], g_g1 + g_kv[-1]
+        g_t1, g_g1 = g_t1 + g_kv[..., :-1, :], g_g1 + g_kv[..., -1, :]
     return g_t1, g_g1, g_t2, g_g2

@@ -21,7 +21,6 @@ from .ops import normalize_rows, normalize_rows_backward
 __all__ = [
     "FeatureMap",
     "BackboneOutput",
-    "bilinear_sample",
     "extract_keypoint_features",
     "global_token",
     "global_token_backward",
@@ -50,8 +49,8 @@ class BackboneOutput:
     second_last: FeatureMap
 
 
-def bilinear_sample(fmap: FeatureMap, point) -> np.ndarray:
-    """Sample one feature vector at an image-pixel location.
+def _bilinear_gather(fmap: FeatureMap, points) -> np.ndarray:
+    """Sample one feature vector per (x, y) image-pixel location: (k, c).
 
     Cell-center convention: grid coordinate = point / stride - 0.5, then a
     standard 4-neighbor blend. Out-of-bounds points are clamped to the grid
@@ -59,18 +58,12 @@ def bilinear_sample(fmap: FeatureMap, point) -> np.ndarray:
     """
     grid = fmap.grid
     h, w, _ = grid.shape
-    gx = point[0] / fmap.stride - 0.5
-    gy = point[1] / fmap.stride - 0.5
-    cx = min(max(gx, 0.0), w - 1.0)
-    cy = min(max(gy, 0.0), h - 1.0)
-    if cx != gx or cy != gy:
-        fmap.oob_count += 1
-    x0 = int(np.floor(cx))
-    y0 = int(np.floor(cy))
-    x1 = min(x0 + 1, w - 1)
-    y1 = min(y0 + 1, h - 1)
-    fx = cx - x0
-    fy = cy - y0
+    g = points / fmap.stride - 0.5
+    c = np.clip(g, 0.0, (w - 1.0, h - 1.0))
+    fmap.oob_count += int(np.count_nonzero((c != g).any(axis=1)))
+    lo = np.floor(c).astype(np.intp)
+    (x0, y0), (x1, y1) = lo.T, np.minimum(lo + 1, (w - 1, h - 1)).T
+    fx, fy = (c - lo).T[:, :, None]
     return (
         grid[y0, x0] * (1 - fx) * (1 - fy)
         + grid[y0, x1] * fx * (1 - fy)
@@ -81,17 +74,9 @@ def bilinear_sample(fmap: FeatureMap, point) -> np.ndarray:
 
 def extract_keypoint_features(backbone_out: BackboneOutput, keypoints) -> np.ndarray:
     """Per-keypoint concatenation of samples from both maps (last first)."""
-    keypoints = np.asarray(keypoints, dtype=np.float64)
-    rows = [
-        np.concatenate(
-            [
-                bilinear_sample(backbone_out.last, kp),
-                bilinear_sample(backbone_out.second_last, kp),
-            ]
-        )
-        for kp in keypoints
-    ]
-    return np.asarray(rows)
+    keypoints = np.asarray(keypoints, dtype=np.float64).reshape(-1, 2)
+    return np.concatenate([_bilinear_gather(backbone_out.last, keypoints),
+                           _bilinear_gather(backbone_out.second_last, keypoints)], axis=1)
 
 
 def _pooled(backbone_out: BackboneOutput) -> np.ndarray:
@@ -106,7 +91,7 @@ def global_token(backbone_out: BackboneOutput, store):
     proj = store.value("backbone.global_proj")
     if pooled.shape[0] != proj.shape[0]:
         raise ValueError(
-            f"pooled width {pooled.shape[0]} does not match projection input {proj.shape[0]}"
+            f"backbone width {pooled.shape[0]} does not match gnn_input_dim {proj.shape[0]}"
         )
     raw = pooled @ proj
     out, nc = normalize_rows(raw[None, :])

@@ -7,8 +7,6 @@ Sinkhorn stage is inference-only.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .config import TrainConfig
@@ -47,37 +45,31 @@ class MatchingModel:
     # ---------------- forward ----------------
 
     def _encode(self, pairs):
-        """Token sequences of every image of pairs, through one GNN call on the union.
+        """Tokens of every image of pairs, through one GNN call on the union.
 
-        Each pair's feature maps are released once sampled. Returns
-        ([(seq1, seq2, global cache 1, global cache 2) per pair], gnn cache).
+        Each pair's feature maps are released once sampled. Returns (union
+        tokens, (B, 2) rows per image, (B, 2, d) global tokens, global caches
+        per image, gnn cache).
         """
         feats, graphs, globs, glob_caches = [], [], [], []
         for pair in pairs:
             for backbone_out, keypoints in zip(pair.backbone_outputs(),
                                                (pair.keypoints1, pair.keypoints2)):
-                f = extract_keypoint_features(backbone_out, keypoints)
-                if f.shape[1] != self.config.gnn_input_dim:
-                    raise ValueError(
-                        f"backbone width {f.shape[1]} does not match configured "
-                        f"gnn_input_dim {self.config.gnn_input_dim}"
-                    )
-                feats.append(f)
+                feats.append(extract_keypoint_features(backbone_out, keypoints))
                 graphs.append(build_graph(keypoints))
                 glob, glob_cache = global_token(backbone_out, self.store)
                 globs.append(glob)
                 glob_caches.append(glob_cache)
         tokens, gnn_cache = gnn_refine(np.concatenate(feats), batch_graphs(graphs), self.store)
-        starts = itertools.accumulate((len(f) for f in feats), initial=0)
-        seqs = [FeatureSequence(tokens[s:s + len(f)], g) for s, f, g in zip(starts, feats, globs)]
-        per_pair = zip(seqs[0::2], seqs[1::2], glob_caches[0::2], glob_caches[1::2])
-        return list(per_pair), gnn_cache
+        lengths = np.reshape([len(f) for f in feats], (-1, 2))
+        return tokens, lengths, np.reshape(globs, lengths.shape + (-1,)), glob_caches, gnn_cache
 
     def forward_pair(self, pair: PairSample):
-        """Decoder outputs (f1, f2, snapshots) for one pair."""
-        [(seq1, seq2, _, _)], _ = self._encode([pair])
+        """Decoder outputs (f1, f2, snapshots) for one pair, a batch of one."""
+        tokens, [(m1, _)], [(glob1, glob2)], _, _ = self._encode([pair])
         f1, f2, snapshots, _ = decode(
-            seq1, seq2, self.store, self.config.decoder_layers, self.config.heads
+            FeatureSequence(tokens[:m1], glob1), FeatureSequence(tokens[m1:], glob2),
+            self.store, self.config.decoder_layers, self.config.heads,
         )
         return f1, f2, snapshots
 
@@ -86,31 +78,42 @@ class MatchingModel:
     def loss_and_grads(self, pairs) -> list[LossReport]:
         """Loss report per pair; accumulates the summed gradients into the store.
 
-        The GNN runs once over all pairs; decoder and loss run forward and
-        backward one pair at a time, so one pair's decoder caches are alive.
+        The GNN runs once over the union of all images, and the decoder once
+        over all pairs zero-padded to one (B, n, d) batch per stream; the
+        losses run per pair on its real rows.
         """
-        encoded, gnn_cache = self._encode(pairs)
-        cfg, d = self.config, self.config.d_model
-        reports, g_tokens = [], []
-        for pair, (seq1, seq2, glob1, glob2) in zip(pairs, encoded):
-            f1, f2, snapshots, dec_caches = decode(
-                seq1, seq2, self.store, cfg.decoder_layers, cfg.heads
-            )
+        tokens, lengths, globs, glob_caches, gnn_cache = self._encode(pairs)
+        cfg, store = self.config, self.store
+        valid = np.arange(lengths.max()) < lengths[..., None]  # (B, 2, n): real rows
+        padded = np.zeros(valid.shape + tokens.shape[1:])
+        padded[valid] = tokens
+        f1, f2, snapshots, dec_caches = decode(
+            *(FeatureSequence(padded[:, k], globs[:, k],
+                              None if valid[:, k].all() else ~valid[:, k]) for k in (0, 1)),
+            store, cfg.decoder_layers, cfg.heads,
+        )
+        outs = [(f1.tokens, f2.tokens)] + snapshots  # final tokens, then per layer
+        grads = [(np.zeros_like(t1), np.zeros_like(t2)) for t1, t2 in outs]
+        reports = []
+        for i, (pair, (m1, m2)) in enumerate(zip(pairs, lengths)):
             report, loss_cache = total_loss(
-                f1.tokens, f2.tokens, snapshots, pair.truth,
-                float(self.store.value("loss.tau_raw")), cfg.layer_loss_p, cfg.infonce_mode,
+                f1.tokens[i, :m1], f2.tokens[i, :m2],
+                [(t1[i, :m1], t2[i, :m2]) for t1, t2 in snapshots], pair.truth,
+                float(store.value("loss.tau_raw")), cfg.layer_loss_p, cfg.infonce_mode,
             )
             g_f1, g_f2, snapshot_grads, g_tau = total_loss_backward(loss_cache)
-            self.store.add_grad("loss.tau_raw", g_tau)
-            g_t1, g_g1, g_t2, g_g2 = decode_backward(
-                dec_caches, self.store, g_f1, np.zeros(d), g_f2, np.zeros(d),
-                snapshot_grads,
-            )
-            global_token_backward(glob1, g_g1, self.store)
-            global_token_backward(glob2, g_g2, self.store)
-            g_tokens += [g_t1, g_t2]
+            store.add_grad("loss.tau_raw", g_tau)
+            for (g1, g2), (p1, p2) in zip(grads, [(g_f1, g_f2)] + snapshot_grads):
+                g1[i, :m1], g2[i, :m2] = p1, p2
             reports.append(report)
-        gnn_refine_backward(gnn_cache, np.vstack(g_tokens), self.store)
+        (g_f1, g_f2), *snapshot_grads = grads
+        g_t1, g_g1, g_t2, g_g2 = decode_backward(
+            dec_caches, store, g_f1, np.zeros_like(f1.global_token), g_f2,
+            np.zeros_like(f2.global_token), snapshot_grads,
+        )
+        for cache, g in zip(glob_caches, np.stack([g_g1, g_g2], axis=1).reshape(-1, cfg.d_model)):
+            global_token_backward(cache, g, store)
+        gnn_refine_backward(gnn_cache, np.stack([g_t1, g_t2], axis=1)[valid], store)
         return reports
 
     # ---------------- inference ----------------

@@ -22,6 +22,9 @@ class Adam:
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
+    # a step runs over slices of this many elements, with two buffers held
+    # across steps as its temporaries, so they stay small and in cache
+    chunk = 1 << 14
 
     def __init__(self, store, backbone_lr_factor: float = 1.0):
         self.store = store
@@ -29,22 +32,27 @@ class Adam:
         self.t = 0
         self.m = {n: np.zeros_like(store.value(n)) for n in store.trainable_names()}
         self.v = {n: np.zeros_like(store.value(n)) for n in store.trainable_names()}
+        self._temps = np.empty(self.chunk), np.empty(self.chunk)
 
     def step(self, lr: float) -> None:
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
         for name in self.store.trainable_names():
-            g = self.store.grad(name)
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
             group_lr = lr * (self.backbone_lr_factor if name.startswith("backbone.") else 1.0)
-            update = group_lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-            self.store.set_value(name, self.store.value(name) - update)
+            arrays = (self.store.value(name), self.store.grad(name), self.m[name], self.v[name])
+            flat = [a.reshape(-1) for a in arrays]  # views: every one is contiguous
+            for start in range(0, flat[0].size, self.chunk):
+                value, g, m, v = (a[start:start + self.chunk] for a in flat)
+                t1, t2 = self._temps[0][:len(g)], self._temps[1][:len(g)]
+                m *= self.beta1
+                m += np.multiply(1.0 - self.beta1, g, out=t1)
+                v *= self.beta2
+                v += np.multiply(np.multiply(1.0 - self.beta2, g, out=t1), g, out=t1)
+                np.multiply(group_lr, np.divide(m, b1t, out=t1), out=t1)
+                np.sqrt(np.divide(v, b2t, out=t2), out=t2)
+                t2 += self.eps
+                value -= np.divide(t1, t2, out=t1)
 
 
 def lr_at_epoch(config: TrainConfig, epoch: int) -> float:

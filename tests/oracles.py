@@ -6,7 +6,7 @@ of a computation whose array form lives in ``src/normmatch``.
 
 import numpy as np
 
-from normmatch import splineconv
+from normmatch import decoder, splineconv
 from normmatch.ops import EPS_GUARD
 
 
@@ -19,6 +19,48 @@ def l2_normalize(v, eps_guard: float = EPS_GUARD) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     norm = np.linalg.norm(v)
     return v / max(norm, eps_guard)
+
+
+def bilinear_sample(fmap, point) -> np.ndarray:
+    """Sample one feature vector at an image-pixel location.
+
+    Cell-center convention: grid coordinate = point / stride - 0.5, then a
+    standard 4-neighbor blend. Out-of-bounds points are clamped to the grid
+    and counted in the map's diagnostics counter. Oracle for
+    ``features.extract_keypoint_features``, which must equal it exactly.
+    """
+    grid = fmap.grid
+    h, w, _ = grid.shape
+    gx = point[0] / fmap.stride - 0.5
+    gy = point[1] / fmap.stride - 0.5
+    cx = min(max(gx, 0.0), w - 1.0)
+    cy = min(max(gy, 0.0), h - 1.0)
+    if cx != gx or cy != gy:
+        fmap.oob_count += 1
+    x0 = int(np.floor(cx))
+    y0 = int(np.floor(cy))
+    x1 = min(x0 + 1, w - 1)
+    y1 = min(y0 + 1, h - 1)
+    fx = cx - x0
+    fy = cy - y0
+    return (
+        grid[y0, x0] * (1 - fx) * (1 - fy)
+        + grid[y0, x1] * fx * (1 - fy)
+        + grid[y1, x0] * (1 - fx) * fy
+        + grid[y1, x1] * fx * fy
+    )
+
+
+def adam_update(value, g, m, v, t: int, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One bias-corrected Adam update of one parameter, in place, written as
+    whole-array expressions. Oracle for ``train.Adam.step``, which must
+    equal it exactly."""
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    update = lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
+    value[...] = value - update
 
 
 def spline_basis(u, kernel_size: int) -> list[tuple[tuple[int, int], float]]:
@@ -131,3 +173,51 @@ def loop_spline_conv_backward(cache, g_out):
             g_weight[b] += (x_src[rows] * w_rows).T @ g_msgs[rows]
             np.add.at(g_features, src[rows], w_rows * (g_msgs[rows] @ weight[b].T))
     return g_features, g_weight, g_bias
+
+
+def _lengths(seq):
+    b, n = seq.tokens.shape[:2]
+    return [n] * b if seq.pad is None else list((~seq.pad).sum(axis=1))
+
+
+def loop_decode(f1, f2, store, layers: int, heads: int):
+    """``decoder.decode`` run once per pair on its unpadded rows.
+
+    Oracle for ``decode`` on padded (B, n, d) batches. Returns (o1, o2,
+    snapshots, per-pair caches): o1/o2 and the snapshots are padded back
+    with zero rows, like the batched outputs.
+    """
+    o1 = decoder.FeatureSequence(np.zeros_like(f1.tokens), np.zeros_like(f1.global_token))
+    o2 = decoder.FeatureSequence(np.zeros_like(f2.tokens), np.zeros_like(f2.global_token))
+    snapshots = [(np.zeros_like(f1.tokens), np.zeros_like(f2.tokens)) for _ in range(layers)]
+    caches = []
+    for i, (m1, m2) in enumerate(zip(_lengths(f1), _lengths(f2))):
+        p1, p2, snaps, c = decoder.decode(
+            decoder.FeatureSequence(f1.tokens[i, :m1], f1.global_token[i]),
+            decoder.FeatureSequence(f2.tokens[i, :m2], f2.global_token[i]),
+            store, layers, heads,
+        )
+        for out, part in ((o1, p1), (o2, p2)):
+            out.tokens[i, :len(part.tokens)] = part.tokens
+            out.global_token[i] = part.global_token
+        for (s1, s2), (q1, q2) in zip(snapshots, snaps):
+            s1[i, :m1], s2[i, :m2] = q1, q2
+        caches.append((m1, m2, c))
+    return o1, o2, snapshots, caches
+
+
+def loop_decode_backward(caches, store, g_t1, g_g1, g_t2, g_g2, snapshot_grads):
+    """``decoder.decode_backward`` once per pair of :func:`loop_decode`.
+
+    Parameter gradients accumulate in the store over the pairs; the input
+    gradients come back padded with zero rows.
+    """
+    outs = [np.zeros_like(g_t1), np.zeros_like(g_g1), np.zeros_like(g_t2), np.zeros_like(g_g2)]
+    for i, (m1, m2, c) in enumerate(caches):
+        grads = decoder.decode_backward(
+            c, store, g_t1[i, :m1], g_g1[i], g_t2[i, :m2], g_g2[i],
+            [(s1[i, :m1], s2[i, :m2]) for s1, s2 in snapshot_grads],
+        )
+        for out, rows, g in zip(outs, (slice(m1), (), slice(m2), ()), grads):
+            out[i][rows] = g
+    return tuple(outs)

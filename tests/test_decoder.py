@@ -13,7 +13,7 @@ from normmatch.decoder import (
 )
 from normmatch.gradcheck import all_passed, grad_check
 from normmatch.params import ParameterStore
-from oracles import l2_normalize
+from oracles import l2_normalize, loop_decode, loop_decode_backward
 
 
 def _make_store(d_model, layers, mlp_mult=2, seed=0):
@@ -340,4 +340,102 @@ class TestDecode:
             return loss
 
         reports = grad_check(forward, store, eps=eps, rng=np.random.default_rng(99))
+        assert all_passed(reports), "\n".join(str(r) for r in reports if not r.passed)
+
+
+def _padded(rng, lengths, d):
+    """Unit-norm tokens of len(lengths) images, zero-padded to a (B, n_max, d) batch."""
+    lengths = np.asarray(lengths)
+    pad = np.arange(lengths.max()) >= lengths[:, None]
+    tokens = _unit_rows(rng, pad.size, d).reshape(pad.shape + (d,))
+    tokens[pad] = 0.0
+    return FeatureSequence(tokens, _unit_rows(rng, len(lengths), d), pad if pad.any() else None)
+
+
+def _probe(rng, seq):
+    g = rng.standard_normal(seq.tokens.shape)
+    if seq.pad is not None:
+        g[seq.pad] = 0.0
+    return g
+
+
+def _batch_store(d, layers, seed=0):
+    """A decoder store with nonzero MLP biases, under which a zero padding
+    row would leave the MLP nonzero unless masked."""
+    store = _make_store(d, layers, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for name in store.names():
+        if ".mlp.b" in name:
+            store.set_value(name, 0.5 * rng.standard_normal(store.value(name).shape))
+    return store
+
+
+def _assert_rel(got, expected, what):
+    scale = max(np.max(np.abs(expected)), 1e-300)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * scale, what
+
+
+class TestBatchedDecode:
+    """A padded batch through decode/decode_backward equals a per-pair loop."""
+
+    LAYERS, D, HEADS = 2, 16, 4
+
+    @pytest.mark.parametrize("lengths1,lengths2", [
+        ([1, 2, 5, 3], [1, 2, 5, 3]),  # m = 1 and m = 2 among padded pairs
+        ([4], [4]),                    # B = 1: nothing padded, no mask
+        ([6, 6, 6, 4], [6, 6, 6, 4]),  # only the last pair padded
+        ([2, 5], [4, 1]),              # streams padded differently
+    ])
+    def test_matches_per_pair_loop(self, lengths1, lengths2):
+        rng = np.random.default_rng(len(lengths1) * 10 + lengths1[-1])
+        f1 = _padded(rng, lengths1, self.D)
+        f2 = _padded(rng, lengths2, self.D)
+        probes = [_probe(rng, f1), rng.standard_normal(f1.global_token.shape),
+                  _probe(rng, f2), rng.standard_normal(f2.global_token.shape)]
+        snap_grads = [(_probe(rng, f1), _probe(rng, f2)) for _ in range(self.LAYERS)]
+
+        batched, looped = _batch_store(self.D, self.LAYERS), _batch_store(self.D, self.LAYERS)
+        o1, o2, snaps, caches = decode(f1, f2, batched, self.LAYERS, self.HEADS)
+        r1, r2, r_snaps, r_caches = loop_decode(f1, f2, looped, self.LAYERS, self.HEADS)
+        grads = decode_backward(caches, batched, *probes, snap_grads)
+        r_grads = loop_decode_backward(r_caches, looped, *probes, snap_grads)
+
+        for got, expected, what in [
+            (o1.tokens, r1.tokens, "f1 tokens"), (o1.global_token, r1.global_token, "f1 global"),
+            (o2.tokens, r2.tokens, "f2 tokens"), (o2.global_token, r2.global_token, "f2 global"),
+        ] + [(s, r, f"snapshot {k}") for k, pair in enumerate(zip(snaps, r_snaps))
+             for s, r in zip(*pair)] + [
+            (g, r, f"input grad {k}") for k, (g, r) in enumerate(zip(grads, r_grads))
+        ]:
+            _assert_rel(got, expected, what)
+        for name in batched.names():
+            _assert_rel(batched.grad(name), looped.grad(name), name)
+
+        # padding rows stay zero and finite, and take exactly zero gradient
+        for seq, out, g_in in ((f1, o1, grads[0]), (f2, o2, grads[2])):
+            if seq.pad is None:
+                continue
+            assert np.all(np.isfinite(out.tokens))
+            assert not np.any(out.tokens[seq.pad])
+            assert not np.any(g_in[seq.pad])
+
+    def test_gradients_pass_check_on_padded_batch(self):
+        rng = np.random.default_rng(41)
+        d, layers, heads = 8, 2, 2
+        store = _batch_store(d, layers, seed=43)
+        f1, f2 = _padded(rng, [3, 5], d), _padded(rng, [3, 5], d)
+        probes = [_probe(rng, f1), rng.standard_normal((2, d)),
+                  _probe(rng, f2), rng.standard_normal((2, d))]
+        snap_probes = [(_probe(rng, f1), _probe(rng, f2)) for _ in range(layers)]
+
+        def forward(params):
+            o1, o2, snapshots, caches = decode(f1, f2, params, layers, heads)
+            outs = [o1.tokens, o1.global_token, o2.tokens, o2.global_token]
+            loss = sum(float((o * r).sum()) for o, r in zip(outs, probes))
+            for (s1, s2), (r1, r2) in zip(snapshots, snap_probes):
+                loss += float((s1 * r1).sum()) + float((s2 * r2).sum())
+            decode_backward(caches, params, *probes, snap_probes)
+            return loss
+
+        reports = grad_check(forward, store, eps=1e-5, rng=np.random.default_rng(99))
         assert all_passed(reports), "\n".join(str(r) for r in reports if not r.passed)

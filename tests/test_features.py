@@ -4,7 +4,6 @@ import pytest
 from normmatch.features import (
     BackboneOutput,
     FeatureMap,
-    bilinear_sample,
     extract_keypoint_features,
     global_token,
     global_token_backward,
@@ -14,6 +13,7 @@ from normmatch.features import (
 )
 from normmatch.gradcheck import all_passed, grad_check
 from normmatch.params import ParameterStore
+from oracles import bilinear_sample
 
 
 def _map(grid, stride=2.0, tag="last"):
@@ -98,15 +98,24 @@ class TestExtractKeypointFeatures:
         assert np.allclose(out[0], [2.0] * 5 + [-1.0] * 3)
 
     def test_matches_individual_samples(self):
+        # the gather equals the scalar oracle bit for bit and counts the same
+        # clamped samples, inside, on and beyond the borders of the 4 x 5 grid
         rng = np.random.default_rng(4)
         bb = _random_backbone(rng)
-        kps = rng.uniform(1.0, 7.0, size=(6, 2))
+        oracle_bb = BackboneOutput(_map(bb.last.grid), _map(bb.second_last.grid))
+        kps = np.vstack([
+            rng.uniform(-3.0, 13.0, size=(40, 2)),
+            [(1.0, 1.0), (9.0, 7.0), (0.0, 4.0), (5.0, 8.0), (9.5, 7.5), (3.0, 3.0)],
+        ])
         out = extract_keypoint_features(bb, kps)
-        for i, kp in enumerate(kps):
-            expected = np.concatenate(
-                [bilinear_sample(bb.last, kp), bilinear_sample(bb.second_last, kp)]
-            )
-            assert np.allclose(out[i], expected, atol=1e-12)
+        expected = [
+            np.concatenate([bilinear_sample(oracle_bb.last, kp),
+                            bilinear_sample(oracle_bb.second_last, kp)])
+            for kp in kps
+        ]
+        assert np.array_equal(out, np.asarray(expected))
+        assert bb.last.oob_count == oracle_bb.last.oob_count > 0
+        assert bb.second_last.oob_count == oracle_bb.second_last.oob_count
 
     def test_duplicate_keypoints_give_identical_rows(self):
         rng = np.random.default_rng(5)
@@ -163,7 +172,7 @@ class TestGlobalToken:
         rng = np.random.default_rng(10)
         bb = _random_backbone(rng)
         store = self._store(rng, _concat_width(bb) + 1, 4)
-        with pytest.raises(ValueError, match="pooled width"):
+        with pytest.raises(ValueError, match="backbone width"):
             global_token(bb, store)
 
     def test_projection_gradient(self):

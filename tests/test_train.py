@@ -4,9 +4,11 @@ import pytest
 from normmatch.config import DataConfig, TrainConfig
 from normmatch.data import generate_dataset, generate_pair
 from normmatch.matching import Matching
+from normmatch import model as model_module
 from normmatch.model import MatchingModel
 from normmatch.params import ParameterStore
 from normmatch.train import Adam, evaluate, format_accuracy_table, lr_at_epoch, train
+from oracles import adam_update
 
 
 def _snapshot(store):
@@ -60,6 +62,31 @@ class TestAdam:
         opt.step(lr=0.1)
         assert np.array_equal(store.value("frozen"), np.ones(2))
         assert not np.array_equal(store.value("w"), np.ones(2))
+
+    def test_matches_reference_update_exactly(self):
+        # parameters below, at and across the slice length of a step, plus a
+        # scalar and a backbone parameter with its scaled rate
+        rng = np.random.default_rng(7)
+        store = ParameterStore()
+        shapes = {"a": (3, 5), "b": (Adam.chunk,), "c": (2, Adam.chunk + 17), "d": (),
+                  "backbone.e": (4, 4)}
+        for name, shape in shapes.items():
+            store.register(name, rng.standard_normal(shape))
+        expected = {n: [store.value(n).copy(), np.zeros(shape), np.zeros(shape)]
+                    for n, shape in shapes.items()}
+        opt = Adam(store, backbone_lr_factor=0.03)
+        for t, lr in ((1, 1e-3), (2, 1e-3), (3, 1e-4)):
+            store.zero_grads()
+            for name, shape in shapes.items():
+                store.add_grad(name, rng.standard_normal(shape))
+                value, m, v = expected[name]
+                group_lr = lr * (0.03 if name.startswith("backbone.") else 1.0)
+                adam_update(value, store.grad(name), m, v, t, group_lr)
+            opt.step(lr)
+        for name, (value, m, v) in expected.items():
+            assert np.array_equal(store.value(name), value), name
+            assert np.array_equal(opt.m[name], m), name
+            assert np.array_equal(opt.v[name], v), name
 
     def test_zero_lr_is_a_null_step(self):
         store = ParameterStore()
@@ -140,6 +167,34 @@ class TestTrain:
         for name, expected in singles.items():
             err = np.max(np.abs(batched[name] - expected))
             assert err < 1e-10, f"{name}: {err:.3e}"
+
+    def test_decoder_runs_once_per_minibatch(self, monkeypatch):
+        # three pairs of unequal size share one padded decoder call each way
+        config = _tiny_config()
+        pairs = [generate_pair(_tiny_data(m_min=m, m_max=m), class_id=0, seed=m,
+                               latent_dim=config.gnn_input_dim) for m in (3, 5, 4)]
+        calls = {"decode": 0, "decode_backward": 0}
+        for name in calls:
+            original = getattr(model_module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(model_module, name, counted)
+        reports = MatchingModel(config).loss_and_grads(pairs)
+        assert len(reports) == 3
+        assert calls == {"decode": 1, "decode_backward": 1}
+
+    def test_backbone_width_mismatch_rejected(self):
+        config = _tiny_config()
+        pair = generate_pair(_tiny_data(), class_id=0, seed=1,
+                             latent_dim=config.gnn_input_dim + 2)
+        model = MatchingModel(config)
+        for run in (model.match_pair, lambda p: model.loss_and_grads([p])):
+            with pytest.raises(ValueError, match="backbone width 10 does not match "
+                                                 "gnn_input_dim 8"):
+                run(pair)
 
     def test_non_finite_loss_aborts_and_keeps_parameters(self):
         config = _tiny_config(epochs=3)
