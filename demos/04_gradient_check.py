@@ -17,11 +17,13 @@ data = DataConfig(m_min=4, m_max=4, num_classes=3, jitter_sigma=0.2,
                   noise_level=0.02)
 pair = generate_pair(data, class_id=0, seed=106, latent_dim=8)
 model = MatchingModel(config)
+# maps, keypoint features and graphs do not depend on the parameters
+prepared = [model.prepare(pair)]
 
 
 def forward(store):
     # populates analytic grads as a side effect, returns the scalar loss
-    return model.loss_and_grads([pair])[0].total
+    return model.loss_and_grads(prepared)[0].total
 
 
 reports = grad_check(forward, model.store, eps=1e-5, tol=1e-4)

@@ -33,8 +33,9 @@ print(f"backbone maps: last {b1.last.grid.shape}, "
 desc = extract_keypoint_features(b1, pair.keypoints1)
 print(f"keypoint descriptors: {desc.shape}")
 
-g1, _ = global_token(b1, model.store)
-print(f"global token: {g1.shape}, norm {np.linalg.norm(g1):.12f}")
+# the global token takes the pooled map means of any number of images
+g, _ = global_token(np.stack([b1.pooled, b2.pooled]), model.store)
+print(f"global tokens of both images: {g.shape}, max |norm - 1| {abs(norms(g) - 1).max():.1e}")
 
 graph = build_graph(pair.keypoints1)
 print(f"graph: {graph.num_nodes} nodes, {len(graph.arcs)} arcs "
@@ -43,6 +44,12 @@ print(f"graph: {graph.num_nodes} nodes, {len(graph.arcs)} arcs "
 tokens, _ = gnn_refine(desc, graph, model.store)
 print(f"GNN tokens: {tokens.shape}, "
       f"norm spread [{norms(tokens).min():.12f}, {norms(tokens).max():.12f}]")
+
+# everything above that does not depend on the parameters is what
+# model.prepare keeps per pair; training prepares each pair once
+prepared = model.prepare(pair)
+print(f"prepared: features {[f.shape for f in prepared.features]}, "
+      f"pooled {prepared.pooled.shape}")
 
 f1, f2, snapshots = model.forward_pair(pair)
 print(f"decoder: {len(snapshots)} layers of snapshots, "

@@ -103,7 +103,8 @@ def _cmd_gradcheck(args) -> int:
     model = MatchingModel(cfg)
     dcfg = DataConfig(m_min=4, m_max=5, num_classes=2, jitter_sigma=0.2,
                       noise_level=0.01)
-    pairs = generate_dataset(dcfg, cfg.gnn_input_dim, seed=3, num_pairs=1)
+    [pair] = generate_dataset(dcfg, cfg.gnn_input_dim, seed=3, num_pairs=1)
+    prepared = [model.prepare(pair)]
 
     prefixes = {"gnn": ("gnn.",), "decoder": ("dec",), "losses": ("loss.",),
                 "all": ("",)}[args.module]
@@ -111,7 +112,7 @@ def _cmd_gradcheck(args) -> int:
         model.store.set_trainable(name, any(name.startswith(p) for p in prefixes))
 
     def forward(store):
-        return sum(report.total for report in model.loss_and_grads(pairs))
+        return sum(report.total for report in model.loss_and_grads(prepared))
 
     reports = grad_check(forward, model.store, eps=1e-5, tol=1e-4)
     failures = 0

@@ -15,6 +15,7 @@ latent array (image-1 order) or paths to precomputed feature-map files.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -192,8 +193,16 @@ def _integer_field(record: dict, key: str) -> int:
     return value
 
 
-def record_to_pair(record: dict) -> PairSample:
-    """Checks every array field's shape and values before building the pair."""
+def _feature_file(record: dict, key: str, base_dir: str) -> str:
+    value = record[key]
+    path = os.path.join(base_dir, value) if isinstance(value, str) else ""
+    if not os.path.isfile(path):
+        raise ValueError(f"{key!r} must name an existing file, got {value!r}")
+    return path
+
+
+def record_to_pair(record: dict, base_dir: str = "") -> PairSample:
+    """Checks every field; relative feature-file paths resolve against base_dir."""
     required = ["image1", "image2", "class_id", "keypoints1", "keypoints2", "truth"]
     for key in required:
         if key not in record:
@@ -235,7 +244,8 @@ def record_to_pair(record: dict) -> PairSample:
         latents=latents,
         noise_level=float(noise_level),
         seed=_integer_field(record, "seed"),
-        feature_files=(record["features1"], record["features2"]) if has_files else None,
+        feature_files=tuple(_feature_file(record, key, base_dir)
+                            for key in ("features1", "features2")) if has_files else None,
     )
 
 
@@ -246,6 +256,7 @@ def write_dataset(path, pairs) -> None:
 
 
 def read_dataset(path) -> list[PairSample]:
+    """Pairs of a JSONL file; feature-file paths are relative to its directory."""
     pairs = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -257,7 +268,7 @@ def read_dataset(path) -> list[PairSample]:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
             try:
-                pairs.append(record_to_pair(record))
+                pairs.append(record_to_pair(record, os.path.dirname(path)))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return pairs

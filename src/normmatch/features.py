@@ -45,8 +45,15 @@ class FeatureMap:
 
 @dataclass
 class BackboneOutput:
+    """Both maps of one image, plus their concatenated spatial means (c,)."""
+
     last: FeatureMap
     second_last: FeatureMap
+    pooled: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.pooled = np.concatenate([self.last.grid.mean(axis=(0, 1)),
+                                      self.second_last.grid.mean(axis=(0, 1))])
 
 
 def _bilinear_gather(fmap: FeatureMap, points) -> np.ndarray:
@@ -79,29 +86,20 @@ def extract_keypoint_features(backbone_out: BackboneOutput, keypoints) -> np.nda
                            _bilinear_gather(backbone_out.second_last, keypoints)], axis=1)
 
 
-def _pooled(backbone_out: BackboneOutput) -> np.ndarray:
-    mu_last = backbone_out.last.grid.mean(axis=(0, 1))
-    mu_second = backbone_out.second_last.grid.mean(axis=(0, 1))
-    return np.concatenate([mu_last, mu_second])
-
-
-def global_token(backbone_out: BackboneOutput, store):
-    """Mean of all spatial features, projected to d_model and normalized."""
-    pooled = _pooled(backbone_out)
+def global_token(pooled, store):
+    """Pooled means (k, c) of k images, projected to d_model and row-normalized."""
     proj = store.value("backbone.global_proj")
-    if pooled.shape[0] != proj.shape[0]:
+    if pooled.shape[1] != proj.shape[0]:
         raise ValueError(
-            f"backbone width {pooled.shape[0]} does not match gnn_input_dim {proj.shape[0]}"
+            f"backbone width {pooled.shape[1]} does not match gnn_input_dim {proj.shape[0]}"
         )
-    raw = pooled @ proj
-    out, nc = normalize_rows(raw[None, :])
-    return out[0], (pooled, nc)
+    out, nc = normalize_rows(pooled @ proj)
+    return out, (pooled, nc)
 
 
-def global_token_backward(cache, g_token, store):
+def global_token_backward(cache, g_tokens, store):
     pooled, nc = cache
-    g_raw = normalize_rows_backward(nc, g_token[None, :])[0]
-    store.add_grad("backbone.global_proj", np.outer(pooled, g_raw))
+    store.add_grad("backbone.global_proj", pooled.T @ normalize_rows_backward(nc, g_tokens))
 
 
 def synthetic_backbone(latents, keypoints, noise_level: float, seed,
@@ -136,10 +134,9 @@ def synthetic_backbone(latents, keypoints, noise_level: float, seed,
     maps = []
     for tag, part in (("last", latents[:, :half]), ("second_last", latents[:, half:])):
         grid = np.tensordot(weights, part, axes=([2], [0]))
+        noise = rng.standard_normal(grid.shape)  # drawn at any level: a fixed stream position
         if noise_level > 0:
-            grid = grid + noise_level * rng.standard_normal(grid.shape)
-        else:
-            rng.standard_normal(grid.shape)  # keep the stream position fixed
+            grid = grid + noise_level * noise
         maps.append(FeatureMap(grid=grid, stride=stride, layer_tag=tag))
     return BackboneOutput(last=maps[0], second_last=maps[1])
 
@@ -175,13 +172,7 @@ def read_feature_file(path) -> BackboneOutput:
         if version != FEATURE_VERSION:
             raise ValueError(f"unsupported feature-map version {version}")
         (stride,) = struct.unpack("<f", _read_exact(fh, 4))
-        grids = []
-        for c in (c_last, c_second):
-            raw = _read_exact(fh, 4 * h * w * c)
-            grids.append(
-                np.frombuffer(raw, dtype="<f4").reshape(h, w, c).astype(np.float64)
-            )
-    return BackboneOutput(
-        last=FeatureMap(grid=grids[0], stride=stride, layer_tag="last"),
-        second_last=FeatureMap(grid=grids[1], stride=stride, layer_tag="second_last"),
-    )
+        maps = [FeatureMap(np.frombuffer(_read_exact(fh, 4 * h * w * c), dtype="<f4")
+                           .reshape(h, w, c).astype(np.float64), stride, tag)
+                for c, tag in ((c_last, "last"), (c_second, "second_last"))]
+    return BackboneOutput(*maps)

@@ -49,16 +49,10 @@ def _is_degenerate(points: np.ndarray) -> bool:
     m = len(points)
     if m < 3:
         return True
-    # exact duplicates
-    seen = {tuple(p) for p in points}
-    if len(seen) < m:
+    if len({tuple(p) for p in points}) < m:  # exact duplicates
         return True
-    # all collinear
     a, b = points[0], points[1]
-    for c in points[2:]:
-        if abs(_orient(a, b, c)) > 1e-12:
-            return False
-    return True
+    return all(abs(_orient(a, b, c)) <= 1e-12 for c in points[2:])  # all collinear
 
 
 def _tie_blocks(points, a: int, b: int, c: int, o: int) -> bool:
@@ -132,21 +126,15 @@ def delaunay(points) -> list[tuple[int, int]]:
 
     # incircle determinant of every (triple, other point) pair; positive
     # means strictly inside, zero is the co-circular tie
-    rel_a = points[ccw[:, 0], None, :] - points[None, :, :]
-    rel_b = points[ccw[:, 1], None, :] - points[None, :, :]
-    rel_c = points[ccw[:, 2], None, :] - points[None, :, :]
-    na = (rel_a * rel_a).sum(axis=-1)
-    nb = (rel_b * rel_b).sum(axis=-1)
-    nc = (rel_c * rel_c).sum(axis=-1)
+    rel_a, rel_b, rel_c = (points[ccw[:, i], None, :] - points[None, :, :] for i in range(3))
+    na, nb, nc = ((r * r).sum(axis=-1) for r in (rel_a, rel_b, rel_c))
     det = (
         rel_a[..., 0] * (rel_b[..., 1] * nc - nb * rel_c[..., 1])
         - rel_a[..., 1] * (rel_b[..., 0] * nc - nb * rel_c[..., 0])
         + na * (rel_b[..., 0] * rel_c[..., 1] - rel_b[..., 1] * rel_c[..., 0])
     )
     member = np.zeros((len(ccw), m), dtype=bool)
-    rows = np.arange(len(ccw))
-    for col in range(3):
-        member[rows, ccw[:, col]] = True
+    member[np.arange(len(ccw))[:, None], ccw] = True
     blocked = ((det > 0.0) & ~member).any(axis=1)
 
     tie_rows, tie_cols = np.nonzero((det == 0.0) & ~member & ~blocked[:, None])
@@ -156,11 +144,8 @@ def delaunay(points) -> list[tuple[int, int]]:
         ):
             blocked[r] = True
 
-    edges: set[tuple[int, int]] = set()
-    for i, j, k in ccw[~blocked].tolist():
-        edges.add((min(i, j), max(i, j)))
-        edges.add((min(i, k), max(i, k)))
-        edges.add((min(j, k), max(j, k)))
+    edges = {(min(u, v), max(u, v)) for triangle in ccw[~blocked].tolist()
+             for u, v in itertools.combinations(triangle, 2)}
     # a stranded vertex or disconnected result can only come out of
     # numerically perverse inputs; keep the connectivity guarantee
     if not edges or not _connected(m, edges):
@@ -180,31 +165,20 @@ def pseudo_coords(points, arcs) -> np.ndarray:
     if arcs.size == 0:
         return np.zeros((0, 2))
     offsets = points[arcs[:, 1]] - points[arcs[:, 0]]
-    lo = offsets.min(axis=0)
-    hi = offsets.max(axis=0)
-    span = hi - lo
-    out = np.empty_like(offsets)
-    for c in range(2):
-        if span[c] <= 1e-12:
-            out[:, c] = 0.5
-        else:
-            out[:, c] = (offsets[:, c] - lo[c]) / span[c]
-    return out
+    lo, span = offsets.min(axis=0), np.ptp(offsets, axis=0)
+    flat = span <= 1e-12
+    return np.where(flat, 0.5, (offsets - lo) / np.where(flat, 1.0, span))
 
 
 def build_graph(points) -> KeypointGraph:
     """Delaunay arcs plus pseudo-coordinates, with self-loops at (0.5, 0.5)."""
     points = np.asarray(points, dtype=np.float64)
     m = len(points)
-    arc_list: list[tuple[int, int]] = []
-    for u, v in delaunay(points):
-        arc_list.append((u, v))
-        arc_list.append((v, u))
-    pseudo = pseudo_coords(points, np.asarray(arc_list, dtype=np.intp).reshape(-1, 2))
-    arc_list.extend((i, i) for i in range(m))
-    arcs = np.asarray(arc_list, dtype=np.intp).reshape(-1, 2)
-    return KeypointGraph(num_nodes=m, arcs=arcs,
-                         pseudo=np.vstack([pseudo, np.full((m, 2), 0.5)]))
+    edges = np.asarray(delaunay(points), dtype=np.intp).reshape(-1, 2)
+    arcs = np.stack([edges, edges[:, ::-1]], axis=1).reshape(-1, 2)  # (u, v) then (v, u)
+    loops = np.repeat(np.arange(m), 2).reshape(-1, 2)
+    return KeypointGraph(m, np.concatenate([arcs, loops]),
+                         np.vstack([pseudo_coords(points, arcs), np.full((m, 2), 0.5)]))
 
 
 def batch_graphs(graphs) -> KeypointGraph:

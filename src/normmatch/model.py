@@ -7,6 +7,8 @@ Sinkhorn stage is inference-only.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .config import TrainConfig
@@ -19,7 +21,16 @@ from .matching import Matching, TransportPlan, affinity, decode_matching, sinkho
 from .params import ParameterStore
 from .splineconv import gnn_refine, gnn_refine_backward, init_gnn_params
 
-__all__ = ["MatchingModel"]
+__all__ = ["MatchingModel", "PreparedPair"]
+
+
+class PreparedPair(NamedTuple):
+    """All of a pair that no parameter touches, per image in image order."""
+
+    pair: PairSample  # kept for its truth
+    features: list  # (m, gnn_input_dim) keypoint features of each image
+    graphs: list  # KeypointGraph of each image
+    pooled: np.ndarray  # (2, gnn_input_dim) pooled map means
 
 
 class MatchingModel:
@@ -44,29 +55,32 @@ class MatchingModel:
 
     # ---------------- forward ----------------
 
-    def _encode(self, pairs):
-        """Tokens of every image of pairs, through one GNN call on the union.
+    def prepare(self, pair: PairSample) -> PreparedPair:
+        """A pure function of the pair; its backbone maps are released on return."""
+        outs, keypoints = pair.backbone_outputs(), (pair.keypoints1, pair.keypoints2)
+        return PreparedPair(pair, [extract_keypoint_features(*bk) for bk in zip(outs, keypoints)],
+                            [build_graph(k) for k in keypoints],
+                            np.array([b.pooled for b in outs]))
 
-        Each pair's feature maps are released once sampled. Returns (union
-        tokens, (B, 2) rows per image, (B, 2, d) global tokens, global caches
-        per image, gnn cache).
+    def _encode(self, prepared):
+        """Tokens of every image of prepared pairs, through one GNN call on the union.
+
+        Returns (union tokens, (B, 2) rows per image, (B, 2, d) global
+        tokens, global-token cache, gnn cache).
         """
-        feats, graphs, globs, glob_caches = [], [], [], []
-        for pair in pairs:
-            for backbone_out, keypoints in zip(pair.backbone_outputs(),
-                                               (pair.keypoints1, pair.keypoints2)):
-                feats.append(extract_keypoint_features(backbone_out, keypoints))
-                graphs.append(build_graph(keypoints))
-                glob, glob_cache = global_token(backbone_out, self.store)
-                globs.append(glob)
-                glob_caches.append(glob_cache)
-        tokens, gnn_cache = gnn_refine(np.concatenate(feats), batch_graphs(graphs), self.store)
-        lengths = np.reshape([len(f) for f in feats], (-1, 2))
-        return tokens, lengths, np.reshape(globs, lengths.shape + (-1,)), glob_caches, gnn_cache
+        globs, glob_cache = global_token(np.concatenate([p.pooled for p in prepared]), self.store)
+        feats = [f for p in prepared for f in p.features]
+        graph = batch_graphs([g for p in prepared for g in p.graphs])
+        tokens, gnn_cache = gnn_refine(np.concatenate(feats), graph, self.store)
+        lengths = np.array([len(f) for f in feats]).reshape(-1, 2)
+        return tokens, lengths, globs.reshape(lengths.shape + (-1,)), glob_cache, gnn_cache
 
     def forward_pair(self, pair: PairSample):
         """Decoder outputs (f1, f2, snapshots) for one pair, a batch of one."""
-        tokens, [(m1, _)], [(glob1, glob2)], _, _ = self._encode([pair])
+        return self._forward(self.prepare(pair))
+
+    def _forward(self, prepared: PreparedPair):
+        tokens, [(m1, _)], [(glob1, glob2)], _, _ = self._encode([prepared])
         f1, f2, snapshots, _ = decode(
             FeatureSequence(tokens[:m1], glob1), FeatureSequence(tokens[m1:], glob2),
             self.store, self.config.decoder_layers, self.config.heads,
@@ -75,14 +89,14 @@ class MatchingModel:
 
     # ---------------- training ----------------
 
-    def loss_and_grads(self, pairs) -> list[LossReport]:
-        """Loss report per pair; accumulates the summed gradients into the store.
+    def loss_and_grads(self, prepared) -> list[LossReport]:
+        """Loss report per prepared pair; accumulates the summed gradients into the store.
 
         The GNN runs once over the union of all images, and the decoder once
         over all pairs zero-padded to one (B, n, d) batch per stream; the
         losses run per pair on its real rows.
         """
-        tokens, lengths, globs, glob_caches, gnn_cache = self._encode(pairs)
+        tokens, lengths, globs, glob_cache, gnn_cache = self._encode(prepared)
         cfg, store = self.config, self.store
         valid = np.arange(lengths.max()) < lengths[..., None]  # (B, 2, n): real rows
         padded = np.zeros(valid.shape + tokens.shape[1:])
@@ -95,10 +109,10 @@ class MatchingModel:
         outs = [(f1.tokens, f2.tokens)] + snapshots  # final tokens, then per layer
         grads = [(np.zeros_like(t1), np.zeros_like(t2)) for t1, t2 in outs]
         reports = []
-        for i, (pair, (m1, m2)) in enumerate(zip(pairs, lengths)):
+        for i, (prep, (m1, m2)) in enumerate(zip(prepared, lengths)):
             report, loss_cache = total_loss(
                 f1.tokens[i, :m1], f2.tokens[i, :m2],
-                [(t1[i, :m1], t2[i, :m2]) for t1, t2 in snapshots], pair.truth,
+                [(t1[i, :m1], t2[i, :m2]) for t1, t2 in snapshots], prep.pair.truth,
                 float(store.value("loss.tau_raw")), cfg.layer_loss_p, cfg.infonce_mode,
             )
             g_f1, g_f2, snapshot_grads, g_tau = total_loss_backward(loss_cache)
@@ -111,8 +125,8 @@ class MatchingModel:
             dec_caches, store, g_f1, np.zeros_like(f1.global_token), g_f2,
             np.zeros_like(f2.global_token), snapshot_grads,
         )
-        for cache, g in zip(glob_caches, np.stack([g_g1, g_g2], axis=1).reshape(-1, cfg.d_model)):
-            global_token_backward(cache, g, store)
+        g_globs = np.stack([g_g1, g_g2], axis=1)  # (B, 2, d): the order of the pooled rows
+        global_token_backward(glob_cache, g_globs.reshape(-1, cfg.d_model), store)
         gnn_refine_backward(gnn_cache, np.stack([g_t1, g_t2], axis=1)[valid], store)
         return reports
 
@@ -120,7 +134,11 @@ class MatchingModel:
 
     def match_pair(self, pair: PairSample) -> tuple[Matching, TransportPlan, np.ndarray]:
         """Run inference: returns (matching, transport plan, affinity matrix)."""
-        f1, f2, _ = self.forward_pair(pair)
+        return self.match_prepared(self.prepare(pair))
+
+    def match_prepared(self, prepared: PreparedPair):
+        """match_pair of a pair already prepared."""
+        f1, f2, _ = self._forward(prepared)
         C = affinity(f1.tokens, f2.tokens)
         plan = sinkhorn_log(C, self.config.sinkhorn_temperature, self.config.sinkhorn_iters)
         return decode_matching(plan), plan, C

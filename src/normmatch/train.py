@@ -73,19 +73,22 @@ def train(config: TrainConfig, train_pairs, val_pairs=None,
     completed epoch: epoch index, learning rate, mean train loss, and
     validation accuracy (None when no validation pairs are given). A
     non-finite batch loss aborts training before the parameter update, so
-    the model retains the last good state.
+    the model retains the last good state. Train and validation pairs are
+    prepared once, before the first epoch.
     """
     if model is None:
         model = MatchingModel(config)
     optimizer = Adam(model.store, backbone_lr_factor=config.backbone_lr_factor)
+    prepared = [model.prepare(pair) for pair in train_pairs]
+    val_prepared = [model.prepare(pair) for pair in val_pairs or ()]
     history: list[dict] = []
     aborted = False
     for epoch in range(1, config.epochs + 1):
         lr = lr_at_epoch(config, epoch)
-        order = np.random.default_rng([config.seed, epoch]).permutation(len(train_pairs))
+        order = np.random.default_rng([config.seed, epoch]).permutation(len(prepared))
         losses = []
         for start in range(0, len(order), config.batch_size):
-            batch = [train_pairs[i] for i in order[start : start + config.batch_size]]
+            batch = [prepared[i] for i in order[start : start + config.batch_size]]
             model.store.zero_grads()
             batch_loss = sum(r.total for r in model.loss_and_grads(batch)) / len(batch)
             if not np.isfinite(batch_loss):
@@ -106,8 +109,8 @@ def train(config: TrainConfig, train_pairs, val_pairs=None,
             "train_loss": float(np.mean(losses)) if losses else float("nan"),
             "val_accuracy": None,
         }
-        if val_pairs:
-            entry["val_accuracy"] = evaluate(model, val_pairs)["mean"]
+        if val_prepared:
+            entry["val_accuracy"] = evaluate(model, val_pairs, val_prepared)["mean"]
         history.append(entry)
         if log:
             va = entry["val_accuracy"]
@@ -118,16 +121,18 @@ def train(config: TrainConfig, train_pairs, val_pairs=None,
     return model, optimizer, history, aborted
 
 
-def evaluate(model: MatchingModel, pairs) -> dict:
+def evaluate(model: MatchingModel, pairs, prepared=None) -> dict:
     """Per-class and mean matching accuracy over a dataset.
 
     The mean is the unweighted average of the per-class accuracies.
+    prepared, when given, holds model.prepare(pair) of every pair;
+    otherwise each pair is prepared as it is matched.
     """
     if not pairs:
         raise ValueError("cannot evaluate an empty dataset")
     per_class: dict[int, list[float]] = {}
-    for pair in pairs:
-        matching, _, _ = model.match_pair(pair)
+    for pair, prep in zip(pairs, prepared or map(model.prepare, pairs)):
+        matching, _, _ = model.match_prepared(prep)
         per_class.setdefault(pair.class_id, []).append(accuracy(matching, pair.truth))
     classes = [
         {"class_id": cid, "count": len(vals), "accuracy": float(np.mean(vals))}

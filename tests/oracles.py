@@ -51,6 +51,22 @@ def bilinear_sample(fmap, point) -> np.ndarray:
     )
 
 
+def row_global_token(pooled_row, proj) -> np.ndarray:
+    """The global token of one image's pooled means (c,): the projected row,
+    unit-normalized. Oracle for ``features.global_token`` on a (k, c) batch."""
+    return l2_normalize(pooled_row @ proj)
+
+
+def row_global_token_grad(pooled_row, proj, g_token) -> np.ndarray:
+    """Gradient of ``row_global_token(pooled_row, proj) @ g_token`` w.r.t.
+    proj, as one outer product. Oracle for ``features.global_token_backward``,
+    whose single product sums these over the batch."""
+    raw = pooled_row @ proj
+    norm = np.linalg.norm(raw)
+    y = raw / norm
+    return np.outer(pooled_row, (g_token - y * (y @ g_token)) / norm)
+
+
 def adam_update(value, g, m, v, t: int, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
     """One bias-corrected Adam update of one parameter, in place, written as
     whole-array expressions. Oracle for ``train.Adam.step``, which must

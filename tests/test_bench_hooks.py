@@ -2,8 +2,8 @@
 
 ``perfbench/tracer.py`` wraps functions and methods by name from outside the
 package; a renamed or moved name makes its layer absent from every traced
-run. These tests run one inference and one training step under the tracer
-and require every layer those calls reach to be found and counted.
+run. These tests run one inference, one training step and a short train() under
+the tracer and require every layer those calls reach to be found and counted.
 """
 
 import importlib
@@ -15,6 +15,7 @@ import pytest
 from normmatch.config import DataConfig, TrainConfig
 from normmatch.data import generate_pair
 from normmatch.model import MatchingModel
+from normmatch.train import train
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -59,9 +60,24 @@ def test_traced_layers_present_and_counted(tracer_module):
     model = MatchingModel(config)
     with tracer_module.Tracer() as t:
         model.match_pair(p1)
-        model.loss_and_grads([p1, p2])
+        model.loss_and_grads([model.prepare(p1), model.prepare(p2)])
     assert t.absent == []
     for layer in INFERENCE_LAYERS + TRAINING_LAYERS:
         assert t.calls[layer] > 0, layer
     assert t.counts["splineconv.gemm_flops"] > 0
     assert t.counts["geometry.arcs"] > 0
+
+
+def test_training_preparation_stays_traced(tracer_module):
+    # train() prepares each pair once; the rendering must stay inside the
+    # traced features.render layer, which also computes the pooled means
+    config = TrainConfig(epochs=2, batch_size=2)
+    data = DataConfig(m_min=5, m_max=8, num_classes=3)
+    pairs = [generate_pair(data, class_id=i, seed=i, latent_dim=config.gnn_input_dim)
+             for i in range(2)]
+    with tracer_module.Tracer() as t:
+        train(config, pairs)
+    assert t.absent == []
+    assert t.calls["features.render"] == 2
+    assert t.calls["geometry.build_graph"] == t.calls["features.sample"] == 4
+    assert t.calls["train.adam"] == 2

@@ -5,6 +5,7 @@ import pytest
 
 from normmatch.cli import main
 from normmatch.data import read_dataset
+from normmatch.features import write_feature_file
 
 TINY_CONFIG = """
 # desk-size run for the CLI tests
@@ -173,6 +174,28 @@ class TestTrainEvalMatch:
         assert main(["match", "--checkpoint", str(ckpt), "--pair", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "line 1" in err and repr(field) in err
+
+    def test_eval_feature_files_relative_to_pair_file(self, trained, tmp_path, capsys,
+                                                     monkeypatch):
+        ckpt, pairs_path, _ = trained
+        records = [json.loads(line) for line in pairs_path.read_text().splitlines()]
+        maps = tmp_path / "data" / "maps"
+        maps.mkdir(parents=True)
+        for i, record in enumerate(records):
+            pair = read_dataset(pairs_path)[i]
+            del record["latents"]
+            for key, out in zip(("features1", "features2"), pair.backbone_outputs()):
+                record[key] = f"maps/{i}-{key}.nmtf"
+                write_feature_file(tmp_path / "data" / record[key], out)
+        pair_file = tmp_path / "data" / "pairs.jsonl"
+        pair_file.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["eval", "--checkpoint", str(ckpt), "--pairs", str(pair_file)]) == 0
+        assert "mean" in capsys.readouterr().out
+        (maps / "1-features2.nmtf").unlink()
+        assert main(["eval", "--checkpoint", str(ckpt), "--pairs", str(pair_file)]) == 2
+        err = capsys.readouterr().err
+        assert f"{pair_file}: line 2: 'features2' must name an existing file" in err
 
     def test_missing_checkpoint_exits_2(self, tmp_path, config_path, capsys):
         pairs_path = tmp_path / "pairs.jsonl"

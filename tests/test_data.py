@@ -249,3 +249,40 @@ class TestDatasetIO:
         r1, r2 = got.backbone_outputs()
         assert np.array_equal(r1.last.grid, b1.last.grid.astype(np.float32))
         assert np.array_equal(r2.last.grid, b2.last.grid.astype(np.float32))
+
+    def _feature_dataset(self, tmp_path):
+        """Two feature-file records in tmp_path/data, naming maps/<n>.nmtf relatively."""
+        data_dir = tmp_path / "data"
+        (data_dir / "maps").mkdir(parents=True)
+        records = []
+        for seed in (1, 2):
+            pair = generate_pair(_identity_spec(), class_id=0, seed=seed, latent_dim=8)
+            record = pair_to_record(pair)
+            del record["latents"]
+            for key, out in zip(("features1", "features2"), pair.backbone_outputs()):
+                record[key] = f"maps/{seed}-{key}.nmtf"
+                write_feature_file(data_dir / record[key], out)
+            records.append(record)
+        return data_dir / "pairs.jsonl", records
+
+    def test_feature_files_resolve_against_the_dataset_dir(self, tmp_path, monkeypatch):
+        path, records = self._feature_dataset(tmp_path)
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)  # not the dataset's directory
+        pairs = read_dataset(path)
+        assert pairs[1].feature_files == (str(tmp_path / "data/maps/2-features1.nmtf"),
+                                          str(tmp_path / "data/maps/2-features2.nmtf"))
+        assert pairs[1].backbone_outputs()[1].last.grid.shape == (16, 16, 4)
+
+    @pytest.mark.parametrize("field, value", [
+        ("features1", "maps/absent.nmtf"),
+        ("features2", "maps"),  # a directory
+        ("features2", 3),
+        ("features1", None),
+    ])
+    def test_bad_feature_file_reports_line_and_field(self, tmp_path, field, value):
+        path, records = self._feature_dataset(tmp_path)
+        records[1][field] = value
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"line 2: {field!r} must name an existing file"):
+            read_dataset(path)

@@ -13,7 +13,7 @@ from normmatch.features import (
 )
 from normmatch.gradcheck import all_passed, grad_check
 from normmatch.params import ParameterStore
-from oracles import bilinear_sample
+from oracles import bilinear_sample, row_global_token, row_global_token_grad
 
 
 def _map(grid, stride=2.0, tag="last"):
@@ -145,47 +145,62 @@ class TestGlobalToken:
         last = _map(np.full((4, 4, 2), 3.0))
         second = _map(np.full((4, 4, 3), -0.5), tag="second_last")
         store = self._store(rng, 5, 6)
-        token, _ = global_token(BackboneOutput(last, second), store)
+        token, _ = global_token(BackboneOutput(last, second).pooled[None], store)
         raw = np.array([3.0, 3.0, -0.5, -0.5, -0.5]) @ store.value("backbone.global_proj")
-        assert np.allclose(token, raw / np.linalg.norm(raw), atol=1e-12)
+        assert np.allclose(token[0], raw / np.linalg.norm(raw), atol=1e-12)
 
     def test_pooled_input_is_the_spatial_mean(self):
-        rng = np.random.default_rng(8)
-        bb = _random_backbone(rng)
-        store = self._store(rng, _concat_width(bb), 4)
-        token, _ = global_token(bb, store)
+        bb = _random_backbone(np.random.default_rng(8))
         pooled = np.concatenate(
             [bb.last.grid.mean(axis=(0, 1)), bb.second_last.grid.mean(axis=(0, 1))]
         )
-        raw = pooled @ store.value("backbone.global_proj")
-        assert np.allclose(token, raw / np.linalg.norm(raw), atol=1e-12)
+        assert np.array_equal(bb.pooled, pooled)
 
     def test_unit_norm(self):
+        rng = np.random.default_rng(12)
+        pooled = np.stack([_random_backbone(rng).pooled for _ in range(5)])
+        pooled[2] = 0.0  # a zero row stays zero under the norm guard
+        tokens, _ = global_token(pooled, self._store(rng, pooled.shape[1], 8))
+        norms = np.linalg.norm(tokens, axis=1)
+        np.testing.assert_allclose(np.delete(norms, 2), 1.0, atol=1e-12)
+        assert norms[2] == 0.0
+
+    def test_batch_matches_per_row_oracle(self):
         rng = np.random.default_rng(9)
-        for _ in range(5):
-            bb = _random_backbone(rng)
-            store = self._store(rng, _concat_width(bb), 8)
-            token, _ = global_token(bb, store)
-            assert abs(np.linalg.norm(token) - 1.0) < 1e-9
+        store = self._store(rng, 5, 8)
+        proj = store.value("backbone.global_proj")
+        for k in (1, 2, 7):
+            pooled = np.stack([_random_backbone(rng).pooled for _ in range(k)])
+            g_tokens = rng.standard_normal((k, 8))
+            store.zero_grads()
+            tokens, cache = global_token(pooled, store)
+            global_token_backward(cache, g_tokens, store)
+            for row, token in zip(pooled, tokens):
+                np.testing.assert_allclose(token, row_global_token(row, proj),
+                                           rtol=1e-12, atol=1e-12)
+            expected = sum(row_global_token_grad(row, proj, g)
+                           for row, g in zip(pooled, g_tokens))
+            np.testing.assert_allclose(store.grad("backbone.global_proj"), expected,
+                                       rtol=1e-12, atol=1e-12)
 
     def test_width_mismatch_rejected(self):
         rng = np.random.default_rng(10)
         bb = _random_backbone(rng)
         store = self._store(rng, _concat_width(bb) + 1, 4)
         with pytest.raises(ValueError, match="backbone width"):
-            global_token(bb, store)
+            global_token(bb.pooled[None], store)
 
     def test_projection_gradient(self):
         rng = np.random.default_rng(11)
-        bb = _random_backbone(rng)
-        store = self._store(rng, _concat_width(bb), 6)
-        probe = rng.standard_normal(6)
+        pooled = np.stack([_random_backbone(rng).pooled for _ in range(3)])
+        store = self._store(rng, pooled.shape[1], 6)
+        probe = rng.standard_normal((3, 6))
 
         def forward(params):
             params.zero_grads()
-            token, cache = global_token(bb, params)
+            tokens, cache = global_token(pooled, params)
             global_token_backward(cache, probe, params)
-            return float(token @ probe)
+            return float(np.sum(tokens * probe))
 
         reports = grad_check(forward, store, rng=np.random.default_rng(0))
         assert all_passed(reports), [r.failure for r in reports if not r.passed]
@@ -344,6 +359,6 @@ class TestBackboneSwap:
         assert np.array_equal(
             extract_keypoint_features(bb, kps), extract_keypoint_features(mock, kps)
         )
-        token_a, _ = global_token(bb, store)
-        token_b, _ = global_token(mock, store)
+        token_a, _ = global_token(bb.pooled[None], store)
+        token_b, _ = global_token(mock.pooled[None], store)
         assert np.array_equal(token_a, token_b)

@@ -95,9 +95,10 @@ def test_full_pipeline_loss_on_four_keypoint_pair():
                       noise_level=0.02)
     pair = generate_pair(data, class_id=0, seed=106, latent_dim=8)
     model = MatchingModel(config)
+    prepared = [model.prepare(pair)]
 
     def forward(store):
-        return model.loss_and_grads([pair])[0].total
+        return model.loss_and_grads(prepared)[0].total
 
     reports = grad_check(forward, model.store, eps=1e-5, tol=1e-4)
     assert len(reports) == 36

@@ -1,8 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from normmatch.config import DataConfig, TrainConfig
-from normmatch.data import generate_dataset, generate_pair
+from normmatch.data import PairSample, generate_dataset, generate_pair
 from normmatch.matching import Matching
 from normmatch import model as model_module
 from normmatch.model import MatchingModel
@@ -119,10 +121,11 @@ class TestTrain:
                              latent_dim=config.gnn_input_dim)
         model = MatchingModel(config)
         opt = Adam(model.store, backbone_lr_factor=config.backbone_lr_factor)
+        prepared = [model.prepare(pair)]
         losses = []
         for _ in range(50):
             model.store.zero_grads()
-            losses.append(model.loss_and_grads([pair])[0].total)
+            losses.append(model.loss_and_grads(prepared)[0].total)
             opt.step(lr=1e-4)
             model.store.quantize_float32()
         decreases = sum(1 for a, b in zip(losses, losses[1:]) if b < a)
@@ -149,17 +152,18 @@ class TestTrain:
         pairs = generate_dataset(_tiny_data(num_pairs=4), seed=2,
                                  latent_dim=config.gnn_input_dim)
         model = MatchingModel(config)
+        prepared = [model.prepare(pair) for pair in pairs]
 
         model.store.zero_grads()
-        reports = model.loss_and_grads(pairs)
+        reports = model.loss_and_grads(prepared)
         batched = {}
         for name in model.store.trainable_names():
             batched[name] = model.store.grad(name) / len(pairs)
 
         singles = {name: np.zeros_like(g) for name, g in batched.items()}
-        for pair, report in zip(pairs, reports, strict=True):
+        for prep, report in zip(prepared, reports, strict=True):
             model.store.zero_grads()
-            single = model.loss_and_grads([pair])[0]
+            single = model.loss_and_grads([prep])[0]
             assert single.total == pytest.approx(report.total, rel=1e-12)
             for name in singles:
                 singles[name] += model.store.grad(name) / len(pairs)
@@ -182,7 +186,8 @@ class TestTrain:
                 return _original(*args)
 
             monkeypatch.setattr(model_module, name, counted)
-        reports = MatchingModel(config).loss_and_grads(pairs)
+        model = MatchingModel(config)
+        reports = model.loss_and_grads([model.prepare(pair) for pair in pairs])
         assert len(reports) == 3
         assert calls == {"decode": 1, "decode_backward": 1}
 
@@ -191,7 +196,7 @@ class TestTrain:
         pair = generate_pair(_tiny_data(), class_id=0, seed=1,
                              latent_dim=config.gnn_input_dim + 2)
         model = MatchingModel(config)
-        for run in (model.match_pair, lambda p: model.loss_and_grads([p])):
+        for run in (model.match_pair, lambda p: model.loss_and_grads([model.prepare(p)])):
             with pytest.raises(ValueError, match="backbone width 10 does not match "
                                                  "gnn_input_dim 8"):
                 run(pair)
@@ -232,10 +237,74 @@ class TestTrain:
             assert np.array_equal(model_a.store.value(name), model_b.store.value(name))
 
 
+def _counted(monkeypatch, owner, name, calls):
+    """Replace owner.name with a wrapper that appends each result to calls."""
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(original(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+class TestPrepare:
+    def test_train_prepares_each_pair_once(self, monkeypatch):
+        config = _tiny_config(epochs=3)
+        pairs = generate_dataset(_tiny_data(num_pairs=4), latent_dim=config.gnn_input_dim,
+                                 seed=5)
+        renders, graphs = [], []
+        _counted(monkeypatch, PairSample, "backbone_outputs", renders)
+        _counted(monkeypatch, model_module, "build_graph", graphs)
+        _, _, history, aborted = train(config, pairs)
+        assert not aborted and len(history) == 3
+        assert (len(renders), len(graphs)) == (4, 8)
+
+    def test_validation_pairs_prepared_once(self, monkeypatch):
+        config = _tiny_config(epochs=3)
+        pairs = generate_dataset(_tiny_data(num_pairs=4), latent_dim=config.gnn_input_dim,
+                                 seed=5)
+        renders = []
+        _counted(monkeypatch, PairSample, "backbone_outputs", renders)
+        _, _, history, _ = train(config, pairs[:2], val_pairs=pairs[2:])
+        assert len(renders) == 4
+        assert all(0.0 <= h["val_accuracy"] <= 1.0 for h in history)
+
+    def test_pure_function_of_the_pair(self, monkeypatch):
+        config = _tiny_config()
+        pair = generate_pair(_tiny_data(m_min=6, m_max=6), class_id=1, seed=3,
+                             latent_dim=config.gnn_input_dim)
+        pair.keypoints1[0] = (0.2, 31.5)  # beyond the outer cell centres: clamped
+        before = copy.deepcopy(pair)
+        renders = []
+        _counted(monkeypatch, PairSample, "backbone_outputs", renders)
+        model = MatchingModel(config)
+        a, b = model.prepare(pair), model.prepare(pair)
+
+        assert a.pair is pair
+        for x, y in zip(a.features + [a.pooled], b.features + [b.pooled]):
+            assert np.array_equal(x, y)
+        for g, h in zip(a.graphs, b.graphs):
+            assert g.num_nodes == h.num_nodes == pair.m
+            assert np.array_equal(g.arcs, h.arcs) and np.array_equal(g.pseudo, h.pseudo)
+        assert a.pooled.shape == (2, config.gnn_input_dim)
+        for name, value in vars(before).items():
+            assert np.array_equal(getattr(pair, name), value), name
+        # each map counts the keypoints its gather clamped onto the grid
+        for outs in renders:
+            for out, kp in zip(outs, (pair.keypoints1, pair.keypoints2)):
+                clamped = np.count_nonzero(((kp < 1.0) | (kp > 31.0)).any(axis=1))
+                assert out.last.oob_count == out.second_last.oob_count == clamped
+        assert renders[0][0].last.oob_count >= 1
+
+
 class _OracleModel:
     """Stand-in predictor: always right for class 0, always wrong otherwise."""
 
-    def match_pair(self, pair):
+    def prepare(self, pair):
+        return pair
+
+    def match_prepared(self, pair):
         if pair.class_id == 0:
             assignment = pair.truth
         else:
