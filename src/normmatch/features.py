@@ -159,7 +159,7 @@ def write_feature_file(path, backbone_out: BackboneOutput) -> None:
 def _read_exact(fh, n: int) -> bytes:
     raw = fh.read(n)
     if len(raw) != n:
-        raise ValueError("truncated feature-map file")
+        raise ValueError(f"{fh.name}: truncated feature-map file")
     return raw
 
 
@@ -167,10 +167,10 @@ def read_feature_file(path) -> BackboneOutput:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != FEATURE_MAGIC:
-            raise ValueError(f"not a feature-map file (magic {magic!r})")
+            raise ValueError(f"{path}: not a feature-map file (magic {magic!r})")
         version, h, w, c_last, c_second = struct.unpack("<IIIII", _read_exact(fh, 20))
         if version != FEATURE_VERSION:
-            raise ValueError(f"unsupported feature-map version {version}")
+            raise ValueError(f"{path}: unsupported feature-map version {version}")
         (stride,) = struct.unpack("<f", _read_exact(fh, 4))
         maps = [FeatureMap(np.frombuffer(_read_exact(fh, 4 * h * w * c), dtype="<f4")
                            .reshape(h, w, c).astype(np.float64), stride, tag)

@@ -183,6 +183,8 @@ def build_graph(points) -> KeypointGraph:
 
 def batch_graphs(graphs) -> KeypointGraph:
     """Disjoint union: each graph's arcs offset by the node count before it."""
-    offsets = list(itertools.accumulate((g.num_nodes for g in graphs), initial=0))
-    arcs = np.concatenate([g.arcs + o for g, o in zip(graphs, offsets)])
-    return KeypointGraph(offsets[-1], arcs, np.concatenate([g.pseudo for g in graphs]))
+    arcs, offset = [], 0
+    for g in graphs:
+        arcs.append(g.arcs + offset)
+        offset += g.num_nodes
+    return KeypointGraph(offset, np.concatenate(arcs), np.concatenate([g.pseudo for g in graphs]))

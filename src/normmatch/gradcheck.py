@@ -28,20 +28,12 @@ class ParamReport:
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         extra = f" ({self.failure})" if self.failure else ""
-        return (
-            f"{status} {self.name}: max rel err {self.max_rel_err:.3e}"
-            f" over {self.coords_checked} coords{extra}"
-        )
+        return (f"{status} {self.name}: max rel err {self.max_rel_err:.3e}"
+                f" over {self.coords_checked} coords{extra}")
 
 
-def grad_check(
-    forward,
-    params,
-    eps: float = 1e-5,
-    tol: float = 1e-4,
-    max_coords: int = 32,
-    rng: np.random.Generator | None = None,
-) -> list[ParamReport]:
+def grad_check(forward, params, eps: float = 1e-5, tol: float = 1e-4, max_coords: int = 32,
+               rng: np.random.Generator | None = None) -> list[ParamReport]:
     """Compare analytic gradients with central differences.
 
     For each trainable parameter, checks a random subset of coordinates
@@ -51,8 +43,7 @@ def grad_check(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0) if rng is None else rng
 
     params.zero_grads()
     base = float(forward(params))
@@ -67,14 +58,11 @@ def grad_check(
     for name in params.trainable_names():
         flat = params.value(name).reshape(-1)
         n_entries = flat.size
-        if n_entries <= max_coords:
-            idxs = np.arange(n_entries)
-        else:
-            idxs = np.sort(rng.choice(n_entries, size=max_coords, replace=False))
+        idxs = (np.arange(n_entries) if n_entries <= max_coords
+                else np.sort(rng.choice(n_entries, size=max_coords, replace=False)))
 
         a_flat = analytic[name].reshape(-1)
-        max_err = 0.0
-        failure = None
+        max_err, failure = 0.0, None
         for i in idxs:
             orig = flat[i]
             flat[i] = orig + eps

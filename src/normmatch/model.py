@@ -80,9 +80,10 @@ class MatchingModel:
         return self._forward(self.prepare(pair))
 
     def _forward(self, prepared: PreparedPair):
-        tokens, [(m1, _)], [(glob1, glob2)], _, _ = self._encode([prepared])
+        tokens, lengths, globs, _, _ = self._encode([prepared])
+        m1 = lengths[0, 0]
         f1, f2, snapshots, _ = decode(
-            FeatureSequence(tokens[:m1], glob1), FeatureSequence(tokens[m1:], glob2),
+            FeatureSequence(tokens[:m1], globs[0, 0]), FeatureSequence(tokens[m1:], globs[0, 1]),
             self.store, self.config.decoder_layers, self.config.heads,
         )
         return f1, f2, snapshots

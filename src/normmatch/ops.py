@@ -32,7 +32,8 @@ def normalize_rows(x):
     map total, so a zero row comes back as a zero row instead of NaN.
     """
     x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    # np.linalg.norm's own reduction for ord=None, without its Python prologue
+    norms = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
     denom = np.maximum(norms, EPS_GUARD)
     y = x / denom
     active = norms >= EPS_GUARD
@@ -75,8 +76,6 @@ def softmax_rows_backward(p, gp):
 
 
 def logsumexp(x, axis=None, keepdims=False):
-    mx = np.max(x, axis=axis, keepdims=True)
-    out = np.log(np.sum(np.exp(x - mx), axis=axis, keepdims=True)) + mx
-    if not keepdims:
-        out = np.squeeze(out, axis=axis)
-    return out
+    mx = x.max(axis=axis, keepdims=True)
+    out = np.log(np.exp(x - mx).sum(axis=axis, keepdims=True)) + mx
+    return out if keepdims else out.squeeze(axis)

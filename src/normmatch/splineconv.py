@@ -15,6 +15,7 @@ from .ops import normalize_rows, normalize_rows_backward
 
 __all__ = [
     "spline_plan",
+    "knot_plan",
     "spline_conv_forward",
     "spline_conv_backward",
     "init_gnn_params",
@@ -30,17 +31,10 @@ def _basis_arrays(pseudo: np.ndarray, kernel_size: int):
     s = np.clip(pseudo, 0.0, 1.0) * (kernel_size - 1)
     base = np.minimum(np.floor(s), kernel_size - 2).astype(np.intp)
     frac = s - base
-    idx = np.empty((4, len(pseudo)), dtype=np.intp)
-    wgt = np.empty((4, len(pseudo)))
-    k = 0
-    for a in (0, 1):
-        wa = frac[:, 0] if a else 1.0 - frac[:, 0]
-        for b in (0, 1):
-            wb = frac[:, 1] if b else 1.0 - frac[:, 1]
-            idx[k] = (base[:, 0] + a) * kernel_size + (base[:, 1] + b)
-            wgt[k] = wa * wb
-            k += 1
-    return idx, wgt
+    lower_upper = np.stack([1.0 - frac, frac])  # each dimension's two knot weights
+    a, b = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])  # corner c's knot offsets
+    idx = (base[:, 0] + a[:, None]) * kernel_size + (base[:, 1] + b[:, None])
+    return idx, lower_upper[a, :, 0] * lower_upper[b, :, 1]
 
 
 def _max_aggregate(msgs, dst, counts):
@@ -73,26 +67,35 @@ def _scatter_to_argmax(argmax_arc, g_out, n_arcs):
 
 
 def spline_plan(graph, kernel_size: int):
-    """(kernel_size, segments, (rows, arcs, srcs, weights), in_degree, senders) of a graph.
+    """(kernel_size, knots, weights, in_degree) of a graph: its basis, built once per graph.
+
+    knots[c, a] is the flat knot of corner c of arc a and weights[c, a, 0] its
+    basis weight; in_degree counts the arcs into each node.
+    """
+    in_degree = np.bincount(graph.arcs[:, 1], minlength=graph.num_nodes)
+    if np.any(in_degree == 0):
+        raise ValueError("isolated vertex: aggregation undefined without self-loops")
+    knots, weights = _basis_arrays(graph.pseudo, kernel_size)
+    return kernel_size, knots, weights[:, :, None], in_degree
+
+
+def knot_plan(plan, graph):
+    """(segments, (arcs, srcs, weights), senders) of a :func:`spline_plan`, for backward.
 
     Row c * n_arcs + a is (corner c, arc a). Rows are stably sorted by knot; segment
     (knot, i, j) spans one knot's rows, which never repeat an arc. senders: arcs sorted
-    by source, the nodes that send, and where each starts. Built once per graph.
+    by source, the nodes that send, and where each starts.
     """
-    src, dst = graph.arcs[:, 0], graph.arcs[:, 1]
-    in_degree = np.bincount(dst, minlength=graph.num_nodes)
-    if np.any(in_degree == 0):
-        raise ValueError("isolated vertex: aggregation undefined without self-loops")
-    idx, wgt = _basis_arrays(graph.pseudo, kernel_size)
-    rows = np.argsort(idx.ravel(), kind="stable")
+    kernel_size, knots, weights, _ = plan
+    src = graph.arcs[:, 0]
+    rows = np.argsort(knots.ravel(), kind="stable")
     arcs = rows % len(src)
-    ends = np.cumsum(np.bincount(idx.ravel(), minlength=kernel_size**2)).tolist()
+    ends = np.cumsum(np.bincount(knots.ravel(), minlength=kernel_size**2)).tolist()
     segments = [(b, i, j) for b, (i, j) in enumerate(zip([0] + ends, ends)) if i < j]
     out_degree = np.bincount(src, minlength=graph.num_nodes)
     nodes = np.flatnonzero(out_degree)
     senders = (np.argsort(src, kind="stable"), nodes, (np.cumsum(out_degree) - out_degree)[nodes])
-    return (kernel_size, segments, (rows, arcs, src[arcs], wgt.ravel()[rows, None]),
-            in_degree, senders)
+    return segments, (arcs, src[arcs], weights.reshape(-1, 1)[rows]), senders
 
 
 def spline_conv_forward(features, graph, weight, bias, plan, apply_relu: bool):
@@ -105,18 +108,19 @@ def spline_conv_forward(features, graph, weight, bias, plan, apply_relu: bool):
     """
     features = np.asarray(features, dtype=np.float64)
     k2, in_dim, out_dim = weight.shape
-    kernel_size, segments, (rows, _, srcs, weights), in_degree, _ = plan
+    kernel_size, knots, weights, in_degree = plan
     if kernel_size**2 != k2:
         raise ValueError(f"plan built for K = {kernel_size}, weight has {k2} knots")
     if features.shape[1] != in_dim:
-        raise ValueError(
-            f"feature width {features.shape[1]} does not match kernel input {in_dim}"
-        )
-    by_corner = np.empty((4 * len(graph.arcs), out_dim))
-    for b, i, j in segments:
-        by_corner[rows[i:j]] = weights[i:j] * (features[srcs[i:j]] @ weight[b])
-    # a sum over the leading axis of 4 adds corners 0, 1, 2, 3 in order
-    msgs = by_corner.reshape(4, -1, out_dim).sum(axis=0)
+        raise ValueError(f"feature width {features.shape[1]} does not match kernel input {in_dim}")
+    # every node through every knot in one stacked product, then each arc's
+    # corner rows gathered from it, weighted and added in corner order 0..3;
+    # one corner at a time keeps the temporaries at (n_arcs, out_dim)
+    products = np.matmul(features, weight).reshape(-1, out_dim)
+    rows = knots * len(features) + graph.arcs[:, 0]
+    msgs = weights[0] * products[rows[0]]
+    for c in (1, 2, 3):
+        msgs += weights[c] * products[rows[c]]
 
     agg, argmax_arc = _max_aggregate(msgs, graph.arcs[:, 1], in_degree)
     pre = agg + bias
@@ -125,11 +129,13 @@ def spline_conv_forward(features, graph, weight, bias, plan, apply_relu: bool):
     return out, cache
 
 
-def spline_conv_backward(cache, g_out):
+def spline_conv_backward(cache, g_out, by_knot=None, input_grad: bool = True):
     """Backward of :func:`spline_conv_forward`.
 
-    Returns (g_features, g_weight, g_bias). Max aggregation routes each
-    output coordinate's gradient to its recorded argmax arc only.
+    Returns (g_features, g_weight, g_bias), with g_features None unless
+    input_grad. by_knot: the graph's :func:`knot_plan`, built here when not
+    given. Max aggregation routes each output coordinate's gradient to its
+    recorded argmax arc only.
     """
     features, graph, weight, plan, argmax_arc, relu_pre = cache
     if relu_pre is not None:
@@ -138,15 +144,17 @@ def spline_conv_backward(cache, g_out):
 
     g_msgs = _scatter_to_argmax(argmax_arc, g_out, len(graph.arcs))
     g_weight = np.zeros_like(weight)
-    g_arcs = np.zeros((len(graph.arcs), features.shape[1]))
-    _, segments, (_, arcs, srcs, weights), _, (by_source, nodes, starts) = plan
+    g_arcs = np.zeros((len(graph.arcs), features.shape[1])) if input_grad else None
+    segments, (arcs, srcs, weights), (by_source, nodes, starts) = (
+        knot_plan(plan, graph) if by_knot is None else by_knot)
     for b, i, j in segments:
         g_seg = g_msgs[arcs[i:j]]
         g_weight[b] = (features[srcs[i:j]] * weights[i:j]).T @ g_seg
-        g_arcs[arcs[i:j]] += weights[i:j] * (g_seg @ weight[b].T)
-    g_features = np.zeros_like(features)
-    # only senders: reduceat gives a node with no outgoing arc the row at its start
-    g_features[nodes] = np.add.reduceat(g_arcs[by_source], starts)
+        if input_grad:
+            g_arcs[arcs[i:j]] += weights[i:j] * (g_seg @ weight[b].T)
+    g_features = np.zeros_like(features) if input_grad else None
+    if input_grad:  # only senders: reduceat gives a node that sends none its start row
+        g_features[nodes] = np.add.reduceat(g_arcs[by_source], starts)
     return g_features, g_weight, g_bias
 
 
@@ -178,13 +186,15 @@ def gnn_refine(features, graph, store):
 
 
 def gnn_refine_backward(cache, g_out, store):
-    """Accumulates parameter gradients into the store; returns g_features."""
+    """Accumulates the parameter gradients into the store, through one knot plan.
+
+    Nothing upstream of the GNN is trained, so no input gradient is computed.
+    """
     c1, c2, nc = cache
-    g_h2 = normalize_rows_backward(nc, g_out)
-    g_h1, g_w2, g_b2 = spline_conv_backward(c2, g_h2)
+    by_knot = knot_plan(c1[3], c1[1])  # from the plan and graph both layers share
+    g_h1, g_w2, g_b2 = spline_conv_backward(c2, normalize_rows_backward(nc, g_out), by_knot)
     store.add_grad("gnn.w2", g_w2)
     store.add_grad("gnn.b2", g_b2)
-    g_features, g_w1, g_b1 = spline_conv_backward(c1, g_h1)
+    _, g_w1, g_b1 = spline_conv_backward(c1, g_h1, by_knot, input_grad=False)
     store.add_grad("gnn.w1", g_w1)
     store.add_grad("gnn.b1", g_b1)
-    return g_features

@@ -21,6 +21,26 @@ def l2_normalize(v, eps_guard: float = EPS_GUARD) -> np.ndarray:
     return v / max(norm, eps_guard)
 
 
+def linalg_normalize_rows(x):
+    """(y, denom, active) of ``normalize_rows`` with the row norms taken by
+    ``np.linalg.norm``. Oracle for ``ops.normalize_rows``, which must equal
+    it bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    denom = np.maximum(norms, EPS_GUARD)
+    return x / denom, denom, norms >= EPS_GUARD
+
+
+def wrapped_logsumexp(x, axis=None, keepdims=False):
+    """log-sum-exp through the ``np.max``/``np.sum``/``np.squeeze`` functions.
+    Oracle for ``ops.logsumexp``, which must equal it bit for bit."""
+    mx = np.max(x, axis=axis, keepdims=True)
+    out = np.log(np.sum(np.exp(x - mx), axis=axis, keepdims=True)) + mx
+    if not keepdims:
+        out = np.squeeze(out, axis=axis)
+    return out
+
+
 def bilinear_sample(fmap, point) -> np.ndarray:
     """Sample one feature vector at an image-pixel location.
 

@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from normmatch.config import DataConfig
+from normmatch.config import DataConfig, TrainConfig
 from normmatch.data import (
     IMAGE_SIZE,
     class_latent_bank,
@@ -15,6 +16,7 @@ from normmatch.data import (
     write_dataset,
 )
 from normmatch.features import write_feature_file
+from normmatch.model import MatchingModel
 
 
 def _identity_spec(**overrides):
@@ -286,3 +288,14 @@ class TestDatasetIO:
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         with pytest.raises(ValueError, match=f"line 2: {field!r} must name an existing file"):
             read_dataset(path)
+
+    def test_truncated_feature_file_named_when_its_pair_is_prepared(self, tmp_path):
+        path, records = self._feature_dataset(tmp_path)
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        broken = tmp_path / "data" / "maps" / "2-features1.nmtf"
+        broken.write_bytes(broken.read_bytes()[:100])
+        pair = read_dataset(path)[1]  # the file exists, so the record reads
+        model = MatchingModel(TrainConfig(d_model=16, heads=2, decoder_layers=1,
+                                          gnn_input_dim=8, mlp_mult=2))
+        with pytest.raises(ValueError, match=re.escape(f"{broken}: truncated feature-map file")):
+            model.prepare(pair)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -334,6 +336,19 @@ class TestFeatureFile:
         path.write_bytes(raw[: len(raw) - 8])
         with pytest.raises(ValueError, match="truncated"):
             read_feature_file(path)
+
+    def test_errors_name_the_file(self, tmp_path):
+        rng = np.random.default_rng(18)
+        path = tmp_path / "pair.nmtf"
+        write_feature_file(path, _random_backbone(rng, h=2, w=2, c_last=1, c_second=1))
+        raw = path.read_bytes()
+        for broken, message in ((b"XXXX" + raw[4:], "not a feature-map file"),
+                                (raw[:4] + (99).to_bytes(4, "little") + raw[8:],
+                                 "unsupported feature-map version 99"),
+                                (raw[:20], "truncated feature-map file")):
+            path.write_bytes(broken)
+            with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+                read_feature_file(path)
 
     def test_mismatched_maps_rejected_on_write(self, tmp_path):
         last = _map(np.zeros((3, 3, 2)))

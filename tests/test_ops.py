@@ -1,8 +1,11 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normmatch.ops import (
+    EPS_GUARD,
+    logsumexp,
     normalize_rows,
     normalize_rows_backward,
     silu,
@@ -10,7 +13,7 @@ from normmatch.ops import (
     softmax_rows,
     softmax_rows_backward,
 )
-from oracles import l2_normalize
+from oracles import l2_normalize, linalg_normalize_rows, wrapped_logsumexp
 
 
 def _row(v):
@@ -51,6 +54,39 @@ def test_normalize_rows_matches_vector_form():
     y, _ = normalize_rows(x)
     for i in range(5):
         np.testing.assert_allclose(y[i], l2_normalize(x[i]))
+
+
+@pytest.mark.parametrize("shape", [(9, 5), (3, 4, 6), (1, 1)])
+def test_normalize_rows_bit_equal_to_linalg_norm_form(shape):
+    rng = np.random.default_rng(7)
+    for scale in (1e-300, 1e-14, 1e-6, 1.0, 1e150):
+        x = rng.standard_normal(shape) * scale
+        rows = x.reshape(-1, shape[-1])
+        rows[0] = 0.0
+        if len(rows) > 2:
+            rows[1] = 0.5 * EPS_GUARD / np.sqrt(shape[-1])  # a norm below the guard
+            rows[2] = 1e-200  # squares underflow to a zero norm
+        y, (y_cache, denom, active) = normalize_rows(x)
+        want_y, want_denom, want_active = linalg_normalize_rows(x)
+        assert np.array_equal(y, want_y) and np.array_equal(y_cache, want_y)
+        assert np.array_equal(denom, want_denom)
+        assert np.array_equal(active, want_active)
+        assert not active.reshape(-1)[0]
+
+
+@pytest.mark.parametrize("axis", [0, 1, -1, None])
+@pytest.mark.parametrize("keepdims", [False, True])
+def test_logsumexp_bit_equal_to_wrapped_form(axis, keepdims):
+    rng = np.random.default_rng(8)
+    for shape in ((6, 4), (1, 5), (5, 1)):
+        x = rng.standard_normal(shape) * 30.0
+        x[0, -1] = -np.inf  # masked entry, as the exclusive InfoNCE uses
+        with np.errstate(invalid="ignore"):  # an all -inf slice gives NaN in both
+            got = logsumexp(x, axis=axis, keepdims=keepdims)
+            want = wrapped_logsumexp(x, axis=axis, keepdims=keepdims)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isfinite(got).any()
 
 
 def _numeric_jacobian_product(fn, x, gy, eps=1e-6):

@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 from normmatch import splineconv
 from normmatch.geometry import KeypointGraph, batch_graphs, build_graph
 from normmatch.gradcheck import all_passed, grad_check
+from normmatch.ops import normalize_rows, normalize_rows_backward
 from normmatch.params import ParameterStore
 from normmatch.splineconv import (
     _basis_arrays,
     gnn_refine,
     gnn_refine_backward,
     init_gnn_params,
+    knot_plan,
     spline_conv_backward,
     spline_conv_forward,
     spline_plan,
@@ -360,6 +362,40 @@ class TestKnotPlanOracle:
             for label, g, w in zip(("features", "weight", "bias"), got, want):
                 assert self._rel(g, w) < 1e-12, f"{name}: g_{label}"
 
+    @pytest.mark.parametrize("apply_relu", [False, True])
+    def test_stacked_forward_builds_no_knot_plan(self, monkeypatch, apply_relu):
+        def refuse(*args):
+            raise AssertionError("the forward built a knot plan")
+
+        monkeypatch.setattr(splineconv, "knot_plan", refuse)
+        rng = np.random.default_rng(82)
+        for name, graph in _plan_oracle_cases():
+            feats = rng.standard_normal((graph.num_nodes, 6))
+            weight = rng.standard_normal((16, 6, 5))
+            bias = rng.standard_normal(5)
+            out, _ = spline_conv_forward(feats, graph, weight, bias, spline_plan(graph, 4),
+                                         apply_relu)
+            want, _ = loop_spline_conv_forward(feats, graph, weight, bias, apply_relu)
+            np.testing.assert_allclose(out, want, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_backward_with_given_plan_and_without_input_gradient(self):
+        rng = np.random.default_rng(83)
+        for name, graph in _plan_oracle_cases():
+            m = graph.num_nodes
+            plan = spline_plan(graph, 4)
+            _, cache = spline_conv_forward(rng.standard_normal((m, 6)), graph,
+                                           rng.standard_normal((16, 6, 5)),
+                                           rng.standard_normal(5), plan, True)
+            g_out = rng.standard_normal((m, 5))
+            built = spline_conv_backward(cache, g_out)
+            given = spline_conv_backward(cache, g_out, knot_plan(plan, graph))
+            g_none, g_weight, g_bias = spline_conv_backward(cache, g_out, knot_plan(plan, graph),
+                                                            input_grad=False)
+            assert g_none is None, name
+            for label, g, w in zip(("features", "weight", "bias"), given, built):
+                assert np.array_equal(g, w), f"{name}: g_{label}"
+            assert np.array_equal(g_weight, built[1]) and np.array_equal(g_bias, built[2]), name
+
     def test_plan_for_other_kernel_size_rejected(self):
         graph = build_graph(np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 2.0]]))
         plan = spline_plan(graph, 3)
@@ -419,25 +455,41 @@ class TestGnnRefine:
         assert all_passed(reports), "\n".join(str(r) for r in reports)
 
     def test_feature_gradient_matches_finite_differences(self):
+        # gnn_refine_backward computes no input gradient (nothing upstream
+        # trains); the second layer's input gradient, which it does use, is
+        # checked at the spline_conv_backward level
         store, graph, feats = self._setup(m=4, in_dim=6, d_model=8, kernel_size=3, seed=1)
         rng = np.random.default_rng(4)
         probe = rng.standard_normal((4, 8))
         _, cache = gnn_refine(feats, graph, store)
-        g_feats = gnn_refine_backward(cache, probe, store)
+        assert gnn_refine_backward(cache, probe, store) is None
+        g_h1 = _second_layer_input_grad(cache, probe)
+        h1, plan = cache[1][0].copy(), cache[1][3]
+
+        def scalar():
+            h2, _ = spline_conv_forward(h1, graph, store.value("gnn.w2"), store.value("gnn.b2"),
+                                        plan, apply_relu=False)
+            return float((normalize_rows(h2)[0] * probe).sum())
 
         eps = 1e-6
-        flat = feats.ravel()
+        flat = h1.ravel()
         for c in rng.choice(flat.size, size=12, replace=False):
             orig = flat[c]
             flat[c] = orig + eps
-            hi = float((gnn_refine(feats, graph, store)[0] * probe).sum())
+            hi = scalar()
             flat[c] = orig - eps
-            lo = float((gnn_refine(feats, graph, store)[0] * probe).sum())
+            lo = scalar()
             flat[c] = orig
             numeric = (hi - lo) / (2 * eps)
-            analytic = g_feats.ravel()[c]
+            analytic = g_h1.ravel()[c]
             rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
             assert rel < 1e-4
+
+
+def _second_layer_input_grad(cache, g_out):
+    """Gradient at the second conv's input, as gnn_refine_backward computes it."""
+    _, c2, nc = cache
+    return spline_conv_backward(c2, normalize_rows_backward(nc, g_out))[0]
 
 
 class TestDisjointUnion:
@@ -472,14 +524,16 @@ class TestDisjointUnion:
         names = store.trainable_names()
         store.zero_grads()
         _, cache = gnn_refine(np.vstack(feats), batch_graphs(graphs), store)
-        g_union = gnn_refine_backward(cache, np.vstack(probes), store)
+        gnn_refine_backward(cache, np.vstack(probes), store)
+        g_union = _second_layer_input_grad(cache, np.vstack(probes))
         union_grads = {n: store.grad(n).copy() for n in names}
 
         store.zero_grads()
         g_members = []
         for graph, f, probe in zip(graphs, feats, probes):
             _, cache = gnn_refine(f, graph, store)
-            g_members.append(gnn_refine_backward(cache, probe, store))
+            gnn_refine_backward(cache, probe, store)
+            g_members.append(_second_layer_input_grad(cache, probe))
         for name in names:
             expected = store.grad(name)
             err = np.max(np.abs(union_grads[name] - expected)) / np.max(np.abs(expected))

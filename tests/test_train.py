@@ -7,6 +7,7 @@ from normmatch.config import DataConfig, TrainConfig
 from normmatch.data import PairSample, generate_dataset, generate_pair
 from normmatch.matching import Matching
 from normmatch import model as model_module
+from normmatch import splineconv
 from normmatch.model import MatchingModel
 from normmatch.params import ParameterStore
 from normmatch.train import Adam, evaluate, format_accuracy_table, lr_at_epoch, train
@@ -296,6 +297,29 @@ class TestPrepare:
                 clamped = np.count_nonzero(((kp < 1.0) | (kp > 31.0)).any(axis=1))
                 assert out.last.oob_count == out.second_last.oob_count == clamped
         assert renders[0][0].last.oob_count >= 1
+
+
+class TestKnotPlan:
+    def test_built_for_each_backward_only(self, monkeypatch):
+        config = _tiny_config(epochs=2)
+        pairs = generate_dataset(_tiny_data(num_pairs=6), latent_dim=config.gnn_input_dim,
+                                 seed=5)
+        plans = []
+        _counted(monkeypatch, splineconv, "knot_plan", plans)
+        model = MatchingModel(config)
+        for pair in pairs:
+            model.match_pair(pair)
+        assert plans == []  # inference runs the stacked forward only
+
+        prepared = [model.prepare(pair) for pair in pairs[:3]]
+        model.loss_and_grads(prepared)
+        _, (arcs, _, _), _ = plans[0]
+        assert len(plans) == 1  # one plan for the minibatch union, shared by both layers
+        assert len(arcs) == 4 * sum(len(g.arcs) for p in prepared for g in p.graphs)
+
+        # 2 epochs x 2 minibatches of 2 pairs; matching the validation pairs adds none
+        train(config, pairs[:4], val_pairs=pairs[4:], model=model)
+        assert len(plans) == 1 + 4
 
 
 class _OracleModel:
