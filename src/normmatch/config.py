@@ -8,6 +8,7 @@ DataConfig; both parse from the same file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 __all__ = [
@@ -98,8 +99,8 @@ class DataConfig:
     data: str = ""  # path to a JSONL dataset; empty = generate on the fly
 
     def validate(self) -> None:
-        if self.num_pairs < 1 or self.num_classes < 1:
-            raise ValueError("num_pairs and num_classes must be >= 1")
+        if min(self.num_pairs, self.val_pairs_per_class, self.num_classes) < 1:
+            raise ValueError("num_pairs, val_pairs_per_class and num_classes must be >= 1")
         if not (1 <= self.m_min <= self.m_max):
             raise ValueError("need 1 <= m_min <= m_max")
         if self.jitter_sigma < 0 or self.noise_level < 0:
@@ -108,17 +109,21 @@ class DataConfig:
             raise ValueError("need 0 < scale_min <= scale_max")
 
 
-def _coerce(raw: str, current):
+_EXPECTED = {int: "an integer", float: "a number", tuple: "comma-separated integers"}
+
+
+def _coerce(raw: str, current, where: str):
+    """raw as a value of current's type; where ("line N: 'key'") opens any error."""
     raw = raw.strip()
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    if isinstance(current, tuple):
-        if not raw:
-            return ()
-        return tuple(int(part) for part in raw.split(","))
-    return raw
+    try:
+        if isinstance(current, tuple):
+            return tuple(int(part) for part in raw.split(",")) if raw else ()
+        value = type(current)(raw)
+    except ValueError:
+        raise ValueError(f"{where}: expected {_EXPECTED[type(current)]}, got {raw!r}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{where}: must be finite, got {raw!r}")
+    return value
 
 
 def parse_config_text(text: str) -> tuple[TrainConfig, DataConfig]:
@@ -137,10 +142,11 @@ def parse_config_text(text: str) -> tuple[TrainConfig, DataConfig]:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
+        where = f"line {lineno}: {key!r}"
         if key in train_fields:
-            train_updates[key] = _coerce(raw, getattr(train_cfg, key))
+            train_updates[key] = _coerce(raw, getattr(train_cfg, key), where)
         elif key in data_fields:
-            data_updates[key] = _coerce(raw, getattr(data_cfg, key))
+            data_updates[key] = _coerce(raw, getattr(data_cfg, key), where)
         else:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
     train_cfg = replace(train_cfg, **train_updates)
@@ -151,8 +157,12 @@ def parse_config_text(text: str) -> tuple[TrainConfig, DataConfig]:
 
 
 def parse_config_file(path) -> tuple[TrainConfig, DataConfig]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    """parse_config_text of the file at path; its errors start with the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_config_text(fh.read())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def config_to_text(cfg: TrainConfig) -> str:

@@ -62,55 +62,53 @@ class MatchingModel:
                             [build_graph(k) for k in keypoints],
                             np.array([b.pooled for b in outs]))
 
-    def _encode(self, prepared):
-        """Tokens of every image of prepared pairs, through one GNN call on the union.
+    def forward_pair(self, pair: PairSample):
+        """Decoder outputs (f1, f2, snapshots) of one pair, a batch of one, as (m, d) rows."""
+        f1, f2, snapshots, _, _ = self._forward([self.prepare(pair)])
+        return (FeatureSequence(f1.tokens[0], f1.global_token[0]),
+                FeatureSequence(f2.tokens[0], f2.global_token[0]),
+                [(t1[0], t2[0]) for t1, t2 in snapshots])
 
-        Returns (union tokens, (B, 2) rows per image, (B, 2, d) global
-        tokens, global-token cache, gnn cache).
+    def _forward(self, prepared):
+        """Decoder outputs (f1, f2, snapshots), rows per image and caches of prepared pairs.
+
+        Each layer runs once over all pairs. The decoder takes them zero-padded
+        to (B, n, d) per stream, and no mask is built when every image has n rows.
         """
         globs, glob_cache = global_token(np.concatenate([p.pooled for p in prepared]), self.store)
         feats = [f for p in prepared for f in p.features]
         graph = batch_graphs([g for p in prepared for g in p.graphs])
         tokens, gnn_cache = gnn_refine(np.concatenate(feats), graph, self.store)
-        lengths = np.array([len(f) for f in feats]).reshape(-1, 2)
-        return tokens, lengths, globs.reshape(lengths.shape + (-1,)), glob_cache, gnn_cache
-
-    def forward_pair(self, pair: PairSample):
-        """Decoder outputs (f1, f2, snapshots) for one pair, a batch of one."""
-        return self._forward(self.prepare(pair))
-
-    def _forward(self, prepared: PreparedPair):
-        tokens, lengths, globs, _, _ = self._encode([prepared])
-        m1 = lengths[0, 0]
-        f1, f2, snapshots, _ = decode(
-            FeatureSequence(tokens[:m1], globs[0, 0]), FeatureSequence(tokens[m1:], globs[0, 1]),
+        lengths = [len(f) for f in feats]
+        shape = (len(prepared), 2, max(lengths), tokens.shape[1])
+        if min(lengths) == shape[2]:
+            valid, padded = None, tokens.reshape(shape)
+        else:
+            valid = np.arange(shape[2]) < np.reshape(lengths, (-1, 2, 1))  # (B, 2, n): real rows
+            padded = np.zeros(shape)
+            padded[valid] = tokens
+        globs = globs.reshape(shape[0], 2, -1)
+        f1, f2, snapshots, dec_caches = decode(
+            FeatureSequence(padded[:, 0], globs[:, 0], None if valid is None else ~valid[:, 0]),
+            FeatureSequence(padded[:, 1], globs[:, 1], None if valid is None else ~valid[:, 1]),
             self.store, self.config.decoder_layers, self.config.heads,
         )
-        return f1, f2, snapshots
+        return f1, f2, snapshots, lengths, (valid, glob_cache, gnn_cache, dec_caches)
 
     # ---------------- training ----------------
 
     def loss_and_grads(self, prepared) -> list[LossReport]:
         """Loss report per prepared pair; accumulates the summed gradients into the store.
 
-        The GNN runs once over the union of all images, and the decoder once
-        over all pairs zero-padded to one (B, n, d) batch per stream; the
-        losses run per pair on its real rows.
+        Every layer runs once over the minibatch; the losses run per pair on its real rows.
         """
-        tokens, lengths, globs, glob_cache, gnn_cache = self._encode(prepared)
+        f1, f2, snapshots, lengths, caches = self._forward(prepared)
+        valid, glob_cache, gnn_cache, dec_caches = caches
         cfg, store = self.config, self.store
-        valid = np.arange(lengths.max()) < lengths[..., None]  # (B, 2, n): real rows
-        padded = np.zeros(valid.shape + tokens.shape[1:])
-        padded[valid] = tokens
-        f1, f2, snapshots, dec_caches = decode(
-            *(FeatureSequence(padded[:, k], globs[:, k],
-                              None if valid[:, k].all() else ~valid[:, k]) for k in (0, 1)),
-            store, cfg.decoder_layers, cfg.heads,
-        )
         outs = [(f1.tokens, f2.tokens)] + snapshots  # final tokens, then per layer
         grads = [(np.zeros_like(t1), np.zeros_like(t2)) for t1, t2 in outs]
         reports = []
-        for i, (prep, (m1, m2)) in enumerate(zip(prepared, lengths)):
+        for i, (prep, m1, m2) in enumerate(zip(prepared, lengths[::2], lengths[1::2])):
             report, loss_cache = total_loss(
                 f1.tokens[i, :m1], f2.tokens[i, :m2],
                 [(t1[i, :m1], t2[i, :m2]) for t1, t2 in snapshots], prep.pair.truth,
@@ -128,7 +126,8 @@ class MatchingModel:
         )
         g_globs = np.stack([g_g1, g_g2], axis=1)  # (B, 2, d): the order of the pooled rows
         global_token_backward(glob_cache, g_globs.reshape(-1, cfg.d_model), store)
-        gnn_refine_backward(gnn_cache, np.stack([g_t1, g_t2], axis=1)[valid], store)
+        g_rows = np.stack([g_t1, g_t2], axis=1).reshape(-1, cfg.d_model)  # image order
+        gnn_refine_backward(gnn_cache, g_rows if valid is None else g_rows[valid.ravel()], store)
         return reports
 
     # ---------------- inference ----------------
@@ -139,7 +138,7 @@ class MatchingModel:
 
     def match_prepared(self, prepared: PreparedPair):
         """match_pair of a pair already prepared."""
-        f1, f2, _ = self._forward(prepared)
-        C = affinity(f1.tokens, f2.tokens)
+        f1, f2, _, _, _ = self._forward([prepared])
+        C = affinity(f1.tokens[0], f2.tokens[0])
         plan = sinkhorn_log(C, self.config.sinkhorn_temperature, self.config.sinkhorn_iters)
         return decode_matching(plan), plan, C

@@ -59,7 +59,10 @@ def test_traced_layers_present_and_counted(tracer_module):
               for i in range(2))
     model = MatchingModel(config)
     with tracer_module.Tracer() as t:
-        model.match_pair(p1)
+        # a single pair is a batch of one: one GNN and one decoder call
+        for done, run in enumerate((model.match_pair, model.forward_pair), start=1):
+            run(p1)
+            assert t.calls["splineconv.forward"] == t.calls["decoder.forward"] == done
         model.loss_and_grads([model.prepare(p1), model.prepare(p2)])
     assert t.absent == []
     for layer in INFERENCE_LAYERS + TRAINING_LAYERS:

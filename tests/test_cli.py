@@ -87,6 +87,23 @@ class TestGenData:
         assert "unknown config key" in capsys.readouterr().err
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize("line, message", [
+        ("d_model = abc", "line 20: 'd_model': expected an integer, got 'abc'"),
+        ("lr_decay_epochs = 1,x", "line 20: 'lr_decay_epochs': expected comma-separated"),
+        ("base_lr = nan", "line 20: 'base_lr': must be finite, got 'nan'"),
+        ("val_pairs_per_class = 0", "num_pairs, val_pairs_per_class and num_classes must be >= 1"),
+    ])
+    def test_bad_value_exits_2_before_training(self, tmp_path, capsys, line, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG + line + "\n", encoding="utf-8")
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(bad), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1
+        assert not out_dir.exists()  # failed before anything was trained or written
+
+
 class TestTrainEvalMatch:
     @pytest.fixture
     def trained(self, tmp_path, config_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from normmatch.config import (
@@ -76,6 +78,20 @@ class TestParsing:
         with pytest.raises(ValueError, match="line 2.*d_modle"):
             parse_config_text("d_model = 16\nd_modle = 32\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("d_model = abc", "line 2: 'd_model': expected an integer, got 'abc'"),
+        ("seed = 1.5", "line 2: 'seed': expected an integer, got '1.5'"),
+        ("lr_decay_epochs = 1,x", "line 2: 'lr_decay_epochs': expected comma-separated integers"),
+        ("base_lr = fast", "line 2: 'base_lr': expected a number, got 'fast'"),
+        ("base_lr = nan", "line 2: 'base_lr': must be finite, got 'nan'"),
+        ("noise_level = inf", "line 2: 'noise_level': must be finite"),
+        ("lr_decay_factor = -inf", "line 2: 'lr_decay_factor': must be finite"),
+        ("layer_loss_p = 1e400", "line 2: 'layer_loss_p': must be finite"),
+    ])
+    def test_bad_value_names_line_and_key(self, line, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            parse_config_text(f"heads = 2\n{line}\n")
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_config_text("just some words\n")
@@ -86,6 +102,18 @@ class TestParsing:
         cfg, _ = parse_config_file(path)
         assert cfg.d_model == 24
         assert cfg.heads == 3
+
+    @pytest.mark.parametrize("text, message", [
+        ("d_model = 24\nheads = x\n", "line 2: 'heads': expected an integer"),
+        ("d_modle = 24\n", "line 1: unknown config key"),
+        ("val_pairs_per_class = 0\n", "val_pairs_per_class"),
+        ("d_model = \xe9\n", "codec can't decode"),
+    ])
+    def test_file_errors_start_with_the_path(self, tmp_path, text, message):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
+            parse_config_file(path)
 
 
 class TestValidation:
@@ -118,3 +146,5 @@ class TestValidation:
             DataConfig(m_min=5, m_max=3).validate()
         with pytest.raises(ValueError, match="scale"):
             DataConfig(scale_min=0.0).validate()
+        with pytest.raises(ValueError, match="val_pairs_per_class .*>= 1"):
+            DataConfig(val_pairs_per_class=0).validate()

@@ -5,7 +5,8 @@ import pytest
 
 from normmatch.config import DataConfig, TrainConfig
 from normmatch.data import PairSample, generate_dataset, generate_pair
-from normmatch.matching import Matching
+from normmatch.losses import total_loss
+from normmatch.matching import Matching, affinity, sinkhorn_log
 from normmatch import model as model_module
 from normmatch import splineconv
 from normmatch.model import MatchingModel
@@ -179,11 +180,14 @@ class TestTrain:
         pairs = [generate_pair(_tiny_data(m_min=m, m_max=m), class_id=0, seed=m,
                                latent_dim=config.gnn_input_dim) for m in (3, 5, 4)]
         calls = {"decode": 0, "decode_backward": 0}
+        pads = []
         for name in calls:
             original = getattr(model_module, name)
 
             def counted(*args, _name=name, _original=original):
                 calls[_name] += 1
+                if _name == "decode":
+                    pads.append([seq.pad for seq in args[:2]])
                 return _original(*args)
 
             monkeypatch.setattr(model_module, name, counted)
@@ -191,6 +195,35 @@ class TestTrain:
         reports = model.loss_and_grads([model.prepare(pair) for pair in pairs])
         assert len(reports) == 3
         assert calls == {"decode": 1, "decode_backward": 1}
+
+        # a single pair is a batch of one: one decode call, nothing padded
+        for run in (model.match_pair, model.forward_pair):
+            calls["decode"], pads[:] = 0, []
+            run(pairs[1])
+            assert calls == {"decode": 1, "decode_backward": 1}
+            assert pads == [[None, None]]
+
+    def test_batch_of_one_equals_forward_pair(self):
+        # a pair's training loss and its match are computed from the same
+        # decoder outputs as forward_pair's, bit for bit
+        config = TrainConfig()
+        model = MatchingModel(config)
+        tau_raw = float(model.store.value("loss.tau_raw"))
+        for seed in range(3):
+            pair = generate_pair(DataConfig(), class_id=seed, seed=seed,
+                                 latent_dim=config.gnn_input_dim)
+            batched = model.loss_and_grads([model.prepare(pair)])[0]
+            f1, f2, snapshots = model.forward_pair(pair)
+            direct, _ = total_loss(f1.tokens, f2.tokens, snapshots, pair.truth, tau_raw,
+                                   config.layer_loss_p, config.infonce_mode)
+            assert batched.infonce == direct.infonce
+            assert batched.hyperspherical_final == direct.hyperspherical_final
+            assert batched.hyperspherical_layers == direct.hyperspherical_layers
+            _, plan, C = model.match_pair(pair)
+            want = affinity(f1.tokens, f2.tokens)
+            assert np.array_equal(C, want)
+            assert np.array_equal(plan.values, sinkhorn_log(want, config.sinkhorn_temperature,
+                                                            config.sinkhorn_iters).values)
 
     def test_backbone_width_mismatch_rejected(self):
         config = _tiny_config()
