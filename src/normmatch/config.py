@@ -64,6 +64,10 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
         if self.base_lr < 0 or self.lr_decay_factor <= 0:
             raise ValueError("base_lr must be >= 0 and lr_decay_factor > 0")
+        if self.backbone_lr_factor < 0 or self.layer_loss_p < 0:
+            raise ValueError("backbone_lr_factor and layer_loss_p must be >= 0")
+        if any(e < 1 for e in self.lr_decay_epochs):
+            raise ValueError("lr_decay_epochs entries must be >= 1")
         if self.sinkhorn_temperature <= 0 or self.sinkhorn_iters < 1:
             raise ValueError("sinkhorn_temperature must be > 0 and iters >= 1")
         if self.infonce_mode not in ("exclusive", "inclusive"):
@@ -107,6 +111,8 @@ class DataConfig:
             raise ValueError("jitter_sigma and noise_level must be >= 0")
         if not (0 < self.scale_min <= self.scale_max):
             raise ValueError("need 0 < scale_min <= scale_max")
+        if self.rotation_deg < 0 or self.translation_max < 0:
+            raise ValueError("rotation_deg and translation_max must be >= 0")
 
 
 _EXPECTED = {int: "an integer", float: "a number", tuple: "comma-separated integers"}

@@ -1,12 +1,12 @@
 """Backbone feature maps, keypoint sampling, and the global token.
 
-A backbone here is anything producing two tagged spatial feature maps (last
-and second-to-last layer). Keypoint features are bilinearly sampled from
-both maps and concatenated; the global token is the spatial mean of the
-concatenated maps pushed through a learned projection and normalized. The
-bundled synthetic backbone renders per-keypoint latent vectors into the maps
-as Gaussian splats, which keeps the whole pipeline image-free while
-preserving the sampling geometry.
+A backbone here is anything producing two spatial feature maps (last and
+second-to-last layer) on one grid. Keypoint features are bilinearly sampled
+from both maps at once, last map first; the global token is the spatial
+mean of the concatenated maps pushed through a learned projection and
+normalized. The bundled synthetic backbone renders per-keypoint latent
+vectors into the maps as Gaussian splats, which keeps the whole pipeline
+image-free while preserving the sampling geometry.
 """
 
 from __future__ import annotations
@@ -39,51 +39,50 @@ class FeatureMap:
 
     grid: np.ndarray
     stride: float
-    layer_tag: str  # "last" or "second_last"
     oob_count: int = field(default=0, compare=False)
 
 
 @dataclass
 class BackboneOutput:
-    """Both maps of one image, plus their concatenated spatial means (c,)."""
+    """Both maps of one image, on one grid, plus their concatenated spatial means (c,)."""
 
     last: FeatureMap
     second_last: FeatureMap
     pooled: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if (self.last.grid.shape[:2] != self.second_last.grid.shape[:2]
+                or self.last.stride != self.second_last.stride):
+            raise ValueError("both maps must share grid shape and stride")
         self.pooled = np.concatenate([self.last.grid.mean(axis=(0, 1)),
                                       self.second_last.grid.mean(axis=(0, 1))])
 
 
-def _bilinear_gather(fmap: FeatureMap, points) -> np.ndarray:
-    """Sample one feature vector per (x, y) image-pixel location: (k, c).
+def extract_keypoint_features(backbone_out: BackboneOutput, keypoints) -> np.ndarray:
+    """Per-keypoint samples of both maps, concatenated (last first): (k, c).
 
     Cell-center convention: grid coordinate = point / stride - 0.5, then a
-    standard 4-neighbor blend. Out-of-bounds points are clamped to the grid
-    and counted in the map's diagnostics counter.
+    4-neighbor blend of both maps' corner rows on their shared grid.
+    Out-of-bounds points are clamped and counted in both maps' counters.
     """
-    grid = fmap.grid
-    h, w, _ = grid.shape
-    g = points / fmap.stride - 0.5
+    last, second = backbone_out.last, backbone_out.second_last
+    h, w, _ = last.grid.shape
+    g = np.asarray(keypoints, dtype=np.float64).reshape(-1, 2) / last.stride - 0.5
     c = np.clip(g, 0.0, (w - 1.0, h - 1.0))
-    fmap.oob_count += int(np.count_nonzero((c != g).any(axis=1)))
+    clamped = int(np.count_nonzero((c != g).any(axis=1)))
+    last.oob_count += clamped
+    second.oob_count += clamped
     lo = np.floor(c).astype(np.intp)
     (x0, y0), (x1, y1) = lo.T, np.minimum(lo + 1, (w - 1, h - 1)).T
     fx, fy = (c - lo).T[:, :, None]
+    rows = np.array([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1])
+    q = np.concatenate([m.grid.reshape(h * w, -1)[rows] for m in (last, second)], axis=2)
     return (
-        grid[y0, x0] * (1 - fx) * (1 - fy)
-        + grid[y0, x1] * fx * (1 - fy)
-        + grid[y1, x0] * (1 - fx) * fy
-        + grid[y1, x1] * fx * fy
+        q[0] * (1 - fx) * (1 - fy)
+        + q[1] * fx * (1 - fy)
+        + q[2] * (1 - fx) * fy
+        + q[3] * fx * fy
     )
-
-
-def extract_keypoint_features(backbone_out: BackboneOutput, keypoints) -> np.ndarray:
-    """Per-keypoint concatenation of samples from both maps (last first)."""
-    keypoints = np.asarray(keypoints, dtype=np.float64).reshape(-1, 2)
-    return np.concatenate([_bilinear_gather(backbone_out.last, keypoints),
-                           _bilinear_gather(backbone_out.second_last, keypoints)], axis=1)
 
 
 def global_token(pooled, store):
@@ -132,20 +131,18 @@ def synthetic_backbone(latents, keypoints, noise_level: float, seed,
 
     rng = np.random.default_rng(seed)
     maps = []
-    for tag, part in (("last", latents[:, :half]), ("second_last", latents[:, half:])):
+    for part in (latents[:, :half], latents[:, half:]):
         grid = np.tensordot(weights, part, axes=([2], [0]))
         noise = rng.standard_normal(grid.shape)  # drawn at any level: a fixed stream position
         if noise_level > 0:
             grid = grid + noise_level * noise
-        maps.append(FeatureMap(grid=grid, stride=stride, layer_tag=tag))
+        maps.append(FeatureMap(grid=grid, stride=stride))
     return BackboneOutput(last=maps[0], second_last=maps[1])
 
 
 def write_feature_file(path, backbone_out: BackboneOutput) -> None:
     """Serialize both maps: header then row-major f32 grids, last layer first."""
     last, second = backbone_out.last, backbone_out.second_last
-    if last.grid.shape[:2] != second.grid.shape[:2] or last.stride != second.stride:
-        raise ValueError("both maps must share grid shape and stride")
     h, w, c_last = last.grid.shape
     c_second = second.grid.shape[2]
     with open(path, "wb") as fh:
@@ -173,6 +170,6 @@ def read_feature_file(path) -> BackboneOutput:
             raise ValueError(f"{path}: unsupported feature-map version {version}")
         (stride,) = struct.unpack("<f", _read_exact(fh, 4))
         maps = [FeatureMap(np.frombuffer(_read_exact(fh, 4 * h * w * c), dtype="<f4")
-                           .reshape(h, w, c).astype(np.float64), stride, tag)
-                for c, tag in ((c_last, "last"), (c_second, "second_last"))]
+                           .reshape(h, w, c).astype(np.float64), stride)
+                for c in (c_last, c_second)]
     return BackboneOutput(*maps)

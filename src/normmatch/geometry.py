@@ -116,13 +116,12 @@ def delaunay(points) -> list[tuple[int, int]]:
         bv[:, 1] - av[:, 1]
     ) * (cv[:, 0] - av[:, 0])
     # orient the triples counter-clockwise; exactly collinear triples are
-    # never Delaunay triangles and drop out
+    # never Delaunay triangles and drop out. Some (0, 1, c) always stays: the
+    # degeneracy test found it off the line through points 0 and 1
     ccw = trips.copy()
     flip = orient < 0.0
     ccw[flip, 1], ccw[flip, 2] = trips[flip, 2], trips[flip, 1]
     ccw = ccw[orient != 0.0]
-    if len(ccw) == 0:
-        return _complete_edges(m)
 
     # incircle determinant of every (triple, other point) pair; positive
     # means strictly inside, zero is the co-circular tie

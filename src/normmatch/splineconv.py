@@ -129,13 +129,12 @@ def spline_conv_forward(features, graph, weight, bias, plan, apply_relu: bool):
     return out, cache
 
 
-def spline_conv_backward(cache, g_out, by_knot=None, input_grad: bool = True):
+def spline_conv_backward(cache, g_out, by_knot, input_grad: bool = True):
     """Backward of :func:`spline_conv_forward`.
 
     Returns (g_features, g_weight, g_bias), with g_features None unless
-    input_grad. by_knot: the graph's :func:`knot_plan`, built here when not
-    given. Max aggregation routes each output coordinate's gradient to its
-    recorded argmax arc only.
+    input_grad. by_knot: the graph's :func:`knot_plan`. Max aggregation
+    routes each output coordinate's gradient to its recorded argmax arc only.
     """
     features, graph, weight, plan, argmax_arc, relu_pre = cache
     if relu_pre is not None:
@@ -145,8 +144,7 @@ def spline_conv_backward(cache, g_out, by_knot=None, input_grad: bool = True):
     g_msgs = _scatter_to_argmax(argmax_arc, g_out, len(graph.arcs))
     g_weight = np.zeros_like(weight)
     g_arcs = np.zeros((len(graph.arcs), features.shape[1])) if input_grad else None
-    segments, (arcs, srcs, weights), (by_source, nodes, starts) = (
-        knot_plan(plan, graph) if by_knot is None else by_knot)
+    segments, (arcs, srcs, weights), (by_source, nodes, starts) = by_knot
     for b, i, j in segments:
         g_seg = g_msgs[arcs[i:j]]
         g_weight[b] = (features[srcs[i:j]] * weights[i:j]).T @ g_seg

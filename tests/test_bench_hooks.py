@@ -10,6 +10,7 @@ import importlib
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from normmatch.config import DataConfig, TrainConfig
@@ -69,6 +70,23 @@ def test_traced_layers_present_and_counted(tracer_module):
         assert t.calls[layer] > 0, layer
     assert t.counts["splineconv.gemm_flops"] > 0
     assert t.counts["geometry.arcs"] > 0
+
+
+def test_oob_samples_count_each_clamped_keypoint_once_per_map(tracer_module):
+    # the tracer sums both maps' counters; one gather per image must still
+    # add each clamped keypoint to both of them
+    config = TrainConfig()
+    pair = generate_pair(DataConfig(m_min=6, m_max=6), class_id=0, seed=3,
+                         latent_dim=config.gnn_input_dim)
+    pair.keypoints1[0] = (0.2, 31.5)  # beyond the outer cell centres at 1 and 31
+    pair.keypoints2[:2] = (40.0, 16.0)
+    clamped = sum(np.count_nonzero(((kp < 1.0) | (kp > 31.0)).any(axis=1))
+                  for kp in (pair.keypoints1, pair.keypoints2))
+    assert clamped == 3
+    with tracer_module.Tracer() as t:
+        MatchingModel(config).match_pair(pair)
+    assert t.absent == []
+    assert t.counts["features.oob_samples"] == 2 * clamped
 
 
 def test_training_preparation_stays_traced(tracer_module):

@@ -107,6 +107,11 @@ class TestParsing:
         ("d_model = 24\nheads = x\n", "line 2: 'heads': expected an integer"),
         ("d_modle = 24\n", "line 1: unknown config key"),
         ("val_pairs_per_class = 0\n", "val_pairs_per_class"),
+        ("backbone_lr_factor = -5\n", "backbone_lr_factor and layer_loss_p must be >= 0"),
+        ("layer_loss_p = -3\n", "backbone_lr_factor and layer_loss_p must be >= 0"),
+        ("lr_decay_epochs = 2,0\n", "lr_decay_epochs entries must be >= 1"),
+        ("rotation_deg = -30\n", "rotation_deg and translation_max must be >= 0"),
+        ("translation_max = -1\n", "rotation_deg and translation_max must be >= 0"),
         ("d_model = \xe9\n", "codec can't decode"),
     ])
     def test_file_errors_start_with_the_path(self, tmp_path, text, message):

@@ -18,14 +18,14 @@ from normmatch.params import ParameterStore
 from oracles import bilinear_sample, row_global_token, row_global_token_grad
 
 
-def _map(grid, stride=2.0, tag="last"):
-    return FeatureMap(grid=np.asarray(grid, dtype=np.float64), stride=stride, layer_tag=tag)
+def _map(grid, stride=2.0):
+    return FeatureMap(grid=np.asarray(grid, dtype=np.float64), stride=stride)
 
 
 def _random_backbone(rng, h=4, w=5, c_last=3, c_second=2, stride=2.0):
     return BackboneOutput(
-        last=_map(rng.standard_normal((h, w, c_last)), stride, "last"),
-        second_last=_map(rng.standard_normal((h, w, c_second)), stride, "second_last"),
+        last=_map(rng.standard_normal((h, w, c_last)), stride),
+        second_last=_map(rng.standard_normal((h, w, c_second)), stride),
     )
 
 
@@ -93,31 +93,36 @@ class TestBilinearSample:
 
 class TestExtractKeypointFeatures:
     def test_concatenates_last_then_second(self):
-        last = _map(np.full((3, 3, 5), 2.0), tag="last")
-        second = _map(np.full((3, 3, 3), -1.0), tag="second_last")
+        last = _map(np.full((3, 3, 5), 2.0))
+        second = _map(np.full((3, 3, 3), -1.0))
         out = extract_keypoint_features(BackboneOutput(last, second), [(3.0, 3.0)])
         assert out.shape == (1, 8)
         assert np.allclose(out[0], [2.0] * 5 + [-1.0] * 3)
 
     def test_matches_individual_samples(self):
         # the gather equals the scalar oracle bit for bit and counts the same
-        # clamped samples, inside, on and beyond the borders of the 4 x 5 grid
+        # clamped samples, inside, on and beyond the borders of the 4 x 5
+        # grid: at the outer cell centres (9, 7) and on the far image border
+        # (10, 8), given here in units of stride / 2
         rng = np.random.default_rng(4)
-        bb = _random_backbone(rng)
-        oracle_bb = BackboneOutput(_map(bb.last.grid), _map(bb.second_last.grid))
-        kps = np.vstack([
-            rng.uniform(-3.0, 13.0, size=(40, 2)),
-            [(1.0, 1.0), (9.0, 7.0), (0.0, 4.0), (5.0, 8.0), (9.5, 7.5), (3.0, 3.0)],
-        ])
-        out = extract_keypoint_features(bb, kps)
-        expected = [
-            np.concatenate([bilinear_sample(oracle_bb.last, kp),
-                            bilinear_sample(oracle_bb.second_last, kp)])
-            for kp in kps
-        ]
-        assert np.array_equal(out, np.asarray(expected))
-        assert bb.last.oob_count == oracle_bb.last.oob_count > 0
-        assert bb.second_last.oob_count == oracle_bb.second_last.oob_count
+        for stride in (2.0, 3.5):
+            bb = _random_backbone(rng, stride=stride)
+            oracle_bb = BackboneOutput(_map(bb.last.grid, stride),
+                                       _map(bb.second_last.grid, stride))
+            kps = np.vstack([
+                rng.uniform(-3.0, 13.0, size=(40, 2)),
+                [(1.0, 1.0), (9.0, 7.0), (0.0, 4.0), (5.0, 8.0), (9.5, 7.5), (3.0, 3.0),
+                 (10.0, 8.0), (10.0, 3.0), (4.0, 8.0), (0.0, 0.0)],
+            ]) * (stride / 2.0)
+            out = extract_keypoint_features(bb, kps)
+            expected = [
+                np.concatenate([bilinear_sample(oracle_bb.last, kp),
+                                bilinear_sample(oracle_bb.second_last, kp)])
+                for kp in kps
+            ]
+            assert np.array_equal(out, np.asarray(expected)), stride
+            assert bb.last.oob_count == oracle_bb.last.oob_count > 0
+            assert bb.second_last.oob_count == oracle_bb.second_last.oob_count
 
     def test_duplicate_keypoints_give_identical_rows(self):
         rng = np.random.default_rng(5)
@@ -145,7 +150,7 @@ class TestGlobalToken:
     def test_constant_maps_project_the_constant(self):
         rng = np.random.default_rng(7)
         last = _map(np.full((4, 4, 2), 3.0))
-        second = _map(np.full((4, 4, 3), -0.5), tag="second_last")
+        second = _map(np.full((4, 4, 3), -0.5))
         store = self._store(rng, 5, 6)
         token, _ = global_token(BackboneOutput(last, second).pooled[None], store)
         raw = np.array([3.0, 3.0, -0.5, -0.5, -0.5]) @ store.value("backbone.global_proj")
@@ -220,8 +225,6 @@ class TestSyntheticBackbone:
         bb = synthetic_backbone(latents, kps, noise_level=0.0, seed=0)
         assert bb.last.grid.shape == (16, 16, 4)
         assert bb.second_last.grid.shape == (16, 16, 4)
-        assert bb.last.layer_tag == "last"
-        assert bb.second_last.layer_tag == "second_last"
         assert bb.last.stride == 2.0
         assert _concat_width(bb) == 8
 
@@ -295,9 +298,7 @@ class TestFeatureFile:
         # payload is stored as float32, so compare after the same quantization
         assert np.array_equal(back.last.grid, bb.last.grid.astype(np.float32))
         assert np.array_equal(back.second_last.grid, bb.second_last.grid.astype(np.float32))
-        assert back.last.stride == 2.0
-        assert back.last.layer_tag == "last"
-        assert back.second_last.layer_tag == "second_last"
+        assert back.last.stride == back.second_last.stride == 2.0
 
     def test_float32_payload_round_trips_exactly(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -352,7 +353,7 @@ class TestFeatureFile:
 
     def test_mismatched_maps_rejected_on_write(self, tmp_path):
         last = _map(np.zeros((3, 3, 2)))
-        second = _map(np.zeros((4, 4, 2)), tag="second_last")
+        second = _map(np.zeros((4, 4, 2)))
         with pytest.raises(ValueError, match="share grid shape"):
             write_feature_file(tmp_path / "pair.nmtf", BackboneOutput(last, second))
 
@@ -366,8 +367,8 @@ class TestBackboneSwap:
         kps = np.array([[8.0, 8.0], [24.0, 8.0], [16.0, 24.0]])
         bb = synthetic_backbone(latents, kps, noise_level=0.3, seed=5)
         mock = BackboneOutput(
-            last=_map(bb.last.grid.copy(), bb.last.stride, "last"),
-            second_last=_map(bb.second_last.grid.copy(), bb.second_last.stride, "second_last"),
+            last=_map(bb.last.grid.copy(), bb.last.stride),
+            second_last=_map(bb.second_last.grid.copy(), bb.second_last.stride),
         )
         store = ParameterStore()
         store.register("backbone.global_proj", rng.standard_normal((8, 6)))
@@ -377,3 +378,13 @@ class TestBackboneSwap:
         token_a, _ = global_token(bb.pooled[None], store)
         token_b, _ = global_token(mock.pooled[None], store)
         assert np.array_equal(token_a, token_b)
+
+    def test_maps_with_two_strides_rejected_where_built(self):
+        # one gather samples both maps with the last map's stride, so a
+        # second map with another stride must fail at construction (another
+        # grid shape: test_mismatched_maps_rejected_on_write); the channel
+        # counts may differ
+        grid = np.zeros((3, 3, 2))
+        with pytest.raises(ValueError, match="both maps must share grid shape and stride"):
+            BackboneOutput(_map(grid, stride=2.0), _map(grid, stride=4.0))
+        assert BackboneOutput(_map(grid), _map(np.zeros((3, 3, 5)))).pooled.shape == (7,)

@@ -209,10 +209,11 @@ class TestSplineConv:
         weight = np.zeros((9, 2, 2))
         weight[4] = np.eye(2)  # (0.5, 0.5) with K=3 activates knot (1,1)
         feats = np.array([[1.0, 1.0], [1.0, 1.0], [-5.0, -5.0]])
-        out, cache = spline_conv_forward(feats, graph, weight, np.zeros(2),
-                                         spline_plan(graph, 3), apply_relu=False)
+        plan = spline_plan(graph, 3)
+        out, cache = spline_conv_forward(feats, graph, weight, np.zeros(2), plan,
+                                         apply_relu=False)
         np.testing.assert_allclose(out[2], [1.0, 1.0])
-        g_feats, _, _ = spline_conv_backward(cache, np.ones((3, 2)))
+        g_feats, _, _ = spline_conv_backward(cache, np.ones((3, 2)), knot_plan(plan, graph))
         # node 0 receives gradient from its self-loop and from node 2's pick;
         # node 1 only from its own self-loop
         np.testing.assert_allclose(g_feats[0], [2.0, 2.0])
@@ -233,7 +234,8 @@ class TestSplineConv:
             return float((out * probe).sum())
 
         _, cache = spline_conv_forward(feats, graph, weight, bias, plan, apply_relu=True)
-        g_feats, g_weight, g_bias = spline_conv_backward(cache, probe)
+        g_feats, g_weight, g_bias = spline_conv_backward(cache, probe,
+                                                         knot_plan(plan, graph))
 
         eps = 1e-6
         for arr, grad, name in ((feats, g_feats, "f"), (weight, g_weight, "w"), (bias, g_bias, "b")):
@@ -288,10 +290,10 @@ class TestMaxAggregationOracle:
             weight = rng.standard_normal((9, 3, 4))
         bias = rng.standard_normal(4)
         g_out = rng.standard_normal((graph.num_nodes, 4))
-        out, cache = spline_conv_forward(feats, graph, weight, bias, spline_plan(graph, 3),
-                                         apply_relu=True)
+        plan = spline_plan(graph, 3)
+        out, cache = spline_conv_forward(feats, graph, weight, bias, plan, apply_relu=True)
         argmax_arc = cache[4]
-        return out, argmax_arc, spline_conv_backward(cache, g_out)
+        return out, argmax_arc, spline_conv_backward(cache, g_out, knot_plan(plan, graph))
 
     @pytest.mark.parametrize("integer_weights", [False, True])
     def test_matches_per_node_loop(self, monkeypatch, integer_weights):
@@ -352,12 +354,12 @@ class TestKnotPlanOracle:
             weight = rng.standard_normal((16, 6, 5))
             bias = rng.standard_normal(5)
             g_out = rng.standard_normal((m, 5))
-            out, cache = spline_conv_forward(feats, graph, weight, bias,
-                                             spline_plan(graph, 4), apply_relu)
+            plan = spline_plan(graph, 4)
+            out, cache = spline_conv_forward(feats, graph, weight, bias, plan, apply_relu)
             want_out, want_cache = loop_spline_conv_forward(feats, graph, weight, bias,
                                                             apply_relu)
             assert self._rel(out, want_out) < 1e-12, f"{name}: output"
-            got = spline_conv_backward(cache, g_out)
+            got = spline_conv_backward(cache, g_out, knot_plan(plan, graph))
             want = loop_spline_conv_backward(want_cache, g_out)
             for label, g, w in zip(("features", "weight", "bias"), got, want):
                 assert self._rel(g, w) < 1e-12, f"{name}: g_{label}"
@@ -387,14 +389,12 @@ class TestKnotPlanOracle:
                                            rng.standard_normal((16, 6, 5)),
                                            rng.standard_normal(5), plan, True)
             g_out = rng.standard_normal((m, 5))
-            built = spline_conv_backward(cache, g_out)
-            given = spline_conv_backward(cache, g_out, knot_plan(plan, graph))
-            g_none, g_weight, g_bias = spline_conv_backward(cache, g_out, knot_plan(plan, graph),
+            by_knot = knot_plan(plan, graph)
+            full = spline_conv_backward(cache, g_out, by_knot)
+            g_none, g_weight, g_bias = spline_conv_backward(cache, g_out, by_knot,
                                                             input_grad=False)
-            assert g_none is None, name
-            for label, g, w in zip(("features", "weight", "bias"), given, built):
-                assert np.array_equal(g, w), f"{name}: g_{label}"
-            assert np.array_equal(g_weight, built[1]) and np.array_equal(g_bias, built[2]), name
+            assert g_none is None and full[0] is not None, name
+            assert np.array_equal(g_weight, full[1]) and np.array_equal(g_bias, full[2]), name
 
     def test_plan_for_other_kernel_size_rejected(self):
         graph = build_graph(np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 2.0]]))
@@ -489,7 +489,8 @@ class TestGnnRefine:
 def _second_layer_input_grad(cache, g_out):
     """Gradient at the second conv's input, as gnn_refine_backward computes it."""
     _, c2, nc = cache
-    return spline_conv_backward(c2, normalize_rows_backward(nc, g_out))[0]
+    return spline_conv_backward(c2, normalize_rows_backward(nc, g_out),
+                                knot_plan(c2[3], c2[1]))[0]
 
 
 class TestDisjointUnion:
