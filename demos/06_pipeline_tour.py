@@ -41,7 +41,7 @@ graph = build_graph(pair.keypoints1)
 print(f"graph: {graph.num_nodes} nodes, {len(graph.arcs)} arcs "
       f"({len(delaunay(pair.keypoints1))} Delaunay edges + {graph.num_nodes} self-loops)")
 
-tokens, _ = gnn_refine(desc, graph, model.store)
+tokens, _ = gnn_refine([desc], [graph], model.store)
 print(f"GNN tokens: {tokens.shape}, "
       f"norm spread [{norms(tokens).min():.12f}, {norms(tokens).max():.12f}]")
 

@@ -11,7 +11,9 @@ Per decoder layer, in order: self-attention on each stream (the global token
 joins the keys/values as an extra element but is itself left unchanged),
 cross-attention stream 1 <- 2 and then stream 2 <- 1 against the
 just-updated stream 1, global-token modulation of each stream, and a shared
-MLP over tokens plus global. Both streams use one set of layer parameters.
+MLP over tokens plus global. Both streams use one set of layer parameters:
+`decode` stacks them as (2, ..., n, d) and runs all but cross-attention
+once per layer on both.
 """
 
 from __future__ import annotations
@@ -45,9 +47,9 @@ __all__ = [
 class FeatureSequence:
     """Decoder state: unit-norm tokens plus one global token per image.
 
-    tokens is (m, d_model) for one image or (B, n, d_model) for B images;
-    pad, (B, n), is True on zero padding rows, which attention ignores, and
-    None when no row is padded.
+    tokens is (m, d_model) for one image, (B, n, d_model) for B images or
+    (2, B, n, d_model) for both streams; pad, tokens' shape without d_model,
+    is True on zero padding rows, which attention ignores, or None.
     """
 
     tokens: np.ndarray  # (..., n, d_model)
@@ -97,9 +99,7 @@ def _with_global(tokens, glob):
 def _norm_residual_forward(base, raw, alpha_raw):
     """out = Norm(base + |alpha| * (Norm(raw) - base)). Returns (out, cache)."""
     f_a, nc1 = normalize_rows(raw)
-    alpha = np.abs(alpha_raw)
-    z = base + alpha * (f_a - base)
-    out, nc2 = normalize_rows(z)
+    out, nc2 = normalize_rows(base + np.abs(alpha_raw) * (f_a - base))
     return out, (alpha_raw, nc1, nc2)
 
 
@@ -132,7 +132,7 @@ def _norm_attn(tokens, other, store, prefix: str, block: str, heads: int, q_pad,
                for x, w in ((tokens, wq), (kv, wk), (kv, wv)))
     scores = q @ k.swapaxes(-1, -2) * (1.0 / np.sqrt(q.shape[-1]))  # (..., heads, nq, nk)
     if key_pad is not None:
-        scores = np.where(key_pad[:, None, None, :], -np.inf, scores)
+        scores = np.where(key_pad[..., None, None, :], -np.inf, scores)
     p, _ = softmax_rows(scores)
     raw = (_merge_heads(p @ v) @ wo).reshape(tokens.shape)
     if q_pad is not None:
@@ -170,10 +170,10 @@ def norm_self_attn(seq: FeatureSequence, store, prefix: str, heads: int):
     read whole-image context, but only the m keypoint tokens are updated;
     the global token passes through unchanged.
     """
-    key_pad = None if seq.pad is None else np.pad(seq.pad, ((0, 0), (0, 1)))
-    out, cache = _norm_attn(seq.tokens, seq.global_token, store, prefix, "sa", heads,
-                            seq.pad, key_pad)
-    return FeatureSequence(out, seq.global_token, seq.pad), cache
+    pad = seq.pad
+    key_pad = None if pad is None else np.pad(pad, [(0, 0)] * (pad.ndim - 1) + [(0, 1)])
+    out, cache = _norm_attn(seq.tokens, seq.global_token, store, prefix, "sa", heads, pad, key_pad)
+    return FeatureSequence(out, seq.global_token, pad), cache
 
 
 def norm_cross_attn(seq: FeatureSequence, other: FeatureSequence, store,
@@ -194,9 +194,7 @@ def modulate_global(seq: FeatureSequence):
 def _modulate_global_backward(cache, g_tokens, g_global):
     tokens, glob, nc = cache
     g_h = normalize_rows_backward(nc, g_tokens)
-    g_tokens_in = g_h * glob[..., None, :]
-    g_global_in = g_global + np.sum(g_h * tokens, axis=-2)
-    return g_tokens_in, g_global_in
+    return g_h * glob[..., None, :], g_global + np.sum(g_h * tokens, axis=-2)
 
 
 def norm_mlp(seq: FeatureSequence, store, prefix: str):
@@ -221,8 +219,7 @@ def _norm_mlp_backward(cache, g_tokens, g_global, store):
     w1, w2 = store.value(prefix + "mlp.w1"), store.value(prefix + "mlp.w2")
     # SiLU is recomputed from h rather than cached: two fewer hidden-width arrays
     a, sc = silu(h)
-    g_a = g_raw @ w2.T
-    g_h = silu_backward(sc, g_a)
+    g_h = silu_backward(sc, g_raw @ w2.T)
     store.add_grad(prefix + "alpha_m", g_alpha)
     store.add_grad(prefix + "mlp.w2", a.T @ g_raw)
     store.add_grad(prefix + "mlp.b2", g_raw.sum(axis=0))
@@ -233,27 +230,31 @@ def _norm_mlp_backward(cache, g_tokens, g_global, store):
 
 
 def decode(f1: FeatureSequence, f2: FeatureSequence, store, layers: int, heads: int):
-    """Run the full decoder stack.
+    """Run the full decoder stack on two streams of one shape.
 
-    Returns (f1, f2, snapshots, caches) where snapshots[k] is the pair of
-    post-layer token matrices (stream 1, stream 2) after layer k, feeding the
-    layer-wise uniformity loss.
+    Returns (f1, f2, snapshots, caches) where snapshots[k] holds the
+    post-layer tokens of stream 1 and stream 2 after layer k, stacked as
+    (2, ..., n, d), feeding the layer-wise uniformity loss.
     """
-    snapshots = []
-    caches = []
+    if f1.tokens.shape != f2.tokens.shape:
+        raise ValueError("both decoder streams must have one token shape; pad the shorter")
+    pad = None if f1.pad is None and f2.pad is None else np.array(
+        [np.zeros(f.tokens.shape[:-1], bool) if f.pad is None else f.pad for f in (f1, f2)])
+    f = FeatureSequence(np.array([f1.tokens, f2.tokens]),
+                        np.array([f1.global_token, f2.global_token]), pad)
+    pad1, pad2 = f1.pad, f2.pad  # a stream without a mask has no padding row
+    snapshots, caches = [], []
     for layer in range(layers):
         p = f"dec{layer}."
-        f1, c_sa1 = norm_self_attn(f1, store, p, heads)
-        f2, c_sa2 = norm_self_attn(f2, store, p, heads)
-        f1, c_ca1 = norm_cross_attn(f1, f2, store, p, heads)
-        f2, c_ca2 = norm_cross_attn(f2, f1, store, p, heads)
-        f1, c_mod1 = modulate_global(f1)
-        f2, c_mod2 = modulate_global(f2)
-        f1, c_mlp1 = norm_mlp(f1, store, p)
-        f2, c_mlp2 = norm_mlp(f2, store, p)
-        snapshots.append((f1.tokens, f2.tokens))
-        caches.append((c_sa1, c_sa2, c_ca1, c_ca2, c_mod1, c_mod2, c_mlp1, c_mlp2))
-    return f1, f2, snapshots, caches
+        f, c_sa = norm_self_attn(f, store, p, heads)
+        t1, c_ca1 = _norm_attn(f.tokens[0], f.tokens[1], store, p, "ca", heads, pad1, pad2)
+        t2, c_ca2 = _norm_attn(f.tokens[1], t1, store, p, "ca", heads, pad2, pad1)
+        f, c_mod = modulate_global(FeatureSequence(np.array([t1, t2]), f.global_token, pad))
+        f, c_mlp = norm_mlp(f, store, p)
+        snapshots.append(f.tokens)
+        caches.append((c_sa, c_ca1, c_ca2, c_mod, c_mlp))
+    return (FeatureSequence(f.tokens[0], f.global_token[0], pad1),
+            FeatureSequence(f.tokens[1], f.global_token[1], pad2), snapshots, caches)
 
 
 def decode_backward(caches, store, g_f1_tokens, g_f1_global, g_f2_tokens,
@@ -266,23 +267,14 @@ def decode_backward(caches, store, g_f1_tokens, g_f1_global, g_f2_tokens,
     (g_f1_tokens, g_f1_global, g_f2_tokens, g_f2_global). Gradients given on
     padding rows must be zero; those returned there are zero.
     """
-    g_t1, g_g1, g_t2, g_g2 = g_f1_tokens, g_f1_global, g_f2_tokens, g_f2_global
+    g_t, g_g = np.array([g_f1_tokens, g_f2_tokens]), np.array([g_f1_global, g_f2_global])
     for layer in reversed(range(len(caches))):
-        s1, s2 = snapshot_grads[layer]
-        g_t1 = g_t1 + s1
-        g_t2 = g_t2 + s2
-        c_sa1, c_sa2, c_ca1, c_ca2, c_mod1, c_mod2, c_mlp1, c_mlp2 = caches[layer]
-        g_t2, g_g2 = _norm_mlp_backward(c_mlp2, g_t2, g_g2, store)
-        g_t1, g_g1 = _norm_mlp_backward(c_mlp1, g_t1, g_g1, store)
-        g_t2, g_g2 = _modulate_global_backward(c_mod2, g_t2, g_g2)
-        g_t1, g_g1 = _modulate_global_backward(c_mod1, g_t1, g_g1)
-        g_t2, g_other = _norm_attn_backward(c_ca2, g_t2, store)
-        g_t1 = g_t1 + g_other
-        g_t1, g_other = _norm_attn_backward(c_ca1, g_t1, store)
-        g_t2 = g_t2 + g_other
+        c_sa, c_ca1, c_ca2, c_mod, c_mlp = caches[layer]
+        g_t, g_g = _norm_mlp_backward(c_mlp, g_t + snapshot_grads[layer], g_g, store)
+        g_t, g_g = _modulate_global_backward(c_mod, g_t, g_g)
+        g_t2, g_t1_keys = _norm_attn_backward(c_ca2, g_t[1], store)
+        g_t1, g_t2_keys = _norm_attn_backward(c_ca1, g_t[0] + g_t1_keys, store)
         # self-attention keys end with the global token
-        g_t2, g_kv = _norm_attn_backward(c_sa2, g_t2, store)
-        g_t2, g_g2 = g_t2 + g_kv[..., :-1, :], g_g2 + g_kv[..., -1, :]
-        g_t1, g_kv = _norm_attn_backward(c_sa1, g_t1, store)
-        g_t1, g_g1 = g_t1 + g_kv[..., :-1, :], g_g1 + g_kv[..., -1, :]
-    return g_t1, g_g1, g_t2, g_g2
+        g_t, g_kv = _norm_attn_backward(c_sa, np.array([g_t1, g_t2 + g_t2_keys]), store)
+        g_t, g_g = g_t + g_kv[..., :-1, :], g_g + g_kv[..., -1, :]
+    return g_t[0], g_g[0], g_t[1], g_g[1]

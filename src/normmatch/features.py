@@ -11,6 +11,7 @@ image-free while preserving the sampling geometry.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -169,7 +170,15 @@ def read_feature_file(path) -> BackboneOutput:
         if version != FEATURE_VERSION:
             raise ValueError(f"{path}: unsupported feature-map version {version}")
         (stride,) = struct.unpack("<f", _read_exact(fh, 4))
+        for name, value in dict(h=h, w=w, c_last=c_last, c_second=c_second, stride=stride).items():
+            if not 0 < value < np.inf:  # NaN fails too
+                raise ValueError(f"{path}: '{name}' must be positive and finite, got {value}")
+        if 4 * h * w * (c_last + c_second) > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise ValueError(f"{path}: truncated feature-map file")  # before sizing a read
         maps = [FeatureMap(np.frombuffer(_read_exact(fh, 4 * h * w * c), dtype="<f4")
                            .reshape(h, w, c).astype(np.float64), stride)
                 for c in (c_last, c_second)]
+    for name, fmap in zip(("last", "second_last"), maps):
+        if not np.isfinite(fmap.grid).all():
+            raise ValueError(f"{path}: '{name}' grid values must be finite")
     return BackboneOutput(*maps)

@@ -3,12 +3,14 @@
 Keypoint sets here are tiny (a few dozen points at most), so the
 triangulation works directly from the defining property: a triangle belongs
 to the Delaunay triangulation exactly when its circumcircle contains no
-other point. Every point triple is tested with the incircle determinant;
-exactly co-circular ties are broken by symbolically sinking each lifted
-point by an infinitesimal that shrinks with point index, which picks one
-diagonal of a co-circular quad deterministically. Degenerate inputs (fewer
-than 3 points, all collinear, duplicate points) fall back to the complete
-graph so downstream message passing always has edges to work with.
+other point. Every point triple is tested with the incircle determinant,
+taken in combination order and multiplied by the sign of the triple's
+orientation (swapping two vertices negates it exactly); exactly co-circular
+ties are broken by symbolically sinking each lifted point by an
+infinitesimal that shrinks with point index, which picks one diagonal of a
+co-circular quad deterministically. Degenerate inputs (fewer than 3 points,
+all collinear, duplicate points) fall back to the complete graph so
+downstream message passing always has edges to work with.
 """
 
 from __future__ import annotations
@@ -41,18 +43,22 @@ def _orient(a, b, c) -> float:
     return float((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
 
 
-def _complete_edges(m: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(m) for j in range(i + 1, m)]
+def _complete_edges(m: int) -> np.ndarray:
+    return np.transpose(np.triu_indices(m, 1))
 
 
-def _is_degenerate(points: np.ndarray) -> bool:
-    m = len(points)
-    if m < 3:
-        return True
-    if len({tuple(p) for p in points}) < m:  # exact duplicates
-        return True
-    a, b = points[0], points[1]
-    return all(abs(_orient(a, b, c)) <= 1e-12 for c in points[2:])  # all collinear
+_TRIPLES: dict[int, np.ndarray] = {}
+
+
+def _triples(m: int) -> np.ndarray:
+    """(3, T) index columns of combinations(range(m), 3), kept only up to m = 32 (1 MB)."""
+    trips = _TRIPLES.get(m)
+    if trips is None:
+        trips = np.array(list(itertools.combinations(range(m), 3)), dtype=np.intp).T.copy()
+        if m <= 32:
+            trips.setflags(write=False)  # shared by every later call
+            _TRIPLES[m] = trips
+    return trips
 
 
 def _tie_blocks(points, a: int, b: int, c: int, o: int) -> bool:
@@ -76,7 +82,7 @@ def _tie_blocks(points, a: int, b: int, c: int, o: int) -> bool:
     return False  # unreachable: orient(a, b, c) != 0 for a kept triple
 
 
-def _connected(m: int, edges: set[tuple[int, int]]) -> bool:
+def _connected(m: int, edges) -> bool:
     adj: dict[int, list[int]] = {i: [] for i in range(m)}
     for u, v in edges:
         adj[u].append(v)
@@ -91,8 +97,49 @@ def _connected(m: int, edges: set[tuple[int, int]]) -> bool:
     return len(seen) == m
 
 
+def _edges(points: np.ndarray) -> np.ndarray:
+    """Sorted (E, 2) array of the edges (u, v), u < v, that delaunay() lists."""
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError("points must be an m x 2 array")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
+    m = len(points)
+    if m < 3 or len(set(map(tuple, points.tolist()))) < m:  # too few, or exact duplicates
+        return _complete_edges(m)
+    d = points.T[:, :, None] - points.T[:, None, :]  # [k, i, o]: coordinate k of i - o
+    rel = np.concatenate([d, (d * d).sum(axis=0, keepdims=True)])  # x, y, squared length
+    trips = _triples(m)
+    # (T, m) operands: each point o relative to the vertices a, b, c of each triple
+    (ax, bx, cx), (ay, by, cy), (an, bn, cn) = np.take(rel, trips, axis=1)
+    area = bx * cy - by * cx
+    orient = area[np.arange(trips.shape[1]), trips[0]]  # twice the signed area of (a, b, c)
+    # the first m - 2 triples are (0, 1, c): all collinear when none leaves the line
+    if (np.abs(orient[: m - 2]) <= 1e-12).all():
+        return _complete_edges(m)
+    # the incircle determinant of the counter-clockwise triple: positive
+    # strictly inside, exactly zero on a member point or a co-circular tie.
+    # Collinear triples are never Delaunay triangles
+    det = ax * (by * cn - bn * cy) - ay * (bx * cn - bn * cx) + an * area
+    det = np.sign(orient)[:, None] * det
+    blocked = (det > 0.0).any(axis=1) | (orient == 0.0)
+    zero = det == 0.0
+    for r in np.flatnonzero((zero.sum(axis=1) > 3) & ~blocked).tolist():  # ties
+        a, b, c = trips[:, r].tolist()
+        if orient[r] < 0.0:
+            b, c = c, b
+        blocked[r] = any(_tie_blocks(points, a, b, c, o)
+                         for o in np.flatnonzero(zero[r]).tolist() if o not in (a, b, c))
+    kept, adj = trips[:, ~blocked], np.zeros((m, m), dtype=bool)
+    adj[kept[[0, 0, 1]], kept[[1, 2, 2]]] = True  # the edges (a, b), (a, c), (b, c)
+    edges = np.argwhere(adj)  # sorted
+    # only numerically perverse inputs strand a vertex; keep the graph connected
+    if not len(edges) or not _connected(m, edges.tolist()):
+        return _complete_edges(m)
+    return edges
+
+
 def delaunay(points) -> list[tuple[int, int]]:
-    """Edges of the Delaunay triangulation of 2-D points.
+    """Edges of the Delaunay triangulation of 2-D points, as sorted (u, v), u < v.
 
     For m >= 3 points in general position this is the standard Delaunay edge
     set (every triangle circumcircle empty of the remaining points), found by
@@ -101,55 +148,7 @@ def delaunay(points) -> list[tuple[int, int]]:
     m < 3, all points collinear, or duplicate points return the complete
     graph instead.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ValueError("points must be an m x 2 array")
-    if not np.all(np.isfinite(points)):
-        raise ValueError("points must be finite")
-    m = len(points)
-    if _is_degenerate(points):
-        return _complete_edges(m)
-
-    trips = np.asarray(list(itertools.combinations(range(m), 3)), dtype=np.intp)
-    av, bv, cv = (points[trips[:, i]] for i in range(3))
-    orient = (bv[:, 0] - av[:, 0]) * (cv[:, 1] - av[:, 1]) - (
-        bv[:, 1] - av[:, 1]
-    ) * (cv[:, 0] - av[:, 0])
-    # orient the triples counter-clockwise; exactly collinear triples are
-    # never Delaunay triangles and drop out. Some (0, 1, c) always stays: the
-    # degeneracy test found it off the line through points 0 and 1
-    ccw = trips.copy()
-    flip = orient < 0.0
-    ccw[flip, 1], ccw[flip, 2] = trips[flip, 2], trips[flip, 1]
-    ccw = ccw[orient != 0.0]
-
-    # incircle determinant of every (triple, other point) pair; positive
-    # means strictly inside, zero is the co-circular tie
-    rel_a, rel_b, rel_c = (points[ccw[:, i], None, :] - points[None, :, :] for i in range(3))
-    na, nb, nc = ((r * r).sum(axis=-1) for r in (rel_a, rel_b, rel_c))
-    det = (
-        rel_a[..., 0] * (rel_b[..., 1] * nc - nb * rel_c[..., 1])
-        - rel_a[..., 1] * (rel_b[..., 0] * nc - nb * rel_c[..., 0])
-        + na * (rel_b[..., 0] * rel_c[..., 1] - rel_b[..., 1] * rel_c[..., 0])
-    )
-    member = np.zeros((len(ccw), m), dtype=bool)
-    member[np.arange(len(ccw))[:, None], ccw] = True
-    blocked = ((det > 0.0) & ~member).any(axis=1)
-
-    tie_rows, tie_cols = np.nonzero((det == 0.0) & ~member & ~blocked[:, None])
-    for r, o in zip(tie_rows.tolist(), tie_cols.tolist()):
-        if not blocked[r] and _tie_blocks(
-            points, int(ccw[r, 0]), int(ccw[r, 1]), int(ccw[r, 2]), o
-        ):
-            blocked[r] = True
-
-    edges = {(min(u, v), max(u, v)) for triangle in ccw[~blocked].tolist()
-             for u, v in itertools.combinations(triangle, 2)}
-    # a stranded vertex or disconnected result can only come out of
-    # numerically perverse inputs; keep the connectivity guarantee
-    if not edges or not _connected(m, edges):
-        return _complete_edges(m)
-    return sorted(edges)
+    return list(map(tuple, _edges(np.asarray(points, dtype=np.float64)).tolist()))
 
 
 def pseudo_coords(points, arcs) -> np.ndarray:
@@ -164,20 +163,20 @@ def pseudo_coords(points, arcs) -> np.ndarray:
     if arcs.size == 0:
         return np.zeros((0, 2))
     offsets = points[arcs[:, 1]] - points[arcs[:, 0]]
-    lo, span = offsets.min(axis=0), np.ptp(offsets, axis=0)
-    flat = span <= 1e-12
-    return np.where(flat, 0.5, (offsets - lo) / np.where(flat, 1.0, span))
+    lo, hi = offsets.min(axis=0), offsets.max(axis=0)
+    flat = hi - lo <= 1e-12
+    return np.where(flat, 0.5, (offsets - lo) / np.where(flat, 1.0, hi - lo))
 
 
 def build_graph(points) -> KeypointGraph:
     """Delaunay arcs plus pseudo-coordinates, with self-loops at (0.5, 0.5)."""
     points = np.asarray(points, dtype=np.float64)
     m = len(points)
-    edges = np.asarray(delaunay(points), dtype=np.intp).reshape(-1, 2)
-    arcs = np.stack([edges, edges[:, ::-1]], axis=1).reshape(-1, 2)  # (u, v) then (v, u)
-    loops = np.repeat(np.arange(m), 2).reshape(-1, 2)
+    edges = _edges(points)
+    arcs = np.concatenate([edges, edges[:, ::-1]], axis=1).reshape(-1, 2)  # (u, v), (v, u)
+    loops = np.arange(m).repeat(2).reshape(-1, 2)
     return KeypointGraph(m, np.concatenate([arcs, loops]),
-                         np.vstack([pseudo_coords(points, arcs), np.full((m, 2), 0.5)]))
+                         np.concatenate([pseudo_coords(points, arcs), np.full((m, 2), 0.5)]))
 
 
 def batch_graphs(graphs) -> KeypointGraph:

@@ -89,9 +89,7 @@ def info_nce(f1, f2, truth, tau_raw: float, mode: str = "inclusive"):
     S = C / tau
 
     loss12, dS12 = _nce_direction(S, truth, mode)
-    inverse = np.empty(m, dtype=np.intp)
-    inverse[truth] = np.arange(m)
-    loss21, dS21 = _nce_direction(S.T, inverse, mode)
+    loss21, dS21 = _nce_direction(S.T, np.argsort(truth), mode)  # the inverse permutation
 
     scale = 1.0 / (2 * m)
     loss = (loss12 + loss21) * scale
@@ -122,10 +120,8 @@ def hyperspherical(f):
     if m < 2:
         return 0.0, (f, None)
     G = f @ f.T
-    np.fill_diagonal(G, -np.inf)
-    arg = G.argmax(axis=1)
-    loss = float(G[np.arange(m), arg].sum())
-    return loss, (f, arg)
+    G.flat[:: m + 1] = -np.inf  # the diagonal
+    return float(G.max(axis=1).sum()), (f, G.argmax(axis=1))
 
 
 def hyperspherical_backward(cache, g_loss: float = 1.0):

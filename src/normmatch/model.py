@@ -15,7 +15,7 @@ from .config import TrainConfig
 from .data import PairSample
 from .decoder import FeatureSequence, decode, decode_backward, init_decoder_params
 from .features import extract_keypoint_features, global_token, global_token_backward
-from .geometry import batch_graphs, build_graph
+from .geometry import build_graph
 from .losses import LossReport, total_loss, total_loss_backward
 from .matching import Matching, TransportPlan, affinity, decode_matching, sinkhorn_log
 from .params import ParameterStore
@@ -63,11 +63,11 @@ class MatchingModel:
                             np.array([b.pooled for b in outs]))
 
     def forward_pair(self, pair: PairSample):
-        """Decoder outputs (f1, f2, snapshots) of one pair, a batch of one, as (m, d) rows."""
+        """Decoder outputs of one pair, a batch of one: (m, d) rows, snapshots (2, m, d)."""
         f1, f2, snapshots, _, _ = self._forward([self.prepare(pair)])
         return (FeatureSequence(f1.tokens[0], f1.global_token[0]),
                 FeatureSequence(f2.tokens[0], f2.global_token[0]),
-                [(t1[0], t2[0]) for t1, t2 in snapshots])
+                [s[:, 0] for s in snapshots])
 
     def _forward(self, prepared):
         """Decoder outputs (f1, f2, snapshots), rows per image and caches of prepared pairs.
@@ -77,8 +77,7 @@ class MatchingModel:
         """
         globs, glob_cache = global_token(np.concatenate([p.pooled for p in prepared]), self.store)
         feats = [f for p in prepared for f in p.features]
-        graph = batch_graphs([g for p in prepared for g in p.graphs])
-        tokens, gnn_cache = gnn_refine(np.concatenate(feats), graph, self.store)
+        tokens, gnn_cache = gnn_refine(feats, [g for p in prepared for g in p.graphs], self.store)
         lengths = [len(f) for f in feats]
         shape = (len(prepared), 2, max(lengths), tokens.shape[1])
         if min(lengths) == shape[2]:
@@ -105,8 +104,8 @@ class MatchingModel:
         f1, f2, snapshots, lengths, caches = self._forward(prepared)
         valid, glob_cache, gnn_cache, dec_caches = caches
         cfg, store = self.config, self.store
-        outs = [(f1.tokens, f2.tokens)] + snapshots  # final tokens, then per layer
-        grads = [(np.zeros_like(t1), np.zeros_like(t2)) for t1, t2 in outs]
+        # gradients of the final tokens, then of each layer's snapshot: (1 + L, 2, B, n, d)
+        grads = np.zeros((1 + len(snapshots), 2) + f1.tokens.shape)
         reports = []
         for i, (prep, m1, m2) in enumerate(zip(prepared, lengths[::2], lengths[1::2])):
             report, loss_cache = total_loss(
@@ -116,17 +115,15 @@ class MatchingModel:
             )
             g_f1, g_f2, snapshot_grads, g_tau = total_loss_backward(loss_cache)
             store.add_grad("loss.tau_raw", g_tau)
-            for (g1, g2), (p1, p2) in zip(grads, [(g_f1, g_f2)] + snapshot_grads):
-                g1[i, :m1], g2[i, :m2] = p1, p2
+            for g, (p1, p2) in zip(grads, [(g_f1, g_f2)] + snapshot_grads):
+                g[0, i, :m1], g[1, i, :m2] = p1, p2
             reports.append(report)
-        (g_f1, g_f2), *snapshot_grads = grads
-        g_t1, g_g1, g_t2, g_g2 = decode_backward(
-            dec_caches, store, g_f1, np.zeros_like(f1.global_token), g_f2,
-            np.zeros_like(f2.global_token), snapshot_grads,
-        )
-        g_globs = np.stack([g_g1, g_g2], axis=1)  # (B, 2, d): the order of the pooled rows
-        global_token_backward(glob_cache, g_globs.reshape(-1, cfg.d_model), store)
-        g_rows = np.stack([g_t1, g_t2], axis=1).reshape(-1, cfg.d_model)  # image order
+        g_glob = np.zeros_like(f1.global_token)
+        g_t1, g_g1, g_t2, g_g2 = decode_backward(dec_caches, store, grads[0, 0], g_glob,
+                                                 grads[0, 1], g_glob, grads[1:])
+        # (B, 2, ...) rows: the order of the pooled means and of the GNN's images
+        global_token_backward(glob_cache, np.stack([g_g1, g_g2], 1).reshape(-1, cfg.d_model), store)
+        g_rows = np.stack([g_t1, g_t2], axis=1).reshape(-1, cfg.d_model)
         gnn_refine_backward(gnn_cache, g_rows if valid is None else g_rows[valid.ravel()], store)
         return reports
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import batch_graphs
 from .ops import normalize_rows, normalize_rows_backward
 
 __all__ = [
@@ -165,12 +166,14 @@ def init_gnn_params(store, rng, in_dim: int, d_model: int, kernel_size: int):
     store.register("gnn.b2", np.zeros(d_model))
 
 
-def gnn_refine(features, graph, store):
+def gnn_refine(features, graphs, store):
     """Two spline convolutions (ReLU after the first only), then unit rows.
 
-    Returns (tokens, cache) with tokens of shape (m, d_model), each row on
-    the unit sphere ready for the decoder.
+    Both run once on the disjoint union of the graphs, one per (m_i, in_dim)
+    array of features. Returns (tokens, cache) with tokens of shape
+    (sum m_i, d_model), each row on the unit sphere ready for the decoder.
     """
+    graph, features = batch_graphs(graphs), np.concatenate(features)
     w1 = store.value("gnn.w1")
     plan = spline_plan(graph, round(len(w1) ** 0.5))
     h1, c1 = spline_conv_forward(

@@ -4,6 +4,8 @@ None of these run in the library; each one is the plain, loop-by-loop form
 of a computation whose array form lives in ``src/normmatch``.
 """
 
+import itertools
+
 import numpy as np
 
 from normmatch import decoder, splineconv
@@ -217,28 +219,31 @@ def _lengths(seq):
 
 
 def loop_decode(f1, f2, store, layers: int, heads: int):
-    """``decoder.decode`` run once per pair on its unpadded rows.
+    """``decoder.decode`` run once per pair, on its rows up to its longer stream's.
 
-    Oracle for ``decode`` on padded (B, n, d) batches. Returns (o1, o2,
-    snapshots, per-pair caches): o1/o2 and the snapshots are padded back
-    with zero rows, like the batched outputs.
+    Oracle for ``decode`` on padded (B, n, d) batches; a pair whose streams
+    differ in length is a batch of one with the shorter stream's rows masked.
+    Returns (o1, o2, snapshots, per-pair caches): o1/o2 and the snapshots
+    are padded back with zero rows, like the batched outputs.
     """
     o1 = decoder.FeatureSequence(np.zeros_like(f1.tokens), np.zeros_like(f1.global_token))
     o2 = decoder.FeatureSequence(np.zeros_like(f2.tokens), np.zeros_like(f2.global_token))
     snapshots = [(np.zeros_like(f1.tokens), np.zeros_like(f2.tokens)) for _ in range(layers)]
     caches = []
     for i, (m1, m2) in enumerate(zip(_lengths(f1), _lengths(f2))):
+        n = max(m1, m2)
         p1, p2, snaps, c = decoder.decode(
-            decoder.FeatureSequence(f1.tokens[i, :m1], f1.global_token[i]),
-            decoder.FeatureSequence(f2.tokens[i, :m2], f2.global_token[i]),
+            *(decoder.FeatureSequence(f.tokens[i, :n], f.global_token[i],
+                                      None if m == n else np.arange(n) >= m)
+              for f, m in ((f1, m1), (f2, m2))),
             store, layers, heads,
         )
         for out, part in ((o1, p1), (o2, p2)):
-            out.tokens[i, :len(part.tokens)] = part.tokens
+            out.tokens[i, :n] = part.tokens
             out.global_token[i] = part.global_token
         for (s1, s2), (q1, q2) in zip(snapshots, snaps):
-            s1[i, :m1], s2[i, :m2] = q1, q2
-        caches.append((m1, m2, c))
+            s1[i, :n], s2[i, :n] = q1, q2
+        caches.append((n, c))
     return o1, o2, snapshots, caches
 
 
@@ -249,11 +254,126 @@ def loop_decode_backward(caches, store, g_t1, g_g1, g_t2, g_g2, snapshot_grads):
     gradients come back padded with zero rows.
     """
     outs = [np.zeros_like(g_t1), np.zeros_like(g_g1), np.zeros_like(g_t2), np.zeros_like(g_g2)]
-    for i, (m1, m2, c) in enumerate(caches):
+    for i, (n, c) in enumerate(caches):
         grads = decoder.decode_backward(
-            c, store, g_t1[i, :m1], g_g1[i], g_t2[i, :m2], g_g2[i],
-            [(s1[i, :m1], s2[i, :m2]) for s1, s2 in snapshot_grads],
+            c, store, g_t1[i, :n], g_g1[i], g_t2[i, :n], g_g2[i],
+            [(s1[i, :n], s2[i, :n]) for s1, s2 in snapshot_grads],
         )
-        for out, rows, g in zip(outs, (slice(m1), (), slice(m2), ()), grads):
+        for out, rows, g in zip(outs, (slice(n), (), slice(n), ()), grads):
             out[i][rows] = g
     return tuple(outs)
+
+def _orient(a, b, c) -> float:
+    """Twice the signed area of triangle (a, b, c); positive when counter-clockwise."""
+    return float((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+
+
+def _complete_edges(m: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(m) for j in range(i + 1, m)]
+
+
+def _is_degenerate(points: np.ndarray) -> bool:
+    m = len(points)
+    if m < 3:
+        return True
+    if len({tuple(p) for p in points}) < m:  # exact duplicates
+        return True
+    a, b = points[0], points[1]
+    return all(abs(_orient(a, b, c)) <= 1e-12 for c in points[2:])  # all collinear
+
+
+def _tie_blocks(points, a: int, b: int, c: int, o: int) -> bool:
+    contrib = {
+        a: -_orient(points[b], points[c], points[o]),
+        b: _orient(points[a], points[c], points[o]),
+        c: -_orient(points[a], points[b], points[o]),
+        o: _orient(points[a], points[b], points[c]),
+    }
+    for idx in sorted(contrib):
+        if contrib[idx] != 0.0:
+            return contrib[idx] > 0.0
+    return False
+
+
+def _connected(m: int, edges: set[tuple[int, int]]) -> bool:
+    adj: dict[int, list[int]] = {i: [] for i in range(m)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == m
+
+
+def triple_test_delaunay(points) -> list[tuple[int, int]]:
+    """Delaunay edges from counter-clockwise copies of the triples, a
+    member mask and a per-point degeneracy loop. Oracle for
+    ``geometry.delaunay``/``geometry.build_graph``, which must give the
+    same edges bit for bit, fallbacks and co-circular ties included.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError("points must be an m x 2 array")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points must be finite")
+    m = len(points)
+    if _is_degenerate(points):
+        return _complete_edges(m)
+
+    trips = np.asarray(list(itertools.combinations(range(m), 3)), dtype=np.intp)
+    av, bv, cv = (points[trips[:, i]] for i in range(3))
+    orient = (bv[:, 0] - av[:, 0]) * (cv[:, 1] - av[:, 1]) - (
+        bv[:, 1] - av[:, 1]
+    ) * (cv[:, 0] - av[:, 0])
+    ccw = trips.copy()
+    flip = orient < 0.0
+    ccw[flip, 1], ccw[flip, 2] = trips[flip, 2], trips[flip, 1]
+    ccw = ccw[orient != 0.0]
+
+    rel_a, rel_b, rel_c = (points[ccw[:, i], None, :] - points[None, :, :] for i in range(3))
+    na, nb, nc = ((r * r).sum(axis=-1) for r in (rel_a, rel_b, rel_c))
+    det = (
+        rel_a[..., 0] * (rel_b[..., 1] * nc - nb * rel_c[..., 1])
+        - rel_a[..., 1] * (rel_b[..., 0] * nc - nb * rel_c[..., 0])
+        + na * (rel_b[..., 0] * rel_c[..., 1] - rel_b[..., 1] * rel_c[..., 0])
+    )
+    member = np.zeros((len(ccw), m), dtype=bool)
+    member[np.arange(len(ccw))[:, None], ccw] = True
+    blocked = ((det > 0.0) & ~member).any(axis=1)
+
+    tie_rows, tie_cols = np.nonzero((det == 0.0) & ~member & ~blocked[:, None])
+    for r, o in zip(tie_rows.tolist(), tie_cols.tolist()):
+        if not blocked[r] and _tie_blocks(
+            points, int(ccw[r, 0]), int(ccw[r, 1]), int(ccw[r, 2]), o
+        ):
+            blocked[r] = True
+
+    edges = {(min(u, v), max(u, v)) for triangle in ccw[~blocked].tolist()
+             for u, v in itertools.combinations(triangle, 2)}
+    if not edges or not _connected(m, edges):
+        return _complete_edges(m)
+    return sorted(edges)
+
+
+def triple_test_build_graph(points):
+    """(edges, arcs, pseudo): the :func:`triple_test_delaunay` edges and the
+    arcs and pseudo-coordinates ``geometry.build_graph`` makes of them, with
+    the pseudo-coordinates rescaled through ``np.ptp``."""
+    points = np.asarray(points, dtype=np.float64)
+    m = len(points)
+    edge_list = triple_test_delaunay(points)
+    edges = np.asarray(edge_list, dtype=np.intp).reshape(-1, 2)
+    arcs = np.stack([edges, edges[:, ::-1]], axis=1).reshape(-1, 2)
+    pseudo = np.zeros((0, 2))
+    if len(arcs):
+        offsets = points[arcs[:, 1]] - points[arcs[:, 0]]
+        lo, span = offsets.min(axis=0), np.ptp(offsets, axis=0)
+        flat = span <= 1e-12
+        pseudo = np.where(flat, 0.5, (offsets - lo) / np.where(flat, 1.0, span))
+    loops = np.repeat(np.arange(m), 2).reshape(-1, 2)
+    return edge_list, np.concatenate([arcs, loops]), np.vstack([pseudo, np.full((m, 2), 0.5)])

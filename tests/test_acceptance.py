@@ -72,7 +72,7 @@ def test_criterion_1_unit_norm_suite():
 
         keypoints = rng.uniform(3.0, 29.0, size=(m, 2))
         graph = build_graph(keypoints)
-        tokens, _ = gnn_refine(rng.standard_normal((m, 8)), graph, store)
+        tokens, _ = gnn_refine([rng.standard_normal((m, 8))], [graph], store)
         worst = max(worst, _norm_dev(tokens))
 
         seq = FeatureSequence(tokens, _unit_rows(rng, 1, d)[0])
@@ -138,7 +138,7 @@ def test_criterion_2_gradient_suite():
         truth = rng.permutation(m)
 
         def fwd_gnn(store):
-            out, cache = gnn_refine(feats, graph, store)
+            out, cache = gnn_refine([feats], [graph], store)
             gnn_refine_backward(cache, w_gnn, store)
             return float(np.sum(out * w_gnn))
 

@@ -102,3 +102,24 @@ def test_training_preparation_stays_traced(tracer_module):
     assert t.calls["features.render"] == 2
     assert t.calls["geometry.build_graph"] == t.calls["features.sample"] == 4
     assert t.calls["train.adam"] == 2
+
+
+def test_complete_graph_fallbacks_and_arcs_counted(tracer_module):
+    # a collinear image and an image with a duplicate point each take the
+    # complete-graph fallback once; geometry.arcs sums every graph built
+    config = TrainConfig()
+    data = DataConfig(m_min=6, m_max=6)
+    collinear, duplicate = (generate_pair(data, class_id=i, seed=20 + i,
+                                          latent_dim=config.gnn_input_dim) for i in range(2))
+    collinear.keypoints1[:] = np.linspace((4.0, 6.0), (28.0, 22.0), 6)
+    duplicate.keypoints2[3] = duplicate.keypoints2[0]
+    model = MatchingModel(config)
+    graphs = [model.prepare(pair).graphs for pair in (collinear, duplicate)]
+    complete = 6 * 5 + 6  # both directions of 15 edges, plus the loops
+    assert len(graphs[0][0].arcs) == len(graphs[1][1].arcs) == complete
+    with tracer_module.Tracer() as t:
+        for pair in (collinear, duplicate):
+            model.match_pair(pair)
+    assert t.absent == []
+    assert t.counts["geometry.complete_fallbacks"] == 2
+    assert t.counts["geometry.arcs"] == sum(len(g.arcs) for pair in graphs for g in pair)

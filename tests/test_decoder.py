@@ -256,7 +256,7 @@ class TestDecode:
         store = _make_store(d, layers)
         _set_alphas(store, layers, 0.0)
         uniform = np.full(d, 1.0 / np.sqrt(d))
-        f1 = FeatureSequence(_unit_rows(rng, 4, d), uniform.copy())
+        f1 = FeatureSequence(_unit_rows(rng, 6, d), uniform.copy())
         f2 = FeatureSequence(_unit_rows(rng, 6, d), uniform.copy())
         o1, o2, _, _ = decode(f1, f2, store, layers, heads=4)
         np.testing.assert_allclose(o1.tokens, f1.tokens, atol=1e-9)
@@ -266,7 +266,7 @@ class TestDecode:
     def test_outputs_unit_norm(self):
         rng = np.random.default_rng(2)
         store = _make_store(16, 2)
-        f1, f2 = _seq(rng, 5, 16), _seq(rng, 7, 16)
+        f1, f2 = _seq(rng, 7, 16), _seq(rng, 7, 16)
         o1, o2, snapshots, _ = decode(f1, f2, store, 2, heads=4)
         for seq in (o1, o2):
             np.testing.assert_allclose(np.linalg.norm(seq.tokens, axis=1), 1.0, atol=1e-6)
@@ -278,7 +278,7 @@ class TestDecode:
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)
         store = _make_store(8, 2)
-        f1, f2 = _seq(rng, 6, 8), _seq(rng, 4, 8)
+        f1, f2 = _seq(rng, 6, 8), _seq(rng, 6, 8)
         o1, o2, _, _ = decode(_copy(f1), _copy(f2), store, 2, heads=2)
 
         perm = rng.permutation(6)
@@ -286,6 +286,13 @@ class TestDecode:
         p1, p2, _, _ = decode(f1_perm, _copy(f2), store, 2, heads=2)
         np.testing.assert_allclose(p1.tokens, o1.tokens[perm], atol=1e-12)
         np.testing.assert_allclose(p2.tokens, o2.tokens, atol=1e-12)
+
+    def test_streams_of_different_shapes_rejected(self):
+        # both streams run stacked; a shorter one is padded and masked
+        store = _make_store(8, 1)
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="one token shape"):
+            decode(_seq(rng, 4, 8), _seq(rng, 6, 8), store, 1, heads=2)
 
     def test_swapping_streams_swaps_outputs_when_cross_step_zero(self):
         # the f2 stream cross-attends to the already-updated f1 stream, so
@@ -343,10 +350,11 @@ class TestDecode:
         assert all_passed(reports), "\n".join(str(r) for r in reports if not r.passed)
 
 
-def _padded(rng, lengths, d):
-    """Unit-norm tokens of len(lengths) images, zero-padded to a (B, n_max, d) batch."""
+def _padded(rng, lengths, d, n=None):
+    """Unit-norm tokens of len(lengths) images, zero-padded to a (B, n, d) batch;
+    n defaults to the longest."""
     lengths = np.asarray(lengths)
-    pad = np.arange(lengths.max()) >= lengths[:, None]
+    pad = np.arange(n or lengths.max()) >= lengths[:, None]
     tokens = _unit_rows(rng, pad.size, d).reshape(pad.shape + (d,))
     tokens[pad] = 0.0
     return FeatureSequence(tokens, _unit_rows(rng, len(lengths), d), pad if pad.any() else None)
@@ -388,8 +396,9 @@ class TestBatchedDecode:
     ])
     def test_matches_per_pair_loop(self, lengths1, lengths2):
         rng = np.random.default_rng(len(lengths1) * 10 + lengths1[-1])
-        f1 = _padded(rng, lengths1, self.D)
-        f2 = _padded(rng, lengths2, self.D)
+        n = max(lengths1 + lengths2)  # both streams share one shape
+        f1 = _padded(rng, lengths1, self.D, n)
+        f2 = _padded(rng, lengths2, self.D, n)
         probes = [_probe(rng, f1), rng.standard_normal(f1.global_token.shape),
                   _probe(rng, f2), rng.standard_normal(f2.global_token.shape)]
         snap_grads = [(_probe(rng, f1), _probe(rng, f2)) for _ in range(self.LAYERS)]

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -350,6 +351,47 @@ class TestFeatureFile:
             path.write_bytes(broken)
             with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
                 read_feature_file(path)
+
+    # header layout: magic, then <IIIII version h w c_last c_second, then <f stride
+    @pytest.mark.parametrize("field,offset,fmt,value", [
+        ("stride", 24, "<f", 0.0),
+        ("stride", 24, "<f", -2.0),
+        ("stride", 24, "<f", float("inf")),
+        ("stride", 24, "<f", float("nan")),
+        ("h", 8, "<I", 0),
+        ("w", 12, "<I", 0),
+        ("c_last", 16, "<I", 0),
+        ("c_second", 20, "<I", 0),
+    ])
+    def test_hostile_header_field_rejected_with_path(self, tmp_path, field, offset, fmt, value):
+        path = tmp_path / "pair.nmtf"
+        write_feature_file(path, _random_backbone(np.random.default_rng(19), h=2, w=3))
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(fmt, raw, offset, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: '{field}' must be positive")):
+            read_feature_file(path)
+
+    def test_oversized_header_rejected_before_any_read(self, tmp_path):
+        # h * w * c of 2**31 each would size a read past any index; the
+        # payload is checked against the file first
+        path = tmp_path / "pair.nmtf"
+        write_feature_file(path, _random_backbone(np.random.default_rng(20), h=2, w=2))
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<III", raw, 8, 2**31, 2**31, 2**31)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated feature-map file")):
+            read_feature_file(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_grid_rejected_with_path(self, tmp_path, bad):
+        bb = _random_backbone(np.random.default_rng(21), h=2, w=2)
+        bb.second_last.grid[1, 0, 1] = bad
+        path = tmp_path / "pair.nmtf"
+        write_feature_file(path, bb)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: 'second_last' grid values must be finite")):
+            read_feature_file(path)
 
     def test_mismatched_maps_rejected_on_write(self, tmp_path):
         last = _map(np.zeros((3, 3, 2)))

@@ -1,9 +1,12 @@
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import triple_test_build_graph
 
+from normmatch import geometry
 from normmatch.geometry import batch_graphs, build_graph, delaunay, pseudo_coords
 
 
@@ -223,3 +226,46 @@ class TestBatchGraphs:
         assert union.num_nodes == graph.num_nodes
         np.testing.assert_array_equal(union.arcs, graph.arcs)
         np.testing.assert_array_equal(union.pseudo, graph.pseudo)
+
+
+def _point_sets(rng, count):
+    """count point sets, m from 1 to 20, cycling through six kinds: uniform,
+    integer-rounded, on a 4-px grid (co-circular ties), collinear, with a
+    duplicate point, and on an 8-px grid with +-1e-13 jitter."""
+    for i in range(count):
+        m = int(rng.integers(1, 21))
+        kind = i % 6
+        if kind == 3:
+            step = rng.uniform(0.0, 1.0, m)[:, None] * rng.uniform(-1.0, 1.0, 2)
+            yield rng.uniform(0.0, 32.0, 2) + step
+            continue
+        points = rng.uniform(0.0, 32.0, (m, 2))
+        if kind == 1:
+            points = np.round(points)
+        elif kind == 2:
+            points = np.round(points / 4.0) * 4.0
+        elif kind == 4:
+            points[rng.integers(m)] = points[rng.integers(m)]
+        elif kind == 5:
+            points = np.round(points / 8.0) * 8.0 + rng.choice([-1e-13, 0.0, 1e-13], (m, 2))
+        yield points
+
+
+class TestAgainstTripleTestOracle:
+    """The combination-order determinant gives the oracle's graphs byte for byte."""
+
+    @pytest.mark.parametrize("scale,count", [(1.0, 6000), (1e-6, 1200), (1e6, 1200)])
+    def test_arcs_and_pseudo_bytes_match(self, monkeypatch, scale, count):
+        ties = []
+        tie_blocks = geometry._tie_blocks
+        monkeypatch.setattr(geometry, "_tie_blocks", lambda *a: ties.append(a) or tie_blocks(*a))
+        fallbacks = 0
+        for points in _point_sets(np.random.default_rng(123), count):
+            points = points * scale
+            edges, arcs, pseudo = triple_test_build_graph(points)
+            graph = build_graph(points)
+            assert graph.arcs.dtype == arcs.dtype and graph.arcs.tobytes() == arcs.tobytes()
+            assert graph.pseudo.tobytes() == pseudo.tobytes(), points.tolist()
+            fallbacks += len(edges) == len(points) * (len(points) - 1) // 2
+        # the mix reaches the tie resolution and the complete-graph fallback
+        assert ties and fallbacks > count // 6

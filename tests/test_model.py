@@ -1,13 +1,15 @@
-"""Properties of the whole model on degenerate keypoint clouds."""
+"""Properties of the whole model: degenerate keypoint clouds, and
+permutation equivariance of the whole pipeline."""
 
+import dataclasses
 import functools
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normmatch.config import TrainConfig
-from normmatch.data import IMAGE_SIZE, PairSample
+from normmatch.config import DataConfig, TrainConfig
+from normmatch.data import IMAGE_SIZE, PairSample, generate_pair
 from normmatch.model import MatchingModel
 
 LATENT_DIM = 8
@@ -69,3 +71,48 @@ def test_match_pair_on_degenerate_clouds(kind, m, seed):
     assert matching.assignment.shape == (m,)
     assert np.all((0 <= matching.assignment) & (matching.assignment < m))
     assert matching.injective == (len(set(matching.assignment.tolist())) == m)
+
+
+def _permuted_image2(pair, rng):
+    """The pair with image 2's keypoints in another order and the truth relabelled;
+    returns (pair, perm) where new row j of image 2 is old row perm[j]."""
+    perm = rng.permutation(pair.m)
+    inverse = np.argsort(perm)
+    return dataclasses.replace(pair, keypoints2=pair.keypoints2[perm],
+                               truth=inverse[pair.truth]), perm
+
+
+class TestPipelinePermutationEquivariance:
+    """Reordering image 2's keypoints reorders everything downstream of it.
+
+    Generated keypoints are jittered, so no Delaunay tie depends on point
+    order; the rendered maps sum the splats in another order, so the checks
+    allow 1e-12.
+    """
+
+    def test_match_pair_assignment_and_plan_columns_follow(self):
+        config = TrainConfig()
+        model = MatchingModel(config)
+        rng = np.random.default_rng(7)
+        for seed in range(12):
+            pair = generate_pair(DataConfig(), class_id=seed % 5, seed=seed,
+                                 latent_dim=config.gnn_input_dim)
+            moved, perm = _permuted_image2(pair, rng)
+            matching, plan, C = model.match_pair(pair)
+            got, got_plan, got_C = model.match_pair(moved)
+            np.testing.assert_array_equal(perm[got.assignment], matching.assignment)
+            np.testing.assert_allclose(got_plan.values, plan.values[:, perm], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got_C, C[:, perm], rtol=0, atol=1e-12)
+
+    def test_padded_minibatch_loss_reports_follow(self):
+        config = TrainConfig()
+        model = MatchingModel(config)
+        rng = np.random.default_rng(8)
+        pairs = [generate_pair(DataConfig(m_min=5, m_max=10), class_id=i, seed=100 + i,
+                               latent_dim=config.gnn_input_dim) for i in range(4)]
+        assert len({p.m for p in pairs}) > 1  # the minibatch is padded
+        reports = model.loss_and_grads([model.prepare(p) for p in pairs])
+        moved = [_permuted_image2(p, rng)[0] for p in pairs]
+        for got, want in zip(model.loss_and_grads([model.prepare(p) for p in moved]), reports):
+            for field in ("infonce", "hyperspherical_final", "hyperspherical_layers"):
+                assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, field

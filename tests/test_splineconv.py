@@ -415,19 +415,19 @@ class TestGnnRefine:
 
     def test_shapes_and_unit_rows(self):
         store, graph, feats = self._setup()
-        out, _ = gnn_refine(feats, graph, store)
+        out, _ = gnn_refine([feats], [graph], store)
         assert out.shape == (5, 16)
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-6)
 
     def test_width_mismatch_raises(self):
         store, graph, feats = self._setup()
         with pytest.raises(ValueError, match="width"):
-            gnn_refine(feats[:, :-1], graph, store)
+            gnn_refine([feats[:, :-1]], [graph], store)
 
     def test_permutation_equivariance(self):
         store, graph, feats = self._setup(m=7)
         rng = np.random.default_rng(9)
-        out1, _ = gnn_refine(feats, graph, store)
+        out1, _ = gnn_refine([feats], [graph], store)
 
         perm = rng.permutation(7)
         reorder = rng.permutation(len(graph.arcs))
@@ -438,7 +438,7 @@ class TestGnnRefine:
         )
         feats_perm = np.empty_like(feats)
         feats_perm[perm] = feats
-        out2, _ = gnn_refine(feats_perm, relabeled, store)
+        out2, _ = gnn_refine([feats_perm], [relabeled], store)
         np.testing.assert_allclose(out2[perm], out1, atol=1e-12)
 
     def test_parameter_gradients_pass_check(self):
@@ -447,7 +447,7 @@ class TestGnnRefine:
         probe = rng.standard_normal((4, 8))
 
         def forward(params):
-            out, cache = gnn_refine(feats, graph, params)
+            out, cache = gnn_refine([feats], [graph], params)
             gnn_refine_backward(cache, probe, params)
             return float((out * probe).sum())
 
@@ -461,7 +461,7 @@ class TestGnnRefine:
         store, graph, feats = self._setup(m=4, in_dim=6, d_model=8, kernel_size=3, seed=1)
         rng = np.random.default_rng(4)
         probe = rng.standard_normal((4, 8))
-        _, cache = gnn_refine(feats, graph, store)
+        _, cache = gnn_refine([feats], [graph], store)
         assert gnn_refine_backward(cache, probe, store) is None
         g_h1 = _second_layer_input_grad(cache, probe)
         h1, plan = cache[1][0].copy(), cache[1][3]
@@ -494,7 +494,7 @@ def _second_layer_input_grad(cache, g_out):
 
 
 class TestDisjointUnion:
-    """One GNN call on a batch_graphs union against one call per member."""
+    """One GNN call on the union of several graphs against one call per member."""
 
     def _members(self, in_dim=12):
         rng = np.random.default_rng(11)
@@ -514,17 +514,17 @@ class TestDisjointUnion:
 
     def test_forward_matches_per_graph_outputs(self):
         store, graphs, feats, _ = self._members()
-        union_out, _ = gnn_refine(np.vstack(feats), batch_graphs(graphs), store)
+        union_out, _ = gnn_refine(feats, graphs, store)
         splits = np.cumsum([len(f) for f in feats])[:-1]
         for got, graph, f in zip(np.split(union_out, splits), graphs, feats):
-            expected, _ = gnn_refine(f, graph, store)
+            expected, _ = gnn_refine([f], [graph], store)
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_backward_matches_per_graph_sums(self):
         store, graphs, feats, probes = self._members()
         names = store.trainable_names()
         store.zero_grads()
-        _, cache = gnn_refine(np.vstack(feats), batch_graphs(graphs), store)
+        _, cache = gnn_refine(feats, graphs, store)
         gnn_refine_backward(cache, np.vstack(probes), store)
         g_union = _second_layer_input_grad(cache, np.vstack(probes))
         union_grads = {n: store.grad(n).copy() for n in names}
@@ -532,7 +532,7 @@ class TestDisjointUnion:
         store.zero_grads()
         g_members = []
         for graph, f, probe in zip(graphs, feats, probes):
-            _, cache = gnn_refine(f, graph, store)
+            _, cache = gnn_refine([f], [graph], store)
             gnn_refine_backward(cache, probe, store)
             g_members.append(_second_layer_input_grad(cache, probe))
         for name in names:
