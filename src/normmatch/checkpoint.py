@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import zipfile
 
 import numpy as np
 from numpy.lib.format import read_array, write_array
 
+from .atomic import atomic_write
 from .config import config_to_text, parse_config_text
 from .model import MatchingModel
 from .train import Adam
@@ -49,22 +49,10 @@ def save_checkpoint(path, model: MatchingModel, optimizer: Adam | None = None,
         "history": history or [],
         "opt_t": int(optimizer.t) if optimizer is not None else None,
     }
-    # write a temporary file beside the target and rename it over the
-    # target, so a failed save leaves the previous checkpoint intact
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    fh = open(tmp, "wb")
-    try:
-        with fh:
-            with zipfile.ZipFile(fh, "w") as archive:
-                for name, arr in _members(model, optimizer, meta):
-                    with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
-                        write_array(member, arr, allow_pickle=False)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with atomic_write(path, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
+        for name, arr in _members(model, optimizer, meta):
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                write_array(member, arr, allow_pickle=False)
 
 
 def load_checkpoint(path):

@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from .atomic import atomic_write
 from .checkpoint import model_from_checkpoint, save_checkpoint
 from .config import DataConfig, TrainConfig, parse_config_file
 from .data import generate_dataset, read_dataset, write_dataset
@@ -48,10 +49,10 @@ def _cmd_train(args) -> int:
     )
     ckpt_path = os.path.join(args.out, "checkpoint.nmtc")
     save_checkpoint(ckpt_path, model, optimizer, epoch=len(history), history=history)
-    with open(os.path.join(args.out, "history.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(args.out, "history.json"), "w") as fh:
         json.dump({"history": history, "aborted": aborted}, fh, indent=2)
     # plot-friendly flat table of the per-epoch curves
-    with open(os.path.join(args.out, "history.csv"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(args.out, "history.csv"), "w") as fh:
         fh.write("epoch,lr,train_loss,val_accuracy\n")
         for row in history:
             va = "" if row["val_accuracy"] is None else f"{row['val_accuracy']:.6f}"
@@ -72,7 +73,7 @@ def _cmd_eval(args) -> int:
     result = evaluate(model, pairs)
     print(format_accuracy_table(result))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+        with atomic_write(args.json, "w") as fh:
             json.dump(result, fh, indent=2)
     return 0
 

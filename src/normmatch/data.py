@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .config import DataConfig
 from .features import BackboneOutput, read_feature_file, synthetic_backbone
 
@@ -203,6 +204,8 @@ def _feature_file(record: dict, key: str, base_dir: str) -> str:
 
 def record_to_pair(record: dict, base_dir: str = "") -> PairSample:
     """Checks every field; relative feature-file paths resolve against base_dir."""
+    if not isinstance(record, dict):
+        raise ValueError(f"pair record must be a JSON object, got {type(record).__name__}")
     required = ["image1", "image2", "class_id", "keypoints1", "keypoints2", "truth"]
     for key in required:
         if key not in record:
@@ -250,7 +253,7 @@ def record_to_pair(record: dict, base_dir: str = "") -> PairSample:
 
 
 def write_dataset(path, pairs) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w") as fh:
         for pair in pairs:
             fh.write(json.dumps(pair_to_record(pair)) + "\n")
 
@@ -258,14 +261,14 @@ def write_dataset(path, pairs) -> None:
 def read_dataset(path) -> list[PairSample]:
     """Pairs of a JSONL file; feature-file paths are relative to its directory."""
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not JSON, or bytes that do not decode
                 raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
             try:
                 pairs.append(record_to_pair(record, os.path.dirname(path)))

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_write
 from .ops import normalize_rows, normalize_rows_backward
 
 __all__ = [
@@ -146,7 +147,7 @@ def write_feature_file(path, backbone_out: BackboneOutput) -> None:
     last, second = backbone_out.last, backbone_out.second_last
     h, w, c_last = last.grid.shape
     c_second = second.grid.shape[2]
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<IIIII", FEATURE_VERSION, h, w, c_last, c_second))
         fh.write(struct.pack("<f", float(last.stride)))

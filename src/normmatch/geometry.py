@@ -3,12 +3,12 @@
 Keypoint sets here are tiny (a few dozen points at most), so the
 triangulation works directly from the defining property: a triangle belongs
 to the Delaunay triangulation exactly when its circumcircle contains no
-other point. Every point triple is tested with the incircle determinant,
-taken in combination order and multiplied by the sign of the triple's
-orientation (swapping two vertices negates it exactly); exactly co-circular
-ties are broken by symbolically sinking each lifted point by an
-infinitesimal that shrinks with point index, which picks one diagonal of a
-co-circular quad deterministically. Degenerate inputs (fewer than 3 points,
+other point. Every point triple reads its incircle determinant from one
+table of the points relative to each other, taken in combination order and
+multiplied by the sign of the triple's orientation (swapping two vertices
+negates it exactly). Exactly co-circular ties are resolved by Simulation of
+Simplicity (Edelsbrunner & Muecke, ACM TOG 1990) from cofactors that are
+cross products of the same table. Degenerate inputs (fewer than 3 points,
 all collinear, duplicate points) fall back to the complete graph so
 downstream message passing always has edges to work with.
 """
@@ -38,11 +38,6 @@ class KeypointGraph:
     pseudo: np.ndarray
 
 
-def _orient(a, b, c) -> float:
-    """Twice the signed area of triangle (a, b, c); positive when counter-clockwise."""
-    return float((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
-
-
 def _complete_edges(m: int) -> np.ndarray:
     return np.transpose(np.triu_indices(m, 1))
 
@@ -61,27 +56,6 @@ def _triples(m: int) -> np.ndarray:
     return trips
 
 
-def _tie_blocks(points, a: int, b: int, c: int, o: int) -> bool:
-    """Resolve an exactly co-circular (triangle, point) tie.
-
-    Each point's height on the lifting paraboloid is lowered by an
-    infinitesimal that shrinks with point index, so the perturbed incircle
-    determinant takes the sign of the first nonzero contribution in index
-    order. (a, b, c) must be counter-clockwise; returns True when the
-    perturbed point o lands strictly inside the circumcircle.
-    """
-    contrib = {
-        a: -_orient(points[b], points[c], points[o]),
-        b: _orient(points[a], points[c], points[o]),
-        c: -_orient(points[a], points[b], points[o]),
-        o: _orient(points[a], points[b], points[c]),
-    }
-    for idx in sorted(contrib):
-        if contrib[idx] != 0.0:
-            return contrib[idx] > 0.0
-    return False  # unreachable: orient(a, b, c) != 0 for a kept triple
-
-
 def _connected(m: int, edges) -> bool:
     adj: dict[int, list[int]] = {i: [] for i in range(m)}
     for u, v in edges:
@@ -97,8 +71,17 @@ def _connected(m: int, edges) -> bool:
     return len(seen) == m
 
 
-def _edges(points: np.ndarray) -> np.ndarray:
-    """Sorted (E, 2) array of the edges (u, v), u < v, that delaunay() lists."""
+def delaunay(points) -> np.ndarray:
+    """Sorted (E, 2) int array of the Delaunay edges (u, v), u < v, of 2-D points.
+
+    For m >= 3 points in general position this is the standard Delaunay edge
+    set (every triangle circumcircle empty of the remaining points), found by
+    testing all point triples with the incircle determinant. Exactly
+    co-circular ties resolve deterministically by point index. Inputs with
+    m < 3, all points collinear, or duplicate points return the complete
+    graph instead.
+    """
+    points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("points must be an m x 2 array")
     if not np.isfinite(points).all():
@@ -123,12 +106,17 @@ def _edges(points: np.ndarray) -> np.ndarray:
     det = np.sign(orient)[:, None] * det
     blocked = (det > 0.0).any(axis=1) | (orient == 0.0)
     zero = det == 0.0
-    for r in np.flatnonzero((zero.sum(axis=1) > 3) & ~blocked).tolist():  # ties
-        a, b, c = trips[:, r].tolist()
-        if orient[r] < 0.0:
-            b, c = c, b
-        blocked[r] = any(_tie_blocks(points, a, b, c, o)
-                         for o in np.flatnonzero(zero[r]).tolist() if o not in (a, b, c))
+    # exact ties (more zeros than the three vertices): each lifted point sinks
+    # by an infinitesimal shrinking with its index; the first nonzero cofactor
+    # in index order decides. Those of a, b, c are cross products relative to o,
+    # and that of o is |orient| > 0: o blocks unless a vertex before it decides
+    for r in np.flatnonzero((zero.sum(axis=1) > 3) & ~blocked).tolist():
+        s, abc = np.sign(orient[r]), trips[:, r].tolist()
+        cofactors = (-s * area[r], s * (ax[r] * cy[r] - ay[r] * cx[r]),
+                     -s * (ax[r] * by[r] - ay[r] * bx[r]))
+        blocked[r] = any(next((cof[o] > 0.0 for vertex, cof in zip(abc, cofactors)
+                               if vertex < o and cof[o] != 0.0), True)
+                         for o in np.flatnonzero(zero[r]).tolist() if o not in abc)
     kept, adj = trips[:, ~blocked], np.zeros((m, m), dtype=bool)
     adj[kept[[0, 0, 1]], kept[[1, 2, 2]]] = True  # the edges (a, b), (a, c), (b, c)
     edges = np.argwhere(adj)  # sorted
@@ -136,19 +124,6 @@ def _edges(points: np.ndarray) -> np.ndarray:
     if not len(edges) or not _connected(m, edges.tolist()):
         return _complete_edges(m)
     return edges
-
-
-def delaunay(points) -> list[tuple[int, int]]:
-    """Edges of the Delaunay triangulation of 2-D points, as sorted (u, v), u < v.
-
-    For m >= 3 points in general position this is the standard Delaunay edge
-    set (every triangle circumcircle empty of the remaining points), found by
-    testing all point triples with the incircle determinant. Exactly
-    co-circular ties resolve deterministically by point index. Inputs with
-    m < 3, all points collinear, or duplicate points return the complete
-    graph instead.
-    """
-    return list(map(tuple, _edges(np.asarray(points, dtype=np.float64)).tolist()))
 
 
 def pseudo_coords(points, arcs) -> np.ndarray:
@@ -172,7 +147,7 @@ def build_graph(points) -> KeypointGraph:
     """Delaunay arcs plus pseudo-coordinates, with self-loops at (0.5, 0.5)."""
     points = np.asarray(points, dtype=np.float64)
     m = len(points)
-    edges = _edges(points)
+    edges = delaunay(points)
     arcs = np.concatenate([edges, edges[:, ::-1]], axis=1).reshape(-1, 2)  # (u, v), (v, u)
     loops = np.arange(m).repeat(2).reshape(-1, 2)
     return KeypointGraph(m, np.concatenate([arcs, loops]),

@@ -58,6 +58,11 @@ class MatchingModel:
     def prepare(self, pair: PairSample) -> PreparedPair:
         """A pure function of the pair; its backbone maps are released on return."""
         outs, keypoints = pair.backbone_outputs(), (pair.keypoints1, pair.keypoints2)
+        (w1, w2), dim = [len(b.pooled) for b in outs], self.config.gnn_input_dim
+        if w1 != dim or w2 != dim:
+            name1, name2 = pair.feature_files or (pair.image1, pair.image2)
+            raise ValueError(f"{name1}, {name2}: backbone width {w1 if w1 != dim else w2} does "
+                             f"not match gnn_input_dim {dim} (widths {w1} and {w2})")
         return PreparedPair(pair, [extract_keypoint_features(*bk) for bk in zip(outs, keypoints)],
                             [build_graph(k) for k in keypoints],
                             np.array([b.pooled for b in outs]))

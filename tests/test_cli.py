@@ -1,11 +1,18 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from normmatch import cli
+from normmatch.checkpoint import save_checkpoint
 from normmatch.cli import main
-from normmatch.data import read_dataset
-from normmatch.features import write_feature_file
+from normmatch.config import DataConfig, TrainConfig
+from normmatch.data import generate_pair, pair_to_record, read_dataset
+from normmatch.features import BackboneOutput, FeatureMap, read_feature_file, write_feature_file
+from normmatch.model import MatchingModel
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY_CONFIG = """
 # desk-size run for the CLI tests
@@ -51,6 +58,12 @@ def _null_noise_level(record):
 
 def _negative_noise_level(record):
     record["noise_level"] = -1
+
+
+def _dump_cut_short(obj, fh, **kwargs):
+    """json.dump that fails partway, as on a full disk."""
+    fh.write(json.dumps(obj, **kwargs)[:10])
+    raise OSError("disk full")
 
 
 @pytest.fixture
@@ -223,6 +236,41 @@ class TestTrainEvalMatch:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["history.json", "history.csv"])
+    def test_failed_history_write_keeps_previous_file(self, trained, tmp_path, capsys,
+                                                      monkeypatch, name):
+        _, _, out_dir = trained
+        before = (out_dir / name).read_bytes()
+        if name == "history.json":
+            monkeypatch.setattr(json, "dump", _dump_cut_short)
+        else:  # a first row whose lr is not a number fails to format after the header
+            real_train = cli.train
+
+            def train_with_bad_first_row(*args, **kwargs):
+                model, optimizer, history, aborted = real_train(*args, **kwargs)
+                return model, optimizer, [dict(history[0], lr="fast")] + history, aborted
+
+            monkeypatch.setattr(cli, "train", train_with_bad_first_row)
+        assert main(["train", "--config", str(tmp_path / "train.cfg"), "--out",
+                     str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert (out_dir / name).read_bytes() == before
+        assert not list(out_dir.glob("*.tmp"))
+
+    def test_failed_eval_json_write_keeps_previous_file(self, trained, tmp_path, capsys,
+                                                        monkeypatch):
+        ckpt, pairs_path, _ = trained
+        json_out = tmp_path / "result.json"
+        argv = ["eval", "--checkpoint", str(ckpt), "--pairs", str(pairs_path),
+                "--json", str(json_out)]
+        assert main(argv) == 0
+        before = json_out.read_bytes()
+        monkeypatch.setattr(json, "dump", _dump_cut_short)
+        assert main(argv) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert json_out.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_corrupt_checkpoint_exits_2(self, trained, tmp_path, capsys):
         _, pairs_path, _ = trained
         bad = tmp_path / "bad.nmtc"
@@ -238,3 +286,121 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "PASS loss.tau_raw" in out
         assert "1/1 parameters passed" in out
+
+
+def _untrained_checkpoint(tmp_path):
+    path = tmp_path / "model.nmtc"
+    save_checkpoint(path, MatchingModel(TrainConfig(d_model=16, heads=2, decoder_layers=2,
+                                                    gnn_input_dim=8, mlp_mult=2)))
+    return path
+
+
+@pytest.fixture
+def feature_pair(tmp_path):
+    """(checkpoint, pair file, map files, record): an untrained gnn_input_dim 8
+    model and a pair whose maps are feature files beside its JSONL file."""
+    ckpt = _untrained_checkpoint(tmp_path)
+    pair = generate_pair(DataConfig(m_min=4, m_max=5), class_id=0, seed=1, latent_dim=8)
+    record = pair_to_record(pair)
+    maps = [tmp_path / "a.nmtf", tmp_path / "b.nmtf"]
+    for path, out in zip(maps, pair.backbone_outputs()):
+        write_feature_file(path, out)
+    pair_path = tmp_path / "pair.jsonl"
+    pair_path.write_text(json.dumps(dict(record, features1="a.nmtf", features2="b.nmtf"))
+                         + "\n", encoding="utf-8")
+    return ckpt, pair_path, maps, record
+
+
+def _narrow(path, channels):
+    """Rewrite a feature file keeping the first `channels` channels of each map."""
+    out = read_feature_file(path)
+    write_feature_file(path, BackboneOutput(
+        *(FeatureMap(m.grid[..., :channels], m.stride) for m in (out.last, out.second_last))))
+
+
+class TestBackboneWidths:
+    @pytest.mark.parametrize("case, widths", [
+        ("unequal", "8 and 6"), ("equal", "6 and 6"), ("latents", "6 and 6")])
+    def test_width_mismatch_names_both_inputs(self, feature_pair, capsys, case, widths):
+        ckpt, pair_path, maps, record = feature_pair
+        names = [str(m) for m in maps]
+        if case == "latents":  # a latent record is named by its image ids
+            names = [record["image1"], record["image2"]]
+            record["latents"] = [row[:6] for row in record["latents"]]
+            pair_path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        else:
+            for path in maps[case == "unequal":]:  # the second map, or both
+                _narrow(path, 3)
+        assert main(["match", "--checkpoint", str(ckpt), "--pair", str(pair_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {names[0]}, {names[1]}: backbone width 6 does not match "
+            f"gnn_input_dim 8 (widths {widths})\n")
+
+
+def _mutations(rng, raw: bytes, count: int, header: int | None = None):
+    """count corrupted copies of raw, cycling through a truncation, 1-3 byte
+    overwrites (with a header size given, every other time within the
+    header) and 1-64 appended bytes."""
+    for case in range(count):
+        data = bytearray(raw)
+        if case % 3 == 0:
+            del data[rng.integers(len(raw)):]
+        elif case % 3 == 1:
+            pool = header if header and case % 2 else len(raw)
+            for off in rng.choice(pool, size=rng.integers(1, 4), replace=False):
+                data[off] = (data[off] + rng.integers(1, 256)) % 256
+        else:
+            data += rng.integers(0, 256, rng.integers(1, 65), dtype=np.uint8).tobytes()
+        yield bytes(data)
+
+
+def _fuzz(capsys, argv, target, cases):
+    """Runs main(argv) with target holding each case. Every case must exit 0,
+    or exit 2 with one 'error:' line naming the target file and nothing else;
+    returns the exit codes."""
+    codes, bad = [], []
+    for i, data in enumerate(cases):
+        target.write_bytes(data)
+        try:
+            code = main(argv)
+        except Exception as exc:
+            bad.append(f"case {i}: {exc!r}")
+            continue
+        err = capsys.readouterr().err
+        if not (code == 0 or code == 2 and err.startswith("error: ") and err.count("\n") == 1
+                and str(target) in err):
+            bad.append(f"case {i}: exit {code}, stderr {err!r}")
+        codes.append(code)
+    assert bad == []
+    return codes
+
+
+class TestFuzz:
+    def test_corrupted_feature_maps_exit_0_or_2(self, feature_pair, capsys):
+        ckpt, pair_path, maps, _ = feature_pair
+        argv = ["match", "--checkpoint", str(ckpt), "--pair", str(pair_path)]
+        rng = np.random.default_rng(20261019)
+        codes = []
+        for target in maps:
+            raw = target.read_bytes()
+            codes += _fuzz(capsys, argv, target, _mutations(rng, raw, 300, header=28))
+            target.write_bytes(raw)
+        assert {0, 2} <= set(codes)  # flipped payload bytes still load
+
+    def test_corrupted_pair_file_exits_0_or_2(self, tmp_path, config_path, capsys):
+        pair_path = tmp_path / "pairs.jsonl"
+        assert main(["gen-data", "--spec", str(config_path), "--out", str(pair_path)]) == 0
+        ckpt = _untrained_checkpoint(tmp_path)
+        argv = ["match", "--checkpoint", str(ckpt), "--pair", str(pair_path)]
+        raw = pair_path.read_bytes()
+        codes = _fuzz(capsys, argv, pair_path, _mutations(np.random.default_rng(7), raw, 600))
+        assert {0, 2} <= set(codes)
+
+    def test_corrupted_config_exits_0_or_2(self, tmp_path, capsys):
+        # num_pairs first, so that a truncation rarely falls back to its default of 2000
+        spec = (ROOT / "configs" / "desk.cfg").read_text(encoding="utf-8")
+        raw = ("num_pairs = 4\n" + spec.replace("num_pairs = 2000\n", "")).encode()
+        target = tmp_path / "desk.cfg"
+        argv = ["gen-data", "--spec", str(target), "--out", str(tmp_path / "out.jsonl")]
+        codes = _fuzz(capsys, argv, target, _mutations(np.random.default_rng(11), raw, 600))
+        assert {0, 2} <= set(codes)

@@ -155,6 +155,21 @@ class TestDatasetIO:
             assert got.noise_level == orig.noise_level
             assert got.seed == orig.seed
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        pairs = generate_dataset(DataConfig(num_pairs=2, num_classes=1), latent_dim=8, seed=0)
+        path = tmp_path / "pairs.jsonl"
+        write_dataset(path, pairs)
+        before = path.read_bytes()
+
+        def cut_after_one_line():
+            yield pairs[1]
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_dataset(path, cut_after_one_line())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["pairs.jsonl"]
+
     def test_blank_lines_skipped(self, tmp_path):
         pairs = generate_dataset(DataConfig(num_pairs=2, num_classes=1),
                                  latent_dim=8, seed=0)
@@ -172,6 +187,20 @@ class TestDatasetIO:
         good = json.dumps(pair_to_record(pair))
         path.write_text(good + "\n{not json\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 2"):
+            read_dataset(path)
+
+    def test_undecodable_line_reports_line(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        pair = generate_pair(DataConfig(), class_id=0, seed=0, latent_dim=8)
+        path.write_bytes(json.dumps(pair_to_record(pair)).encode() + b'\n{"image1": "\xff"}\n')
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: invalid JSON")):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("line", ["1", "null", "true", "[]", '"pair"'])
+    def test_non_object_record_reports_line(self, tmp_path, line):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 1: pair record must be a JSON object"):
             read_dataset(path)
 
     def test_missing_field_reports_line(self, tmp_path):

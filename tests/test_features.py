@@ -393,6 +393,18 @@ class TestFeatureFile:
                            match=re.escape(f"{path}: 'second_last' grid values must be finite")):
             read_feature_file(path)
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "pair.nmtf"
+        write_feature_file(path, _random_backbone(np.random.default_rng(22)))
+        before = path.read_bytes()
+        bb = _random_backbone(np.random.default_rng(23))
+        # fails to convert after the header and the last map are written
+        bb.second_last.grid = np.full(bb.second_last.grid.shape, "x")
+        with pytest.raises(ValueError, match="could not convert"):
+            write_feature_file(path, bb)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["pair.nmtf"]
+
     def test_mismatched_maps_rejected_on_write(self, tmp_path):
         last = _map(np.zeros((3, 3, 2)))
         second = _map(np.zeros((4, 4, 2)))

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import triple_test_build_graph
+import oracles
 
-from normmatch import geometry
 from normmatch.geometry import batch_graphs, build_graph, delaunay, pseudo_coords
 
 
@@ -59,25 +58,26 @@ def _empty_triple_edges(points, strict_slack=1e-9):
 class TestDelaunay:
     def test_triangle(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.5]])
-        assert delaunay(pts) == [(0, 1), (0, 2), (1, 2)]
+        assert delaunay(pts).tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_two_points_fall_back_to_single_edge(self):
-        assert delaunay(np.array([[0.0, 0.0], [1.0, 2.0]])) == [(0, 1)]
+        assert delaunay(np.array([[0.0, 0.0], [1.0, 2.0]])).tolist() == [[0, 1]]
 
     def test_single_point(self):
-        assert delaunay(np.array([[0.3, 0.7]])) == []
+        edges = delaunay(np.array([[0.3, 0.7]]))
+        assert edges.shape == (0, 2) and edges.dtype == np.intp
 
     def test_collinear_points_fall_back_to_complete_graph(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-        assert delaunay(pts) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        assert delaunay(pts).tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
 
     def test_duplicate_points_fall_back_to_complete_graph(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
-        assert delaunay(pts) == [(0, 1), (0, 2), (1, 2)]
+        assert delaunay(pts).tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_unit_square_keeps_sides_plus_one_diagonal(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        edges = set(delaunay(pts))
+        edges = set(map(tuple, delaunay(pts).tolist()))
         sides = {(0, 1), (1, 2), (2, 3), (0, 3)}
         assert sides <= edges
         assert len(edges) == 5
@@ -92,7 +92,7 @@ class TestDelaunay:
             rng = np.random.default_rng(seed)
             m = int(rng.integers(3, 12))
             pts = rng.uniform(0.0, 10.0, size=(m, 2))
-            edges = set(delaunay(pts))
+            edges = set(map(tuple, delaunay(pts).tolist()))
             assert edges == _empty_triple_edges(pts), f"seed {seed}"
 
     def test_every_vertex_connected(self):
@@ -100,8 +100,7 @@ class TestDelaunay:
             rng = np.random.default_rng(100 + seed)
             m = int(rng.integers(2, 15))
             pts = rng.uniform(0.0, 5.0, size=(m, 2))
-            edges = delaunay(pts)
-            touched = {i for e in edges for i in e}
+            touched = set(delaunay(pts).ravel().tolist())
             assert touched == set(range(m))
 
     def test_edges_never_cross_and_obey_planar_bound(self):
@@ -119,7 +118,7 @@ class TestDelaunay:
             rng = np.random.default_rng(300 + seed)
             m = int(rng.integers(4, 16))
             pts = rng.uniform(0.0, 10.0, size=(m, 2))
-            edges = delaunay(pts)
+            edges = delaunay(pts).tolist()
             assert len(edges) <= 3 * m - 6
             for (a, b), (c, d) in itertools.combinations(edges, 2):
                 if {a, b} & {c, d}:
@@ -141,7 +140,7 @@ class TestDelaunay:
         pts = rng.uniform(0.0, 4.0, size=(m, 2))
         base = delaunay(pts)
         moved = delaunay(pts * scale + np.array([tx, ty]))
-        assert base == moved
+        np.testing.assert_array_equal(base, moved)
 
 
 class TestPseudoCoords:
@@ -251,21 +250,57 @@ def _point_sets(rng, count):
         yield points
 
 
+def _tie_sets(rng, count):
+    """count tie-heavy point sets, m from 3 to 20, cycling through four kinds:
+    on a 4-px grid, on an 8-px grid, and the corners of an 8 x 8 square or a
+    12 x 4 rectangle plus interior grid points, shuffled (every other one
+    with its repeated points removed)."""
+    for i in range(count):
+        m = int(rng.integers(3, 21))
+        kind = i % 4
+        if kind < 2:
+            step = 4.0 * (kind + 1)
+            yield np.round(rng.uniform(0.0, 32.0, (m, 2)) / step) * step
+            continue
+        w, h = (8.0, 8.0) if kind == 2 else (12.0, 4.0)
+        x0, y0 = rng.integers(0, 16, 2).astype(np.float64)
+        corners = np.array([[x0, y0], [x0 + w, y0], [x0 + w, y0 + h], [x0, y0 + h]])
+        inner = rng.integers(0, 5, (max(m - 4, 0), 2)) * [w / 4, h / 4] + [x0, y0]
+        points = np.concatenate([corners, inner])
+        yield rng.permutation(np.unique(points, axis=0) if i % 8 >= 4 else points)
+
+
+def _oracle_parity(monkeypatch, point_sets):
+    """Asserts that build_graph gives the oracle's arcs and pseudo-coordinate
+    bytes on every set. Returns the co-circular tie rows the oracle resolved
+    (distinct (set, triangle) pairs) and the number of complete-graph fallbacks."""
+    ties, fallbacks = set(), 0
+    tie_blocks = oracles._tie_blocks
+    monkeypatch.setattr(oracles, "_tie_blocks", lambda points, a, b, c, o: ties.add(
+        (points.tobytes(), a, b, c)) or tie_blocks(points, a, b, c, o))
+    for points in point_sets:
+        edges, arcs, pseudo = oracles.triple_test_build_graph(points)
+        graph = build_graph(points)
+        assert graph.arcs.dtype == arcs.dtype and graph.arcs.tobytes() == arcs.tobytes()
+        assert graph.pseudo.tobytes() == pseudo.tobytes(), points.tolist()
+        fallbacks += len(edges) == len(points) * (len(points) - 1) // 2
+    return len(ties), fallbacks
+
+
 class TestAgainstTripleTestOracle:
-    """The combination-order determinant gives the oracle's graphs byte for byte."""
+    """The combination-order determinant and its tie rule give the oracle's
+    graphs byte for byte."""
 
     @pytest.mark.parametrize("scale,count", [(1.0, 6000), (1e-6, 1200), (1e6, 1200)])
     def test_arcs_and_pseudo_bytes_match(self, monkeypatch, scale, count):
-        ties = []
-        tie_blocks = geometry._tie_blocks
-        monkeypatch.setattr(geometry, "_tie_blocks", lambda *a: ties.append(a) or tie_blocks(*a))
-        fallbacks = 0
-        for points in _point_sets(np.random.default_rng(123), count):
-            points = points * scale
-            edges, arcs, pseudo = triple_test_build_graph(points)
-            graph = build_graph(points)
-            assert graph.arcs.dtype == arcs.dtype and graph.arcs.tobytes() == arcs.tobytes()
-            assert graph.pseudo.tobytes() == pseudo.tobytes(), points.tolist()
-            fallbacks += len(edges) == len(points) * (len(points) - 1) // 2
+        point_sets = (p * scale for p in _point_sets(np.random.default_rng(123), count))
+        ties, fallbacks = _oracle_parity(monkeypatch, point_sets)
         # the mix reaches the tie resolution and the complete-graph fallback
-        assert ties and fallbacks > count // 6
+        assert ties >= {1.0: 2000, 1e-6: 100, 1e6: 200}[scale] and fallbacks > count // 6
+
+    @pytest.mark.parametrize("offset,scale,min_ties", [
+        (0.0, 1.0, 800), (1e3, 1.0, 800), (0.0, 1e-6, 230), (0.0, 1e6, 700)])
+    def test_tie_heavy_bytes_match(self, monkeypatch, offset, scale, min_ties):
+        point_sets = (p * scale + offset for p in _tie_sets(np.random.default_rng(5), 600))
+        ties, _ = _oracle_parity(monkeypatch, point_sets)
+        assert ties >= min_ties

@@ -3,7 +3,9 @@
 Every imported name in src/, tests/ and demos/ is referenced: a name counts
 as used when the module mentions it anywhere (scopes are not tracked) or
 lists it in ``__all__``; ``from __future__`` imports are exempt. Every name a
-src/normmatch module lists in ``__all__`` is bound at its top level.
+src/normmatch module lists in ``__all__`` is bound at its top level. No
+src/normmatch module opens a file for writing except through
+``atomic.atomic_write``, so no output is ever left torn.
 """
 
 import ast
@@ -57,6 +59,26 @@ def unbound_exports(source: str) -> list[str]:
     return [name for name in _exported(tree) if name not in bound]
 
 
+def write_opens(source: str, allowed: str = "") -> list[str]:
+    """'line N' for every builtin ``open(`` call outside the function named
+    ``allowed`` whose mode may write: a literal with w, a, x or +, or a mode
+    that is not a literal."""
+    tree = ast.parse(source)
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == allowed:
+            skip |= set(range(node.lineno, node.end_lineno + 1))
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open" and node.lineno not in skip):
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if modes and not (isinstance(modes[0], ast.Constant)
+                              and not set(str(modes[0].value)) & set("wax+")):
+                found.append(f"line {node.lineno}")
+    return found
+
+
 def test_scanner_flags_only_unreferenced_names():
     source = (
         "from __future__ import annotations\n"
@@ -85,6 +107,23 @@ def test_export_scanner_flags_only_unbound_names():
     assert unbound_exports(source) == ["gone"]
 
 
+def test_write_scanner_flags_only_write_modes():
+    source = (
+        "open(p)\n"
+        "open(p, 'rb')\n"
+        "open(p, mode='r', encoding='utf-8')\n"
+        "open(p, 'w')\n"
+        "open(p, mode='ab')\n"
+        "open(p, 'r+')\n"
+        "open(p, m)\n"
+        "archive.open(p, 'w')\n"
+        "def helper(p, m):\n"
+        "    return open(p, m)\n"
+    )
+    assert write_opens(source) == ["line 4", "line 5", "line 6", "line 7", "line 10"]
+    assert write_opens(source, allowed="helper") == ["line 4", "line 5", "line 6", "line 7"]
+
+
 def test_files_found():
     assert any(p.name == "model.py" for p in FILES)
     assert any(p.parent.name == "demos" for p in FILES)
@@ -99,3 +138,10 @@ def test_no_unused_imports(path):
                          ids=lambda p: p.name)
 def test_all_entries_are_bound(path):
     assert unbound_exports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "normmatch").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_files_written_only_through_atomic_write(path):
+    allowed = "atomic_write" if path.name == "atomic.py" else ""
+    assert write_opens(path.read_text(encoding="utf-8"), allowed) == []
