@@ -108,13 +108,13 @@ def delaunay(points) -> np.ndarray:
     zero = det == 0.0
     # exact ties (more zeros than the three vertices): each lifted point sinks
     # by an infinitesimal shrinking with its index; the first nonzero cofactor
-    # in index order decides. Those of a, b, c are cross products relative to o,
-    # and that of o is |orient| > 0: o blocks unless a vertex before it decides
+    # in index order decides. a's and b's are cross products relative to o, and
+    # o's is |orient| > 0, so o blocks unless a or b before it decides; c never
+    # does, since zero a and b cofactors would make a, b, c collinear (blocked)
     for r in np.flatnonzero((zero.sum(axis=1) > 3) & ~blocked).tolist():
         s, abc = np.sign(orient[r]), trips[:, r].tolist()
-        cofactors = (-s * area[r], s * (ax[r] * cy[r] - ay[r] * cx[r]),
-                     -s * (ax[r] * by[r] - ay[r] * bx[r]))
-        blocked[r] = any(next((cof[o] > 0.0 for vertex, cof in zip(abc, cofactors)
+        cofactors = (-s * area[r], s * (ax[r] * cy[r] - ay[r] * cx[r]))
+        blocked[r] = any(next((cof[o] > 0.0 for vertex, cof in zip(abc[:2], cofactors)
                                if vertex < o and cof[o] != 0.0), True)
                          for o in np.flatnonzero(zero[r]).tolist() if o not in abc)
     kept, adj = trips[:, ~blocked], np.zeros((m, m), dtype=bool)

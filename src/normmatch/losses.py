@@ -1,17 +1,20 @@
 """Training objective: symmetric InfoNCE plus hyperspherical uniformity.
 
-All pieces operate on unit-norm feature rows, so dot products are cosines.
-The InfoNCE temperature is learned through tau = exp(tau_raw), keeping it
-positive by construction. Two denominator conventions are supported:
-
-  - "exclusive": the positive pair is excluded from the denominator (the
-    contrastive ratio as the loss equation is written),
-  - "inclusive": the standard form with the positive included (bounded below
-    by zero; the training default).
+All pieces operate on unit-norm feature rows, so dot products are cosines,
+and take one image as (n, d) rows or a stack as (..., n, d): a minibatch
+runs each piece once, and an (n, d) call is a batch of one on that path.
+``pad`` (the stack's shape without d, as ``FeatureSequence.pad``) is True on
+padding rows, which add nothing and take zero gradient; a pair's images
+share it. The InfoNCE temperature is tau = exp(tau_raw), positive by
+construction. Its denominator is "exclusive" of the positive pair (the
+contrastive ratio as the loss equation is written) or "inclusive" (the
+standard form, bounded below by zero; the training default).
 
 The hyperspherical loss penalizes the best off-diagonal cosine per anchor
 within one image; the layer-wise variant weights layer k by k * p and
-averages the two streams.
+averages the two streams. ``total_loss`` gets every layer's Gram matrices
+from one product over the snapshots (L, 2, ..., n, d) and reads the final
+term from the last snapshot, which is the decoder output.
 """
 
 from __future__ import annotations
@@ -50,146 +53,148 @@ class LossReport:
         return self.infonce + self.hyperspherical_final + self.hyperspherical_layers
 
 
-def _nce_direction(S: np.ndarray, positives: np.ndarray, mode: str):
-    """Sum over anchors (rows of S) of -log softmax ratios; returns (loss, dS)."""
-    m = S.shape[0]
-    rows = np.arange(m)
-    pos = S[rows, positives]
+def _nce_direction(S, positives, mode: str, pad, index):
+    """Summed -log softmax ratio per pair, anchors the rows of S (B, n, n), and a cache."""
+    pos = S[index + (positives,)]
+    if pad is not None:  # a real anchor ignores the other image's padding rows
+        S = np.where(pad[:, None, :] > pad[:, :, None], -np.inf, S)
     if mode == "exclusive":
-        masked = S.copy()
-        masked[rows, positives] = -np.inf
-        lse = logsumexp(masked, axis=1)
-        p = np.exp(masked - lse[:, None])
-        p[rows, positives] = 0.0
-    else:
-        lse = logsumexp(S, axis=1)
-        p = np.exp(S - lse[:, None])
-    loss = float(np.sum(lse - pos))
-    dS = p
-    dS[rows, positives] -= 1.0
-    return loss, dS
+        S = S.copy() if pad is None else S
+        S[index + (positives,)] = -np.inf
+    lse = logsumexp(S, axis=-1)
+    terms = lse - pos
+    if pad is not None:
+        terms[pad] = 0.0
+    return np.add.reduce(terms, axis=-1), (S, lse, positives)
 
 
-def info_nce(f1, f2, truth, tau_raw: float, mode: str = "inclusive"):
-    """Symmetric InfoNCE over cross-image cosines, mean over the 2m anchors.
+def _nce_direction_backward(S, lse, positives, pad, index):
+    dS = np.exp(S - lse[..., None])  # softmax; entries out of the denominator give 0
+    dS[index + (positives,)] -= 1.0
+    if pad is not None:
+        dS[pad] = 0.0
+    return dS
 
-    truth[i] is the image-2 row matching image-1 row i. Returns
-    (loss, cache); see :func:`info_nce_backward` for gradients.
+
+def info_nce(f1, f2, truth, tau_raw: float, mode: str = "inclusive", pad=None):
+    """Symmetric InfoNCE over cross-image cosines, mean over each pair's 2m anchors.
+
+    truth[..., i] is the image-2 row matching image-1 row i (ignored on
+    padding rows). Returns (loss of each pair, shaped (...), cache).
     """
     if mode not in INFONCE_MODES:
         raise ValueError(f"unknown InfoNCE mode {mode!r}")
     f1 = np.asarray(f1, dtype=np.float64)
     f2 = np.asarray(f2, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.intp)
-    m = f1.shape[0]
-    if m < 2:
+    shape, n = f1.shape[:-2], f1.shape[-2]
+    f1, f2 = f1.reshape(-1, n, f1.shape[-1]), f2.reshape(-1, n, f2.shape[-1])
+    truth = np.asarray(truth, dtype=np.intp).reshape(-1, n)
+    if pad is not None:
+        pad = np.reshape(pad, (-1, n))
+        truth = np.where(pad, np.arange(n), truth)  # padding rows match themselves
+    m = n if pad is None else n - np.count_nonzero(pad, axis=-1)
+    if (m if pad is None else m.min()) < 2:
         raise ValueError("InfoNCE needs at least 2 keypoints (no negatives otherwise)")
     tau = float(np.exp(tau_raw))
-    C = f1 @ f2.T
+    C = f1 @ f2.swapaxes(-1, -2)
     S = C / tau
-
-    loss12, dS12 = _nce_direction(S, truth, mode)
-    loss21, dS21 = _nce_direction(S.T, np.argsort(truth), mode)  # the inverse permutation
-
+    index = (np.arange(len(S))[:, None], np.arange(n))
+    loss12, cache12 = _nce_direction(S, truth, mode, pad, index)
+    # image-2 anchors: the transposed scores and the inverse permutation
+    loss21, cache21 = _nce_direction(S.swapaxes(-1, -2), truth.argsort(axis=-1),
+                                     mode, pad, index)
     scale = 1.0 / (2 * m)
     loss = (loss12 + loss21) * scale
-    dS = (dS12 + dS21.T) * scale
-    cache = (f1, f2, C, dS, tau)
-    return loss, cache
+    return loss.reshape(shape), (f1, f2, C, tau, scale, cache12, cache21, pad, index, shape)
 
 
 def info_nce_backward(cache):
-    """Returns (g_f1, g_f2, g_tau_raw)."""
-    f1, f2, C, dS, tau = cache
+    """Returns (g_f1, g_f2, g_tau_raw), g_tau_raw summed over the pairs."""
+    f1, f2, C, tau, scale, cache12, cache21, pad, index, shape = cache
+    dS = (_nce_direction_backward(*cache12, pad, index)
+          + _nce_direction_backward(*cache21, pad, index).swapaxes(-1, -2))
+    dS *= np.reshape(scale, (-1, 1, 1))
     dC = dS / tau
     g_f1 = dC @ f2
-    g_f2 = dC.T @ f1
+    g_f2 = dC.swapaxes(-1, -2) @ f1
     # S = C / exp(tau_raw): dL/dtau_raw = sum(dS * dS/dtau_raw) = -sum(dS * S)
     g_tau_raw = float(-np.sum(dS * C) / tau)
-    return g_f1, g_f2, g_tau_raw
+    return g_f1.reshape(shape + f1.shape[1:]), g_f2.reshape(shape + f2.shape[1:]), g_tau_raw
 
 
-def hyperspherical(f):
-    """Sum over anchors of the largest cosine to a different same-image row.
+def hyperspherical(f, pad=None):
+    """Sum over anchors of the largest cosine to another real row of the image.
 
-    Zero for orthonormal rows; positive when two rows align. Returns
-    (loss, cache). m = 1 yields 0 (nothing to separate).
+    Zero for orthonormal rows; positive when two rows align; 0 with fewer
+    than 2 real rows. Returns (loss of each image, shaped (...), cache).
     """
     f = np.asarray(f, dtype=np.float64)
-    m = f.shape[0]
-    if m < 2:
-        return 0.0, (f, None)
-    G = f @ f.T
-    G.flat[:: m + 1] = -np.inf  # the diagonal
-    return float(G.max(axis=1).sum()), (f, G.argmax(axis=1))
+    n = f.shape[-2]
+    G = f @ f.swapaxes(-1, -2)
+    G.reshape(G.shape[:-2] + (n * n,))[..., :: n + 1] = -np.inf  # the diagonals
+    if pad is not None:
+        G = np.where(pad[..., None, :], -np.inf, G)
+    best = np.maximum.reduce(G, axis=-1)
+    lone = best == -np.inf  # rows with no other real row, and padding rows, add nothing
+    if pad is not None:
+        lone |= pad
+    return np.add.reduce(np.where(lone, 0.0, best), axis=-1), (f, G, lone)
 
 
-def hyperspherical_backward(cache, g_loss: float = 1.0):
-    """Returns g_f for :func:`hyperspherical`."""
-    f, arg = cache
-    g_f = np.zeros_like(f)
-    if arg is None:
-        return g_f
-    m = f.shape[0]
-    # d/df of sum_i f_i . f_{arg(i)}: product rule hits both rows
-    np.add.at(g_f, np.arange(m), f[arg] * g_loss)
-    np.add.at(g_f, arg, f[np.arange(m)] * g_loss)
-    return g_f
+def hyperspherical_backward(cache, g_loss=1.0):
+    """Returns g_f for :func:`hyperspherical`; g_loss broadcasts over its images."""
+    f, G, lone = cache
+    # f_i . f_arg(i) reaches both rows: g_f = (M + M^T) f, M the argmax one-hot
+    hot = G.argmax(axis=-1)[..., None] == np.arange(f.shape[-2])
+    M = np.where(lone[..., None], 0.0, hot * np.asarray(g_loss)[..., None, None])
+    return (M + M.swapaxes(-1, -2)) @ f
 
 
-def layer_hyperspherical(snapshots, p: float):
+def layer_hyperspherical(snapshots, p: float, pad=None):
     """Depth-weighted uniformity loss over per-layer token snapshots.
 
-    snapshots[k] is the (tokens1, tokens2) pair after layer k+1; layer k+1
-    contributes (k+1) * p times the average of the two streams' losses.
-    Returns (loss, cache).
+    snapshots (L, 2, ..., n, d) holds both streams' tokens after each layer;
+    layer k adds k * p times the mean of its two streams' losses. Returns
+    (loss, shaped (...), cache); the cache keeps each layer's stream sums.
     """
-    total = 0.0
-    caches = []
-    for k, (t1, t2) in enumerate(snapshots, start=1):
-        h1, c1 = hyperspherical(t1)
-        h2, c2 = hyperspherical(t2)
-        total += k * p * 0.5 * (h1 + h2)
-        caches.append((k * p * 0.5, c1, c2))
-    return float(total), caches
+    h, cache = hyperspherical(np.asarray(snapshots, dtype=np.float64), pad)  # (L, 2, ...)
+    pair_h = np.add.reduce(h, axis=1)
+    weights = (np.arange(1, len(h) + 1) * (0.5 * p)).reshape((-1,) + (1,) * (h.ndim - 2))
+    return np.add.reduce(weights * pair_h, axis=0), (cache, weights, pair_h)
 
 
-def layer_hyperspherical_backward(caches):
-    """Per-layer (g_tokens1, g_tokens2) gradients."""
-    grads = []
-    for w, c1, c2 in caches:
-        grads.append((hyperspherical_backward(c1, w), hyperspherical_backward(c2, w)))
-    return grads
+def layer_hyperspherical_backward(cache):
+    """Gradients of the snapshots, (L, 2, ..., n, d)."""
+    hs_cache, weights, _ = cache
+    return hyperspherical_backward(hs_cache, weights[:, None])
 
 
 def total_loss(f1_tokens, f2_tokens, snapshots, truth, tau_raw: float,
-               p: float, mode: str = "inclusive"):
+               p: float, mode: str = "inclusive", pad=None):
     """InfoNCE + final hyperspherical (two-image average) + layer-wise term.
 
-    Returns (report, cache). The three components are summed unweighted;
-    the report keeps them separate for ablation-style bookkeeping.
+    Tokens are (n, d) for one pair or (B, n, d) for B, truth and pad (..., n),
+    and snapshots (L, 2, ..., n, d) end with the final tokens. Returns
+    (report, cache): a LossReport, or a list of one per pair for B pairs,
+    keeps the total's three unweighted terms apart for ablation bookkeeping.
     """
-    nce, nce_cache = info_nce(f1_tokens, f2_tokens, truth, tau_raw, mode)
-    h1, h1_cache = hyperspherical(f1_tokens)
-    h2, h2_cache = hyperspherical(f2_tokens)
-    hs_final = 0.5 * (h1 + h2)
-    hs_layers, layer_cache = layer_hyperspherical(snapshots, p)
-    report = LossReport(infonce=nce, hyperspherical_final=hs_final,
-                        hyperspherical_layers=hs_layers)
-    return report, (nce_cache, h1_cache, h2_cache, layer_cache)
+    nce, nce_cache = info_nce(f1_tokens, f2_tokens, truth, tau_raw, mode, pad)
+    layers, (hs_cache, weights, pair_h) = layer_hyperspherical(snapshots, p, pad)
+    final = 0.5 * pair_h[-1]  # the last layer's snapshot is the decoder output
+    reports = [LossReport(*terms) for terms in zip(
+        nce.ravel().tolist(), final.ravel().tolist(), layers.ravel().tolist())]
+    weights = weights[:, None].copy()  # the final term's weight joins the last layer's
+    weights[-1] += 0.5
+    return reports if nce.ndim else reports[0], (nce_cache, hs_cache, weights)
 
 
 def total_loss_backward(cache):
-    """Returns (g_f1, g_f2, snapshot_grads, g_tau_raw).
+    """Returns (g_f1, g_f2, snapshot_grads (L, 2, ..., n, d), g_tau_raw).
 
-    snapshot_grads contains the layer-wise term's per-layer gradients; the
-    final-layer snapshot equals the decoder output, so callers must add the
-    returned g_f1/g_f2 at the decoder output in addition to the last
-    snapshot gradient.
+    The tokens take InfoNCE's gradient, the snapshots the hyperspherical
+    terms', the final term's in the last layer's: callers add g_f1/g_f2 at
+    the decoder output on top of the last snapshot gradient.
     """
-    nce_cache, h1_cache, h2_cache, layer_cache = cache
+    nce_cache, hs_cache, weights = cache
     g_f1, g_f2, g_tau_raw = info_nce_backward(nce_cache)
-    g_f1 = g_f1 + hyperspherical_backward(h1_cache, 0.5)
-    g_f2 = g_f2 + hyperspherical_backward(h2_cache, 0.5)
-    snapshot_grads = layer_hyperspherical_backward(layer_cache)
-    return g_f1, g_f2, snapshot_grads, g_tau_raw
+    return g_f1, g_f2, hyperspherical_backward(hs_cache, weights), g_tau_raw

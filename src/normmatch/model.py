@@ -69,13 +69,13 @@ class MatchingModel:
 
     def forward_pair(self, pair: PairSample):
         """Decoder outputs of one pair, a batch of one: (m, d) rows, snapshots (2, m, d)."""
-        f1, f2, snapshots, _, _ = self._forward([self.prepare(pair)])
+        f1, f2, snapshots, _ = self._forward([self.prepare(pair)])
         return (FeatureSequence(f1.tokens[0], f1.global_token[0]),
                 FeatureSequence(f2.tokens[0], f2.global_token[0]),
                 [s[:, 0] for s in snapshots])
 
     def _forward(self, prepared):
-        """Decoder outputs (f1, f2, snapshots), rows per image and caches of prepared pairs.
+        """Decoder outputs (f1, f2, snapshots) and caches of prepared pairs.
 
         Each layer runs once over all pairs. The decoder takes them zero-padded
         to (B, n, d) per stream, and no mask is built when every image has n rows.
@@ -97,35 +97,29 @@ class MatchingModel:
             FeatureSequence(padded[:, 1], globs[:, 1], None if valid is None else ~valid[:, 1]),
             self.store, self.config.decoder_layers, self.config.heads,
         )
-        return f1, f2, snapshots, lengths, (valid, glob_cache, gnn_cache, dec_caches)
+        return f1, f2, snapshots, (valid, glob_cache, gnn_cache, dec_caches)
 
     # ---------------- training ----------------
 
     def loss_and_grads(self, prepared) -> list[LossReport]:
         """Loss report per prepared pair; accumulates the summed gradients into the store.
 
-        Every layer runs once over the minibatch; the losses run per pair on its real rows.
+        Every layer, the losses included, runs once over the minibatch.
         """
-        f1, f2, snapshots, lengths, caches = self._forward(prepared)
+        f1, f2, snapshots, caches = self._forward(prepared)
         valid, glob_cache, gnn_cache, dec_caches = caches
         cfg, store = self.config, self.store
-        # gradients of the final tokens, then of each layer's snapshot: (1 + L, 2, B, n, d)
-        grads = np.zeros((1 + len(snapshots), 2) + f1.tokens.shape)
-        reports = []
-        for i, (prep, m1, m2) in enumerate(zip(prepared, lengths[::2], lengths[1::2])):
-            report, loss_cache = total_loss(
-                f1.tokens[i, :m1], f2.tokens[i, :m2],
-                [(t1[i, :m1], t2[i, :m2]) for t1, t2 in snapshots], prep.pair.truth,
-                float(store.value("loss.tau_raw")), cfg.layer_loss_p, cfg.infonce_mode,
-            )
-            g_f1, g_f2, snapshot_grads, g_tau = total_loss_backward(loss_cache)
-            store.add_grad("loss.tau_raw", g_tau)
-            for g, (p1, p2) in zip(grads, [(g_f1, g_f2)] + snapshot_grads):
-                g[0, i, :m1], g[1, i, :m2] = p1, p2
-            reports.append(report)
+        truth = np.zeros(f1.tokens.shape[:2], np.intp)  # the losses ignore its padding rows
+        real = np.ones(truth.shape, bool) if valid is None else valid[:, 0]
+        truth[real] = np.concatenate([prep.pair.truth for prep in prepared])
+        reports, loss_cache = total_loss(f1.tokens, f2.tokens, snapshots, truth,
+                                         float(store.value("loss.tau_raw")), cfg.layer_loss_p,
+                                         cfg.infonce_mode, f1.pad)
+        g_f1, g_f2, snapshot_grads, g_tau = total_loss_backward(loss_cache)
+        store.add_grad("loss.tau_raw", g_tau)
         g_glob = np.zeros_like(f1.global_token)
-        g_t1, g_g1, g_t2, g_g2 = decode_backward(dec_caches, store, grads[0, 0], g_glob,
-                                                 grads[0, 1], g_glob, grads[1:])
+        g_t1, g_g1, g_t2, g_g2 = decode_backward(dec_caches, store, g_f1, g_glob, g_f2, g_glob,
+                                                 snapshot_grads)
         # (B, 2, ...) rows: the order of the pooled means and of the GNN's images
         global_token_backward(glob_cache, np.stack([g_g1, g_g2], 1).reshape(-1, cfg.d_model), store)
         g_rows = np.stack([g_t1, g_t2], axis=1).reshape(-1, cfg.d_model)
@@ -140,7 +134,7 @@ class MatchingModel:
 
     def match_prepared(self, prepared: PreparedPair):
         """match_pair of a pair already prepared."""
-        f1, f2, _, _, _ = self._forward([prepared])
+        f1, f2, _, _ = self._forward([prepared])
         C = affinity(f1.tokens[0], f2.tokens[0])
         plan = sinkhorn_log(C, self.config.sinkhorn_temperature, self.config.sinkhorn_iters)
         return decode_matching(plan), plan, C

@@ -8,8 +8,8 @@ import itertools
 
 import numpy as np
 
-from normmatch import decoder, splineconv
-from normmatch.ops import EPS_GUARD
+from normmatch import decoder, losses, splineconv
+from normmatch.ops import EPS_GUARD, logsumexp
 
 
 def l2_normalize(v, eps_guard: float = EPS_GUARD) -> np.ndarray:
@@ -263,6 +263,91 @@ def loop_decode_backward(caches, store, g_t1, g_g1, g_t2, g_g2, snapshot_grads):
             out[i][rows] = g
     return tuple(outs)
 
+
+def _loop_nce_direction(S, positives, mode: str):
+    m = S.shape[0]
+    rows = np.arange(m)
+    pos = S[rows, positives]
+    if mode == "exclusive":
+        masked = S.copy()
+        masked[rows, positives] = -np.inf
+        lse = logsumexp(masked, axis=1)
+        p = np.exp(masked - lse[:, None])
+        p[rows, positives] = 0.0
+    else:
+        lse = logsumexp(S, axis=1)
+        p = np.exp(S - lse[:, None])
+    loss = float(np.sum(lse - pos))
+    dS = p
+    dS[rows, positives] -= 1.0
+    return loss, dS
+
+
+def loop_info_nce(f1, f2, truth, tau_raw: float, mode: str):
+    """(loss, (g_f1, g_f2, g_tau_raw)) of one pair's (m, d) rows, each
+    direction on its own matrix. Oracle for ``losses.info_nce``."""
+    m = f1.shape[0]
+    if m < 2:
+        raise ValueError("InfoNCE needs at least 2 keypoints (no negatives otherwise)")
+    tau = float(np.exp(tau_raw))
+    C = f1 @ f2.T
+    S = C / tau
+    loss12, dS12 = _loop_nce_direction(S, truth, mode)
+    loss21, dS21 = _loop_nce_direction(S.T, np.argsort(truth), mode)
+    scale = 1.0 / (2 * m)
+    dS = (dS12 + dS21.T) * scale
+    dC = dS / tau
+    return (loss12 + loss21) * scale, (dC @ f2, dC.T @ f1, float(-np.sum(dS * C) / tau))
+
+
+def loop_hyperspherical(f, g_loss: float = 1.0):
+    """(loss, g_f) of one image's (m, d) rows, the gradient scattered row by
+    row with ``np.add.at``. Oracle for ``losses.hyperspherical``."""
+    m = f.shape[0]
+    g_f = np.zeros_like(f)
+    if m < 2:
+        return 0.0, g_f
+    G = f @ f.T
+    G.flat[:: m + 1] = -np.inf  # the diagonal
+    arg = G.argmax(axis=1)
+    np.add.at(g_f, np.arange(m), f[arg] * g_loss)
+    np.add.at(g_f, arg, f[np.arange(m)] * g_loss)
+    return float(G.max(axis=1).sum()), g_f
+
+
+def loop_total_loss(f1, f2, snapshots, truth, tau_raw: float, p: float, mode: str, pad=None):
+    """``losses.total_loss`` and its backward, one pair at a time on its real rows.
+
+    f1, f2 are (B, n, d), snapshots (L, 2, B, n, d), truth and pad (B, n).
+    Each pair runs InfoNCE, the final term on its tokens and every layer's
+    term as separate per-image calls, summed in plain Python. Returns
+    (reports, g_tokens (2, B, n, d), g_snapshots (L, 2, B, n, d), g_tau_raw)
+    with zero gradient on padding rows. The final term's gradient is given
+    in the last snapshot's, where ``total_loss_backward`` puts it.
+    """
+    snapshots = np.asarray(snapshots, dtype=np.float64)
+    g_tokens, g_snapshots = np.zeros((2,) + f1.shape), np.zeros_like(snapshots)
+    reports, g_tau = [], 0.0
+    for i in range(len(f1)):
+        m = f1.shape[1] if pad is None else int(np.count_nonzero(~pad[i]))
+        nce, (g1, g2, g_t) = loop_info_nce(f1[i, :m], f2[i, :m], truth[i, :m], tau_raw, mode)
+        g_tokens[0, i, :m], g_tokens[1, i, :m] = g1, g2
+        g_tau += g_t
+        (h1, g1), (h2, g2) = (loop_hyperspherical(t[i, :m], 0.5) for t in (f1, f2))
+        final = 0.5 * (h1 + h2)
+        g_snapshots[-1, 0, i, :m] += g1
+        g_snapshots[-1, 1, i, :m] += g2
+        layers = 0.0
+        for k, snap in enumerate(snapshots, start=1):
+            h1, g1 = loop_hyperspherical(snap[0, i, :m], k * p * 0.5)
+            h2, g2 = loop_hyperspherical(snap[1, i, :m], k * p * 0.5)
+            layers += k * p * 0.5 * (h1 + h2)
+            g_snapshots[k - 1, 0, i, :m] += g1
+            g_snapshots[k - 1, 1, i, :m] += g2
+        reports.append(losses.LossReport(nce, final, layers))
+    return reports, g_tokens, g_snapshots, g_tau
+
+
 def _orient(a, b, c) -> float:
     """Twice the signed area of triangle (a, b, c); positive when counter-clockwise."""
     return float((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
@@ -283,10 +368,11 @@ def _is_degenerate(points: np.ndarray) -> bool:
 
 
 def _tie_blocks(points, a: int, b: int, c: int, o: int) -> bool:
+    # c's contribution, -orient(a, b, o), is never the first nonzero one:
+    # zero contributions of a and b put a, b, c and o on one line
     contrib = {
         a: -_orient(points[b], points[c], points[o]),
         b: _orient(points[a], points[c], points[o]),
-        c: -_orient(points[a], points[b], points[o]),
         o: _orient(points[a], points[b], points[c]),
     }
     for idx in sorted(contrib):

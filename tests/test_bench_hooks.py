@@ -65,6 +65,8 @@ def test_traced_layers_present_and_counted(tracer_module):
             run(p1)
             assert t.calls["splineconv.forward"] == t.calls["decoder.forward"] == done
         model.loss_and_grads([model.prepare(p1), model.prepare(p2)])
+        # the losses, like every layer, run once over the minibatch
+        assert t.calls["losses.forward"] == t.calls["losses.backward"] == 1
     assert t.absent == []
     for layer in INFERENCE_LAYERS + TRAINING_LAYERS:
         assert t.calls[layer] > 0, layer

@@ -11,6 +11,7 @@ from normmatch.losses import (
     total_loss,
     total_loss_backward,
 )
+from oracles import loop_total_loss
 
 
 def _unit_rows(rng, m, d):
@@ -167,8 +168,9 @@ class TestHyperspherical:
 class TestLayerHyperspherical:
     def test_depth_weights_increase_linearly(self):
         # stream pair with per-stream loss 2.0 placed at a single depth k
-        # contributes exactly k * p * 2.0
-        pair_hot = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        # contributes exactly k * p * 2.0; snapshots stack, so every image
+        # has 3 rows
+        pair_hot = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         pair_cold = np.eye(3)
         for k in range(1, 5):
             snapshots = [
@@ -192,7 +194,7 @@ class TestLayerHyperspherical:
 
     def test_streams_averaged(self):
         rng = np.random.default_rng(1)
-        t1, t2 = _unit_rows(rng, 4, 6), _unit_rows(rng, 5, 6)
+        t1, t2 = _unit_rows(rng, 4, 6), _unit_rows(rng, 4, 6)  # stacked streams share n
         h1, _ = hyperspherical(t1)
         h2, _ = hyperspherical(t2)
         total, _ = layer_hyperspherical([(t1, t2)], p=0.5)
@@ -239,7 +241,8 @@ class TestTotalLoss:
         rng = np.random.default_rng(0)
         m, d = 5, 8
         f1, f2 = _unit_rows(rng, m, d), _unit_rows(rng, m, d)
-        snapshots = [(_unit_rows(rng, m, d), _unit_rows(rng, m, d)) for _ in range(2)]
+        # the last snapshot is the final tokens, as the decoder returns them
+        snapshots = [(_unit_rows(rng, m, d), _unit_rows(rng, m, d)), (f1, f2)]
         truth = rng.permutation(m)
         report, _ = total_loss(f1, f2, snapshots, truth, tau_raw=np.log(0.07), p=0.3)
 
@@ -287,3 +290,75 @@ class TestTotalLoss:
                 numeric = (hi - lo) / (2 * eps)
                 analytic = grad.ravel()[c]
                 assert abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8) < 1e-5
+
+
+def _padded_minibatch(rng, ms, n, garbage=True):
+    """Tokens, 2 layers' snapshots, truth and pad of pairs with ms[i] real rows of n.
+
+    The final tokens are the last snapshot, as the decoder returns them;
+    padding rows hold random values (and truth random indices) that the
+    losses must ignore, unless garbage is False.
+    """
+    snaps = rng.standard_normal((2, 2, len(ms), n, 6))
+    snaps /= np.linalg.norm(snaps, axis=-1, keepdims=True)
+    pad = np.arange(n) >= np.reshape(ms, (-1, 1))
+    truth = rng.integers(0, n, (len(ms), n))
+    for i, m in enumerate(ms):
+        truth[i, :m] = rng.permutation(m)
+    if not garbage:
+        snaps[:, :, pad] = 0.0
+    return snaps[-1, 0], snaps[-1, 1], snaps, truth, pad
+
+
+class TestStackedAgainstLoopOracle:
+    """One stacked call over padded pairs against the per-pair loop oracle."""
+
+    @pytest.mark.parametrize("mode", ["exclusive", "inclusive"])
+    def test_padded_minibatches_match(self, mode):
+        rng = np.random.default_rng(11)
+        for batch in range(1, 9):
+            ms = rng.integers(2, 11, batch)
+            f1, f2, snaps, truth, pad = _padded_minibatch(rng, ms, int(ms.max()) + batch % 2)
+            reports, cache = total_loss(f1, f2, snaps, truth, -1.7, 0.3, mode, pad)
+            g_f1, g_f2, g_snaps, g_tau = total_loss_backward(cache)
+            want, want_tokens, want_snaps, want_tau = loop_total_loss(
+                f1, f2, snaps, truth, -1.7, 0.3, mode, pad)
+            assert len(reports) == batch
+            for got, exp in zip(reports, want):
+                for field in ("infonce", "hyperspherical_final", "hyperspherical_layers"):
+                    assert abs(getattr(got, field) - getattr(exp, field)) <= 1e-12, field
+            np.testing.assert_allclose(np.array([g_f1, g_f2]), want_tokens, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(g_snaps, want_snaps, rtol=0, atol=1e-12)
+            assert abs(g_tau - want_tau) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["exclusive", "inclusive"])
+    def test_batch_of_one_is_bit_equal(self, mode):
+        rng = np.random.default_rng(12)
+        for m in range(2, 11):
+            f1, f2, snaps, truth, _ = _padded_minibatch(rng, [m], m)
+            want = loop_total_loss(f1, f2, snaps, truth, -1.7, 0.3, mode)[0][0]
+            stacked = total_loss(f1, f2, snaps, truth, -1.7, 0.3, mode)[0]
+            single = total_loss(f1[0], f2[0], snaps[:, :, 0], truth[0], -1.7, 0.3, mode)[0]
+            assert stacked == [want] and single == want
+
+    def test_all_padding_rows_raise_nothing(self):
+        # pairs of 2 real rows among 10, and a pair with a single padding row
+        rng = np.random.default_rng(13)
+        for mode in ("exclusive", "inclusive"):
+            for garbage in (True, False):
+                batch = _padded_minibatch(rng, [2, 10, 9, 2], 10, garbage=garbage)
+                with np.errstate(all="raise"):
+                    reports, cache = total_loss(*batch[:4], -1.7, 0.3, mode, batch[4])
+                    g_f1, g_f2, g_snaps, _ = total_loss_backward(cache)
+                assert all(np.isfinite(r.total) for r in reports)
+                pad = batch[4]
+                assert not g_f1[pad].any() and not g_f2[pad].any()
+                assert not g_snaps[:, :, pad].any()
+
+    def test_fewer_than_two_keypoints_rejected(self):
+        rng = np.random.default_rng(14)
+        f1, f2, snaps, truth, pad = _padded_minibatch(rng, [4, 1, 3], 4)
+        with pytest.raises(ValueError, match="InfoNCE needs at least 2 keypoints"):
+            total_loss(f1, f2, snaps, truth, -1.7, 0.3, "inclusive", pad)
+        with pytest.raises(ValueError, match="InfoNCE needs at least 2 keypoints"):
+            total_loss(f1[1, :1], f2[1, :1], snaps[:, :, 1, :1], truth[1, :1], -1.7, 0.3)
