@@ -4,8 +4,8 @@ Each pair is two views of the same set of class-conditioned latent points:
 image 1 samples keypoints in the image with a minimum separation, image 2
 applies a similarity warp (rotation, isotropic scale, translation) plus
 coordinate jitter, shuffles the keypoint order, and records the shuffle as
-the ground-truth permutation. Latents come from a per-class bank so the
-matching task is class-conditioned rather than pair-local.
+the ground-truth permutation. Latents are rows copied from a per-class bank
+(class-conditioned, not pair-local); the last _BANK_MEMO_SIZE banks are memoized.
 
 Dataset files are line-delimited JSON. Every record carries image ids,
 both coordinate arrays, the truth permutation, the class id, and either the
@@ -14,6 +14,7 @@ latent array (image-1 order) or paths to precomputed feature-map files.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -40,6 +41,7 @@ __all__ = [
 IMAGE_SIZE = 32.0  # square synthetic image, pixels
 _MARGIN = 3.0  # keep sampled keypoints away from the border
 _MIN_SEP = 5.0  # minimum pairwise keypoint distance, pixels
+_BANK_MEMO_SIZE = 64  # latent banks kept by class_latent_bank's memo
 
 
 @dataclass
@@ -83,25 +85,31 @@ class PairSample:
         return b1, b2
 
 
+@functools.lru_cache(maxsize=_BANK_MEMO_SIZE)
 def class_latent_bank(class_id: int, latent_dim: int, slots: int) -> np.ndarray:
-    """Deterministic per-class latent bank: unit-norm rows, (slots, latent_dim)."""
+    """Deterministic per-class latent bank, memoized and read-only: unit-norm rows."""
     rng = np.random.default_rng([97561, class_id, latent_dim, slots])
     bank = rng.standard_normal((slots, latent_dim))
-    return bank / np.linalg.norm(bank, axis=1, keepdims=True)
+    bank /= np.linalg.norm(bank, axis=1, keepdims=True)
+    bank.setflags(write=False)
+    return bank
 
 
 def _sample_keypoints(rng, m: int) -> np.ndarray:
     lo, hi = _MARGIN, IMAGE_SIZE - _MARGIN
-    pts: list[np.ndarray] = []
-    attempts = 0
-    while len(pts) < m:
-        cand = rng.uniform(lo, hi, size=2)
+    pts = np.empty((m, 2))
+    k = attempts = 0
+    while k < m:
+        cand = pts[k] = rng.uniform(lo, hi, size=2)  # row k holds it until accepted
         attempts += 1
-        if all(np.linalg.norm(cand - p) >= _MIN_SEP for p in pts):
-            pts.append(cand)
-        elif attempts > 200 * m:
-            pts.append(cand)  # crowded; accept rather than loop forever
-    return np.asarray(pts)
+        if k and attempts <= 200 * m:  # past that the set is crowded: accept, not loop
+            # (1, 2) @ (2, 1) runs np.linalg.norm's 1-D dot (d * d summed can differ in the
+            # last bit); sqrt is monotone, so one root of the least square decides for all
+            d = (cand - pts[:k])[:, None, :]
+            if np.sqrt(min((d @ d.transpose(0, 2, 1)).ravel().tolist())) < _MIN_SEP:
+                continue
+        k += 1
+    return pts
 
 
 def _warp(rng, points: np.ndarray, spec: DataConfig) -> np.ndarray:
@@ -110,16 +118,19 @@ def _warp(rng, points: np.ndarray, spec: DataConfig) -> np.ndarray:
     shift = rng.uniform(-spec.translation_max, spec.translation_max, size=2)
     c, s = np.cos(theta), np.sin(theta)
     rot = np.array([[c, -s], [s, c]])
-    center = np.array([IMAGE_SIZE / 2, IMAGE_SIZE / 2])
+    center = IMAGE_SIZE / 2
     return (points - center) @ (scale * rot).T + center + shift
 
 
 def generate_pair(spec: DataConfig, class_id: int, seed: int,
                   latent_dim: int) -> PairSample:
     """One synthetic correspondence pair; fully determined by its arguments."""
+    spec.validate()
+    if latent_dim < 2 or latent_dim % 2:
+        raise ValueError(f"latent_dim must be even and >= 2, got {latent_dim}")
     rng = np.random.default_rng([31415, seed])
     m = int(rng.integers(spec.m_min, spec.m_max + 1))
-    bank = class_latent_bank(class_id, latent_dim, slots=max(spec.m_max, m))
+    bank = class_latent_bank(class_id, latent_dim, slots=spec.m_max)
     slot_ids = rng.choice(len(bank), size=m, replace=False)
     latents = bank[slot_ids]
 

@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 
 from normmatch import decoder, losses, splineconv
+from normmatch.data import _MARGIN, _MIN_SEP, IMAGE_SIZE
 from normmatch.ops import EPS_GUARD, logsumexp
 
 
@@ -346,6 +347,23 @@ def loop_total_loss(f1, f2, snapshots, truth, tau_raw: float, p: float, mode: st
             g_snapshots[k - 1, 1, i, :m] += g2
         reports.append(losses.LossReport(nce, final, layers))
     return reports, g_tokens, g_snapshots, g_tau
+
+
+def loop_sample_keypoints(rng, m: int):
+    """(points, attempts) of the min-separation loop ``data._sample_keypoints``
+    replaced: one ``np.linalg.norm`` per accepted point and candidate;
+    attempts counts the candidates drawn."""
+    lo, hi = _MARGIN, IMAGE_SIZE - _MARGIN
+    pts: list[np.ndarray] = []
+    attempts = 0
+    while len(pts) < m:
+        cand = rng.uniform(lo, hi, size=2)
+        attempts += 1
+        if all(np.linalg.norm(cand - p) >= _MIN_SEP for p in pts):
+            pts.append(cand)
+        elif attempts > 200 * m:
+            pts.append(cand)  # crowded; accept rather than loop forever
+    return np.asarray(pts), attempts
 
 
 def _orient(a, b, c) -> float:

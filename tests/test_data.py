@@ -1,12 +1,16 @@
+import hashlib
 import json
 import re
 
 import numpy as np
+import oracles
 import pytest
 
 from normmatch.config import DataConfig, TrainConfig
 from normmatch.data import (
+    _MIN_SEP,
     IMAGE_SIZE,
+    _sample_keypoints,
     class_latent_bank,
     generate_dataset,
     generate_pair,
@@ -47,6 +51,109 @@ class TestClassLatentBank:
         a = class_latent_bank(0, latent_dim=8, slots=12)
         b = class_latent_bank(1, latent_dim=8, slots=12)
         assert not np.array_equal(a, b)
+
+    def test_memoized_read_only_and_copied_into_pairs(self):
+        bank = class_latent_bank(5, latent_dim=8, slots=8)
+        assert class_latent_bank(5, latent_dim=8, slots=8) is bank
+        assert not bank.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            bank[0, 0] = 1.0
+        spec = DataConfig(m_min=5, m_max=8)
+        pair = generate_pair(spec, class_id=5, seed=2, latent_dim=8)
+        before = pair.latents.copy()
+        assert pair.latents.flags.writeable
+        for shared in (bank, class_latent_bank(5, 8, 8)):
+            assert not np.shares_memory(pair.latents, shared)
+        pair.latents[...] = 0.0  # a caller's edit reaches no later pair
+        assert np.array_equal(generate_pair(spec, class_id=5, seed=2, latent_dim=8).latents,
+                              before)
+
+
+class TestSampleKeypoints:
+    """The sampler against the loop it replaced: same points, same draws."""
+
+    @staticmethod
+    def _both(seed, m):
+        rng_got, rng_want = np.random.default_rng([seed, m]), np.random.default_rng([seed, m])
+        got = _sample_keypoints(rng_got, m)
+        want, attempts = oracles.loop_sample_keypoints(rng_want, m)
+        assert got.tobytes() == want.tobytes(), (seed, m)
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state, (seed, m)
+        return got, attempts
+
+    # 3047 (seed, m) draws with the crowded test below; m 5-20 spans the desk and
+    # full-scale ranges, and near m = 23 the fallback starts to fire
+    @pytest.mark.parametrize("ms, seeds", [
+        ((1, 2), 650),
+        (range(5, 11), 250),
+        (range(11, 21), 24),
+        (range(21, 26), 1),
+    ], ids=["m1-2", "m5-10", "m11-20", "m21-25"])
+    def test_matches_loop_oracle(self, ms, seeds):
+        for m in ms:
+            for seed in range(seeds):
+                self._both(seed, m)
+
+    def test_candidate_at_the_separation_decided_as_np_linalg_norm_does(self):
+        # 5 px from the first point by np.linalg.norm; with a fused multiply-add
+        # in its dot product, an elementwise square-and-sum rounds below 5
+        draws = [[10.0, 10.0], [12.337343531541615, 14.420048101046024], [25.0, 25.0]]
+
+        class Replay:
+            def __init__(self):
+                self.rows = iter(draws)
+
+            def uniform(self, lo, hi, size):
+                return np.array(next(self.rows))
+
+        want, _ = oracles.loop_sample_keypoints(Replay(), 2)
+        assert _sample_keypoints(Replay(), 2).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [30, 40])
+    def test_crowded_fallback_matches_loop_oracle(self, m):
+        points, attempts = self._both(0, m)
+        assert attempts > 200 * m
+        diff = points[:, None, :] - points[None, :, :]
+        dist = np.linalg.norm(diff, axis=2) + np.diag(np.full(m, np.inf))
+        assert dist.min() < _MIN_SEP  # the fallback accepted a point too close
+
+
+def _digests(pairs) -> dict[str, str]:
+    out = {}
+    for field in ("keypoints1", "keypoints2", "truth", "latents"):
+        h = hashlib.sha256()
+        for pair in pairs:
+            dtype = "<i8" if field == "truth" else "<f8"
+            h.update(np.ascontiguousarray(getattr(pair, field), dtype=dtype).tobytes())
+        out[field] = h.hexdigest()
+    return out
+
+
+class TestPinnedData:
+    """Generated data, pinned: any moved bit in any pair fails.
+
+    The digests were computed with the per-point np.linalg.norm sampler.
+    """
+
+    DESK = dict(num_classes=10, noise_level=0.02, jitter_sigma=0.3)
+
+    def test_desk_dataset(self):
+        spec = DataConfig(num_pairs=300, m_min=5, m_max=10, **self.DESK)
+        assert _digests(generate_dataset(spec, latent_dim=32, seed=12)) == {
+            "keypoints1": "de8a5bef7de981360e880ec55591a095caaa2388fd2b1401a94ba0ad286c158e",
+            "keypoints2": "e1e2548a12d2b26a262e4d60607abe757c708e6cb7200dcd47b96d3221cc9e7e",
+            "truth": "8a083b79ee63eb9962ea131a90bcadc78c190a79d31d956c5c173e1be9958b4e",
+            "latents": "b96a92959fee9355143d98e680208567689f2ba3617ff321c57065ed3708eba7",
+        }
+
+    def test_full_scale_range_dataset(self):
+        spec = DataConfig(num_pairs=100, m_min=10, m_max=20, **self.DESK)
+        assert _digests(generate_dataset(spec, latent_dim=32, seed=13)) == {
+            "keypoints1": "5903c82f8c2834074193a29a48c8ea674a9fe657544d44815737203c7d3cb704",
+            "keypoints2": "5a6b6632868d9a2dbf455281eee8be0a509ed0e8d04871178f35c506e663a4b7",
+            "truth": "9724bda0863d192f46049bb4ce3b0a65847641ae6c41fcf5bf52c606e5aa9de3",
+            "latents": "c25d4adfa329f880cbef8f8c59639feb7ae599a5a14ae89d4b5bc5379ce1b0b9",
+        }
 
 
 class TestGeneratePair:
@@ -93,6 +200,19 @@ class TestGeneratePair:
         bank = class_latent_bank(4, latent_dim=16, slots=8)
         for latent in pair.latents:
             assert any(np.array_equal(latent, row) for row in bank)
+
+    @pytest.mark.parametrize("overrides, latent_dim, message", [
+        (dict(m_min=0, m_max=0), 8, "1 <= m_min <= m_max"),
+        (dict(m_min=6, m_max=5), 8, "1 <= m_min <= m_max"),
+        (dict(jitter_sigma=-0.1), 8, "jitter_sigma"),
+        (dict(scale_min=-0.5), 8, "scale_min"),
+        (dict(), 7, "latent_dim must be even and >= 2, got 7"),
+        (dict(), 0, "latent_dim must be even and >= 2, got 0"),
+    ], ids=["m_max-0", "m_min-above-m_max", "jitter-negative", "scale_min-negative",
+            "latent_dim-odd", "latent_dim-0"])
+    def test_bad_inputs_rejected_where_they_enter(self, overrides, latent_dim, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_pair(DataConfig(**overrides), class_id=0, seed=0, latent_dim=latent_dim)
 
     def test_latents2_reorders_by_truth(self):
         pair = generate_pair(DataConfig(), class_id=2, seed=5, latent_dim=8)
