@@ -1,9 +1,10 @@
 """Train a small matcher end to end and round-trip it through a checkpoint.
 
 Everything is seeded, so rerunning this script reproduces the history
-bit for bit. The checkpoint keeps parameters in float32; values are
-float32-quantized after every optimizer step, so the reload is exact
-and the reloaded model's forward pass is bit-identical.
+bit for bit. The checkpoint keeps parameters in float32. train() snaps
+every value to float32 once before its first step, and each Adam step
+snaps the values it updates, so the reload is exact and the reloaded
+model's forward pass is bit-identical.
 """
 
 import tempfile

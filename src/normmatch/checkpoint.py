@@ -3,8 +3,8 @@
 Members, one ``.npy`` each: ``version``, ``config`` (the config text as a 0-d
 unicode array), ``meta`` (JSON: epoch, history, optimizer step),
 ``param.<name>`` and, with optimizer state, ``opt.m.<name>``/``opt.v.<name>``.
-Every float array is stored as float32. Parameter values are
-float32-quantized in memory after every optimizer step, so a load reproduces
+Every float array is stored as float32. train() and every Adam step keep
+parameter values float32-representable in memory, so a load reproduces
 bit-identical forward passes; the Adam moments lose precision. Each member
 carries a CRC-32, which zipfile checks when it reads the member.
 """

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+from .losses import INFONCE_MODES
+
 __all__ = [
     "TrainConfig",
     "DataConfig",
@@ -19,6 +21,12 @@ __all__ = [
     "parse_config_file",
     "config_to_text",
 ]
+
+
+def _check_finite(config) -> None:
+    for f in fields(config):
+        if isinstance(f.default, float) and not math.isfinite(value := getattr(config, f.name)):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -48,6 +56,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        _check_finite(self)
         if self.d_model <= 0 or self.heads <= 0:
             raise ValueError("d_model and heads must be positive")
         if self.d_model % self.heads:
@@ -70,7 +79,7 @@ class TrainConfig:
             raise ValueError("lr_decay_epochs entries must be >= 1")
         if self.sinkhorn_temperature <= 0 or self.sinkhorn_iters < 1:
             raise ValueError("sinkhorn_temperature must be > 0 and iters >= 1")
-        if self.infonce_mode not in ("exclusive", "inclusive"):
+        if self.infonce_mode not in INFONCE_MODES:
             raise ValueError(f"unknown infonce_mode {self.infonce_mode!r}")
 
 
@@ -103,6 +112,7 @@ class DataConfig:
     data: str = ""  # path to a JSONL dataset; empty = generate on the fly
 
     def validate(self) -> None:
+        _check_finite(self)
         if min(self.num_pairs, self.val_pairs_per_class, self.num_classes) < 1:
             raise ValueError("num_pairs, val_pairs_per_class and num_classes must be >= 1")
         if not (1 <= self.m_min <= self.m_max):
@@ -134,12 +144,9 @@ def _coerce(raw: str, current, where: str):
 
 def parse_config_text(text: str) -> tuple[TrainConfig, DataConfig]:
     """Parse ``key = value`` lines into (TrainConfig, DataConfig)."""
-    train_cfg = TrainConfig()
-    data_cfg = DataConfig()
-    train_fields = {f.name for f in fields(TrainConfig)}
-    data_fields = {f.name for f in fields(DataConfig)}
-    train_updates: dict = {}
-    data_updates: dict = {}
+    defaults = TrainConfig(), DataConfig()
+    owner = {f.name: i for i, cfg in enumerate(defaults) for f in fields(cfg)}
+    updates: tuple[dict, dict] = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -148,15 +155,11 @@ def parse_config_text(text: str) -> tuple[TrainConfig, DataConfig]:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        where = f"line {lineno}: {key!r}"
-        if key in train_fields:
-            train_updates[key] = _coerce(raw, getattr(train_cfg, key), where)
-        elif key in data_fields:
-            data_updates[key] = _coerce(raw, getattr(data_cfg, key), where)
-        else:
+        i = owner.get(key)
+        if i is None:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-    train_cfg = replace(train_cfg, **train_updates)
-    data_cfg = replace(data_cfg, **data_updates)
+        updates[i][key] = _coerce(raw, getattr(defaults[i], key), f"line {lineno}: {key!r}")
+    train_cfg, data_cfg = (replace(cfg, **u) for cfg, u in zip(defaults, updates))
     train_cfg.validate()
     data_cfg.validate()
     return train_cfg, data_cfg

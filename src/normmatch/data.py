@@ -72,10 +72,7 @@ class PairSample:
     def backbone_outputs(self) -> tuple[BackboneOutput, BackboneOutput]:
         """Render (or load) the two backbone outputs for this pair."""
         if self.feature_files is not None:
-            return (
-                read_feature_file(self.feature_files[0]),
-                read_feature_file(self.feature_files[1]),
-            )
+            return tuple(map(read_feature_file, self.feature_files))
         b1 = synthetic_backbone(
             self.latents, self.keypoints1, self.noise_level, seed=[self.seed, 1]
         )

@@ -33,7 +33,6 @@ __all__ = [
     "hyperspherical",
     "hyperspherical_backward",
     "layer_hyperspherical",
-    "layer_hyperspherical_backward",
     "total_loss",
     "total_loss_backward",
 ]
@@ -161,12 +160,6 @@ def layer_hyperspherical(snapshots, p: float, pad=None):
     pair_h = np.add.reduce(h, axis=1)
     weights = (np.arange(1, len(h) + 1) * (0.5 * p)).reshape((-1,) + (1,) * (h.ndim - 2))
     return np.add.reduce(weights * pair_h, axis=0), (cache, weights, pair_h)
-
-
-def layer_hyperspherical_backward(cache):
-    """Gradients of the snapshots, (L, 2, ..., n, d)."""
-    hs_cache, weights, _ = cache
-    return hyperspherical_backward(hs_cache, weights[:, None])
 
 
 def total_loss(f1_tokens, f2_tokens, snapshots, truth, tau_raw: float,

@@ -58,7 +58,7 @@ def sinkhorn_log(C, temperature: float, iters: int) -> TransportPlan:
         raise ValueError("affinity matrix must be square (equal keypoint counts)")
     if not np.all(np.isfinite(C)):
         raise ValueError("affinity matrix must be finite")
-    if temperature <= 0:
+    if not temperature > 0:  # NaN fails too
         raise ValueError("temperature must be positive")
     if iters < 1:
         raise ValueError("iters must be >= 1")

@@ -11,8 +11,8 @@ class ParameterStore:
     """Maps unique names to (value, gradient, trainable) triples.
 
     Values and gradients are float64 arrays of identical shape. Gradients
-    accumulate additively; call :meth:`zero_grads` between steps. Iteration
-    order is registration order, so traversals are deterministic.
+    accumulate additively until :meth:`zero_grads` or an Adam step resets
+    them. Traversals follow registration order, so they are deterministic.
     """
 
     def __init__(self) -> None:
@@ -75,4 +75,4 @@ class ParameterStore:
         serialization round-trips.
         """
         for v in self._values.values():
-            v[...] = v.astype(np.float32).astype(np.float64)
+            v[...] = v.astype(np.float32)  # the assignment widens back exactly

@@ -16,14 +16,16 @@ class Adam:
 
     Moment decays are 0.9 and 0.999 with denominator guard 1e-8. Parameters
     whose names start with "backbone." take the learning rate scaled by
-    backbone_lr_factor.
+    backbone_lr_factor. step(lr, batch_size) averages each summed gradient,
+    updates, snaps the value to float32 and zeroes the gradient, one slice
+    at a time while the slice is in cache.
     """
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
-    # a step runs over slices of this many elements, with two buffers held
-    # across steps as its temporaries, so they stay small and in cache
+    # a step runs over slices of this many elements, with buffers held across
+    # steps as its temporaries, so they stay small and in cache
     chunk = 1 << 14
 
     def __init__(self, store, backbone_lr_factor: float = 1.0):
@@ -32,9 +34,9 @@ class Adam:
         self.t = 0
         self.m = {n: np.zeros_like(store.value(n)) for n in store.trainable_names()}
         self.v = {n: np.zeros_like(store.value(n)) for n in store.trainable_names()}
-        self._temps = np.empty(self.chunk), np.empty(self.chunk)
+        self._temps = np.empty(self.chunk), np.empty(self.chunk), np.empty(self.chunk, np.float32)
 
-    def step(self, lr: float) -> None:
+    def step(self, lr: float, batch_size: int) -> None:
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
@@ -44,7 +46,8 @@ class Adam:
             flat = [a.reshape(-1) for a in arrays]  # views: every one is contiguous
             for start in range(0, flat[0].size, self.chunk):
                 value, g, m, v = (a[start:start + self.chunk] for a in flat)
-                t1, t2 = self._temps[0][:len(g)], self._temps[1][:len(g)]
+                t1, t2, t32 = (t[:len(g)] for t in self._temps)
+                g /= batch_size
                 m *= self.beta1
                 m += np.multiply(1.0 - self.beta1, g, out=t1)
                 v *= self.beta2
@@ -53,6 +56,9 @@ class Adam:
                 np.sqrt(np.divide(v, b2t, out=t2), out=t2)
                 t2 += self.eps
                 value -= np.divide(t1, t2, out=t1)
+                t32[...] = value
+                value[...] = t32
+                g[...] = 0.0
 
 
 def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
@@ -81,6 +87,10 @@ def train(config: TrainConfig, train_pairs, val_pairs=None,
     optimizer = Adam(model.store, backbone_lr_factor=config.backbone_lr_factor)
     prepared = [model.prepare(pair) for pair in train_pairs]
     val_prepared = [model.prepare(pair) for pair in val_pairs or ()]
+    # every gradient zero and every value float32-representable, frozen ones
+    # too; each optimizer.step keeps that for the parameters it trains
+    model.store.zero_grads()
+    model.store.quantize_float32()
     history: list[dict] = []
     aborted = False
     for epoch in range(1, config.epochs + 1):
@@ -89,15 +99,11 @@ def train(config: TrainConfig, train_pairs, val_pairs=None,
         losses = []
         for start in range(0, len(order), config.batch_size):
             batch = [prepared[i] for i in order[start : start + config.batch_size]]
-            model.store.zero_grads()
             batch_loss = sum(r.total for r in model.loss_and_grads(batch)) / len(batch)
             if not np.isfinite(batch_loss):
                 aborted = True
                 break
-            for name in model.store.trainable_names():
-                model.store.grad(name)[...] /= len(batch)
-            optimizer.step(lr)
-            model.store.quantize_float32()
+            optimizer.step(lr, len(batch))
             losses.append(batch_loss)
         if aborted:
             if log:

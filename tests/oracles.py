@@ -90,16 +90,20 @@ def row_global_token_grad(pooled_row, proj, g_token) -> np.ndarray:
     return np.outer(pooled_row, (g_token - y * (y @ g_token)) / norm)
 
 
-def adam_update(value, g, m, v, t: int, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One bias-corrected Adam update of one parameter, in place, written as
-    whole-array expressions. Oracle for ``train.Adam.step``, which must
-    equal it exactly."""
+def adam_update(value, g, m, v, t: int, lr: float, batch_size: int,
+                beta1=0.9, beta2=0.999, eps=1e-8):
+    """One bias-corrected Adam update of one parameter from a gradient summed
+    over batch_size pairs, in place, written as whole-array passes: average,
+    update, snap the value to float32, zero the gradient. Oracle for
+    ``train.Adam.step``, which must equal it exactly."""
+    g[...] = g / batch_size
     m *= beta1
     m += (1.0 - beta1) * g
     v *= beta2
     v += (1.0 - beta2) * g * g
     update = lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
-    value[...] = value - update
+    value[...] = (value - update).astype(np.float32)
+    g[...] = 0.0
 
 
 def spline_basis(u, kernel_size: int) -> list[tuple[tuple[int, int], float]]:
@@ -314,6 +318,15 @@ def loop_hyperspherical(f, g_loss: float = 1.0):
     np.add.at(g_f, np.arange(m), f[arg] * g_loss)
     np.add.at(g_f, arg, f[np.arange(m)] * g_loss)
     return float(G.max(axis=1).sum()), g_f
+
+
+def layer_hyperspherical_backward(cache):
+    """Gradients of the snapshots, (L, 2, ..., n, d), for the cache of
+    ``losses.layer_hyperspherical`` alone. ``losses.total_loss_backward``
+    runs the same ``hyperspherical_backward`` with the final term's weight
+    added to the last layer's."""
+    hs_cache, weights, _ = cache
+    return losses.hyperspherical_backward(hs_cache, weights[:, None])
 
 
 def loop_total_loss(f1, f2, snapshots, truth, tau_raw: float, p: float, mode: str, pad=None):

@@ -98,12 +98,16 @@ def test_training_preparation_stays_traced(tracer_module):
     data = DataConfig(m_min=5, m_max=8, num_classes=3)
     pairs = [generate_pair(data, class_id=i, seed=i, latent_dim=config.gnn_input_dim)
              for i in range(2)]
+    model = MatchingModel(config)  # its initial snap is not train()'s
     with tracer_module.Tracer() as t:
-        train(config, pairs)
+        train(config, pairs, model=model)
     assert t.absent == []
     assert t.calls["features.render"] == 2
     assert t.calls["geometry.build_graph"] == t.calls["features.sample"] == 4
     assert t.calls["train.adam"] == 2
+    # the store is zeroed and snapped once, before the first step; each step
+    # then averages, updates, snaps and zeroes what it trains
+    assert t.calls["params.quantize"] == t.calls["params.zero_grads"] == 1
 
 
 def test_complete_graph_fallbacks_and_arcs_counted(tracer_module):

@@ -1,4 +1,6 @@
+import math
 import re
+from dataclasses import fields
 
 import pytest
 
@@ -145,6 +147,15 @@ class TestValidation:
     def test_bad_sinkhorn_settings(self):
         with pytest.raises(ValueError, match="sinkhorn"):
             TrainConfig(sinkhorn_temperature=0.0).validate()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("cls, name", [(cls, f.name) for cls in (TrainConfig, DataConfig)
+                                           for f in fields(cls) if isinstance(f.default, float)])
+    def test_non_finite_float_fields_named(self, cls, name, bad):
+        # validate() is the entry check of library callers, whom _coerce's
+        # line-numbered check of config files does not cover
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {bad!r}$"):
+            cls(**{name: bad}).validate()
 
     def test_data_range_checks(self):
         with pytest.raises(ValueError, match="m_min"):

@@ -7,11 +7,10 @@ from normmatch.losses import (
     info_nce,
     info_nce_backward,
     layer_hyperspherical,
-    layer_hyperspherical_backward,
     total_loss,
     total_loss_backward,
 )
-from oracles import loop_total_loss
+from oracles import layer_hyperspherical_backward, loop_total_loss
 
 
 def _unit_rows(rng, m, d):

@@ -116,8 +116,9 @@ class TestSinkhornLog:
 
     def test_bad_temperature_and_iters_rejected(self):
         C = np.zeros((2, 2))
-        with pytest.raises(ValueError, match="temperature"):
-            sinkhorn_log(C, 0.0, 5)
+        for temperature in (0.0, np.nan):
+            with pytest.raises(ValueError, match="temperature"):
+                sinkhorn_log(C, temperature, 5)
         with pytest.raises(ValueError, match="iters"):
             sinkhorn_log(C, 0.1, 0)
 

@@ -40,10 +40,11 @@ class TestAdam:
         g = np.array([0.5, -0.25])
         store.add_grad("w", g)
         opt = Adam(store)
-        opt.step(lr=0.1)
-        # bias correction makes the first step lr * g / (|g| + eps)
+        opt.step(lr=0.1, batch_size=1)
+        # bias correction makes the first step lr * g / (|g| + eps), and the
+        # value is snapped to float32
         expected = np.array([1.0, -2.0]) - 0.1 * g / (np.abs(g) + 1e-8)
-        assert np.allclose(store.value("w"), expected, atol=1e-12)
+        assert np.allclose(store.value("w"), expected.astype(np.float32), atol=1e-12)
 
     def test_backbone_prefix_scales_learning_rate(self):
         store = ParameterStore()
@@ -53,9 +54,12 @@ class TestAdam:
         store.add_grad("backbone.p", g)
         store.add_grad("core.p", g)
         opt = Adam(store, backbone_lr_factor=0.03)
-        opt.step(lr=1.0)
-        assert np.allclose(store.value("backbone.p"), 0.03 * store.value("core.p"),
+        opt.step(lr=1.0, batch_size=1)
+        # the first-step closed form at each group's rate, snapped to float32
+        first = -g / (np.abs(g) + 1e-8)
+        assert np.allclose(store.value("backbone.p"), (0.03 * first).astype(np.float32),
                            atol=1e-12)
+        assert np.allclose(store.value("core.p"), first.astype(np.float32), atol=1e-12)
 
     def test_frozen_parameters_untouched(self):
         store = ParameterStore()
@@ -63,13 +67,15 @@ class TestAdam:
         store.register("frozen", np.ones(2), trainable=False)
         store.add_grad("w", np.ones(2))
         opt = Adam(store)
-        opt.step(lr=0.1)
+        opt.step(lr=0.1, batch_size=1)
         assert np.array_equal(store.value("frozen"), np.ones(2))
         assert not np.array_equal(store.value("w"), np.ones(2))
 
     def test_matches_reference_update_exactly(self):
         # parameters below, at and across the slice length of a step, plus a
-        # scalar and a backbone parameter with its scaled rate
+        # scalar and a backbone parameter with its scaled rate; gradients are
+        # sums over 3 pairs, so averaging is not a power-of-two scaling, and
+        # each step must leave them zero for the next sums
         rng = np.random.default_rng(7)
         store = ParameterStore()
         shapes = {"a": (3, 5), "b": (Adam.chunk,), "c": (2, Adam.chunk + 17), "d": (),
@@ -80,13 +86,14 @@ class TestAdam:
                     for n, shape in shapes.items()}
         opt = Adam(store, backbone_lr_factor=0.03)
         for t, lr in ((1, 1e-3), (2, 1e-3), (3, 1e-4)):
-            store.zero_grads()
             for name, shape in shapes.items():
                 store.add_grad(name, rng.standard_normal(shape))
                 value, m, v = expected[name]
                 group_lr = lr * (0.03 if name.startswith("backbone.") else 1.0)
-                adam_update(value, store.grad(name), m, v, t, group_lr)
-            opt.step(lr)
+                adam_update(value, store.grad(name).copy(), m, v, t, group_lr, 3)
+            opt.step(lr, 3)
+            for name in shapes:
+                assert not store.grad(name).any(), name
         for name, (value, m, v) in expected.items():
             assert np.array_equal(store.value(name), value), name
             assert np.array_equal(opt.m[name], m), name
@@ -96,7 +103,7 @@ class TestAdam:
         store = ParameterStore()
         store.register("w", np.array([3.0]))
         store.add_grad("w", np.array([7.0]))
-        Adam(store).step(lr=0.0)
+        Adam(store).step(lr=0.0, batch_size=1)
         assert np.array_equal(store.value("w"), np.array([3.0]))
 
 
@@ -126,13 +133,36 @@ class TestTrain:
         prepared = [model.prepare(pair)]
         losses = []
         for _ in range(50):
-            model.store.zero_grads()
             losses.append(model.loss_and_grads(prepared)[0].total)
-            opt.step(lr=1e-4)
-            model.store.quantize_float32()
+            opt.step(lr=1e-4, batch_size=1)
         decreases = sum(1 for a, b in zip(losses, losses[1:]) if b < a)
         assert decreases >= 45, f"only {decreases}/49 decreasing steps"
         assert losses[-1] < losses[0] - 1.0
+
+    def test_leftover_gradients_and_unsnapped_values_train_like_a_clean_model(self):
+        # train() zeroes every gradient and snaps every value once, before its
+        # first step; each Adam.step keeps that state for what it updates
+        config = _tiny_config()
+        pairs = generate_dataset(_tiny_data(), latent_dim=config.gnn_input_dim, seed=0)
+        frozen, trainable = "backbone.global_proj", "loss.tau_raw"
+        models = [MatchingModel(config), MatchingModel(config)]
+        for model in models:
+            model.store.set_trainable(frozen, False)
+        clean, dirty = models
+        rng = np.random.default_rng(5)
+        for name in dirty.store.names():
+            dirty.store.add_grad(name, rng.standard_normal(dirty.store.grad(name).shape))
+        start = clean.store.value(frozen).copy()
+        for name in (frozen, trainable):  # one float64 step up rounds back in float32
+            dirty.store.set_value(name, np.nextafter(clean.store.value(name), np.inf))
+        assert not np.array_equal(dirty.store.value(frozen), start)
+        histories = [train(config, pairs, model=model)[2] for model in models]
+        assert histories[0] == histories[1]
+        for name in clean.store.names():
+            value = dirty.store.value(name)
+            assert np.array_equal(value, clean.store.value(name)), name
+            assert np.array_equal(value, value.astype(np.float32)), name
+        assert np.array_equal(dirty.store.value(frozen), start)
 
     def test_zero_lr_leaves_parameters_and_metrics_flat(self):
         config = _tiny_config(base_lr=0.0, epochs=3)
