@@ -42,11 +42,16 @@ def _build_datasets(tcfg: TrainConfig, dcfg: DataConfig):
 
 def _cmd_train(args) -> int:
     tcfg, dcfg = parse_config_file(args.config)
+    if not dcfg.data and dcfg.m_min < 2:
+        raise ValueError(f"{args.config}: m_min = {dcfg.m_min}, but training needs at least 2")
     train_pairs, val_pairs = _build_datasets(tcfg, dcfg)
     os.makedirs(args.out, exist_ok=True)
-    model, optimizer, history, aborted = train(
-        tcfg, train_pairs, val_pairs, log=lambda msg: print(msg, flush=True)
-    )
+    try:
+        model, optimizer, history, aborted = train(
+            tcfg, train_pairs, val_pairs, log=lambda msg: print(msg, flush=True)
+        )
+    except ValueError as exc:  # name where the training pairs came from
+        raise ValueError(f"{dcfg.data or args.config}: {exc}") from exc
     ckpt_path = os.path.join(args.out, "checkpoint.nmtc")
     save_checkpoint(ckpt_path, model, optimizer, epoch=len(history), history=history)
     with atomic_write(os.path.join(args.out, "history.json"), "w") as fh:

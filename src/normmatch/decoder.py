@@ -12,8 +12,10 @@ joins the keys/values as an extra element but is itself left unchanged),
 cross-attention stream 1 <- 2 and then stream 2 <- 1 against the
 just-updated stream 1, global-token modulation of each stream, and a shared
 MLP over tokens plus global. Both streams use one set of layer parameters:
-`decode` stacks them as (2, ..., n, d) and runs all but cross-attention
-once per layer on both.
+`decode` stacks them and runs all but cross-attention once per layer on
+both. It packs a padded minibatch's rows once: the projections, residuals,
+global modulation and MLP run on rows real in either stream, and only the
+attention core scatters them into per-pair grids.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ class FeatureSequence:
 
     tokens is (m, d_model) for one image, (B, n, d_model) for B images or
     (2, B, n, d_model) for both streams; pad, tokens' shape without d_model,
-    is True on zero padding rows, which attention ignores, or None.
+    is True on zero padding rows, which attention ignores, or None. decode
+    runs its row-wise steps on real rows only and returns outputs padded.
     """
 
     tokens: np.ndarray  # (..., n, d_model)
@@ -76,24 +79,81 @@ def init_decoder_params(store, rng, d_model: int, layers: int, mlp_mult: int) ->
         store.register(p + "alpha_m", np.full(d_model, alpha0))
 
 
+class _Layout:
+    """How decode packs the rows of its (2, B, n) padding masks pad (a single
+    stream's (..., n) mask is never packed; it gives the masks only).
+
+    Per pair, the rows real in either stream and then the global row are
+    packed. keep (slots, grid shape) places them in the (B, n + 1) grid with
+    the global at slot n, keep_tok the token rows in the (B, n) grid; both
+    are None when the rows are the grid. tok, glob and gi index the token
+    rows, global rows and each token row's global; order interleaves
+    [tokens, globals]. pad (grid) and row_pad (rows) mark padding, or None.
+    """
+
+    def __init__(self, pad):
+        self.keep = self.keep_tok = self.order = None
+        self.tok, self.glob, self.gi = np.s_[:-1], -1, np.s_[-1:]
+        if pad is not None:  # a global row is never padding
+            pad = np.concatenate([pad, np.zeros(pad.shape[:-1] + (1,), bool)], axis=-1)
+        self.pad = self.row_pad = pad
+        if pad is not None and pad.ndim == 3 and np.any(pad[0] & pad[1]):
+            keep = ~(pad[0] & pad[1])
+            (b, w), slots = keep.shape, np.flatnonzero(keep)
+            self.keep, self.keep_tok = (slots, (b, w)), (np.flatnonzero(keep[:, :-1]), (b, w - 1))
+            is_glob = slots % w == w - 1
+            self.tok, self.glob = np.flatnonzero(~is_glob), np.flatnonzero(is_glob)
+            self.gi = self.glob[self.keep_tok[0] // (w - 1)]
+            self.order = np.argsort(np.concatenate([self.tok, self.glob]))
+            self.row_pad = pad[:, keep] if pad[:, keep].any() else None
+
+
 def _rows(x):
     """(..., n, d) -> (rows, d): each weight is one GEMM over every image's rows."""
     return x.reshape(-1, x.shape[-1])
 
 
-def _split_heads(rows, shape, heads: int):
-    """GEMM rows of a (..., n, d) input -> (..., heads, n, d // heads)."""
-    return rows.reshape(*shape[:-1], heads, shape[-1] // heads).swapaxes(-3, -2)
+def _grid(rows, keep):
+    """Packed rows (..., R, d) -> their per-pair grid (..., B, w, d), zero off keep."""
+    if keep is None:
+        return rows
+    (slots, shape), lead = keep, rows.shape[:-2]
+    grid = np.zeros(lead + (shape[0] * shape[1], rows.shape[-1]))
+    grid[..., slots, :] = rows
+    return grid.reshape(lead + shape + rows.shape[-1:])
 
 
-def _merge_heads(x):
+def _packed(grid, keep):
+    """The rows on keep of a grid (..., B, w, d), the inverse of _grid."""
+    if keep is None:
+        return grid
+    return np.take(grid.reshape(grid.shape[:-3] + (-1, grid.shape[-1])), keep[0], axis=-2)
+
+
+def _pick(mask, index):
+    return None if mask is None else mask[index]
+
+
+def _split_heads(rows, x, heads: int, keep=None):
+    """GEMM rows of x (..., R, d) -> (..., heads, n, d // heads), over x's rows
+    or, with keep, scattered into the per-pair grid."""
+    if keep is not None:
+        x = rows = _grid(rows.reshape(x.shape), keep)
+    return rows.reshape(*x.shape[:-1], heads, x.shape[-1] // heads).swapaxes(-3, -2)
+
+
+def _merge_heads(x, keep=None):
     """(..., heads, n, dh) -> (rows, heads * dh), the inverse of _split_heads."""
-    return x.swapaxes(-3, -2).reshape(-1, x.shape[-3] * x.shape[-1])
+    d = x.shape[-3] * x.shape[-1]
+    x = x.swapaxes(-3, -2)
+    return (x if keep is None else _packed(x.reshape(*x.shape[:-2], d), keep)).reshape(-1, d)
 
 
-def _with_global(tokens, glob):
-    """Tokens followed by the global token: (..., n + 1, d)."""
-    return np.concatenate([tokens, glob[..., None, :]], axis=-2)
+def _with_global(tokens, glob, order=None):
+    """Tokens followed by the global token: (..., n + 1, d), or packed rows in order."""
+    if order is None:
+        return np.concatenate([tokens, glob[..., None, :]], axis=-2)
+    return np.take(np.concatenate([tokens, glob], axis=-2), order, axis=-2)
 
 
 def _norm_residual_forward(base, raw, alpha_raw):
@@ -118,44 +178,43 @@ _ATTN_WEIGHTS = ("wq", "wk", "wv", "wo")
 _ALPHA = {"sa": "alpha_a", "ca": "alpha_c"}
 
 
-def _norm_attn(tokens, other, store, prefix: str, block: str, heads: int, q_pad, key_pad):
-    """Norm(tokens + |alpha| * (Norm(MHA(tokens, keys)) - tokens)). Returns (out, cache).
+def _norm_attn(tokens, kv, store, prefix: str, block: str, heads: int, masks):
+    """Norm(tokens + |alpha| * (Norm(MHA(tokens, kv)) - tokens)). Returns (out, cache).
 
-    The keys are other's tokens, or for self-attention the tokens and then
-    the global token passed as other, rebuilt in backward rather than cached.
-    Keys on key_pad get probability 0 and rows on q_pad stay zero; both masks
-    are None when nothing is padded.
+    masks is (q_keep, kv_keep, q_pad, key_pad). The keep masks scatter the
+    projected rows into per-pair grids for the scores, or are None when the
+    rows are the grid. Keys on key_pad (a grid mask) get probability 0 and
+    rows on q_pad stay zero; both are None when nothing is padded.
     """
+    q_keep, kv_keep, q_pad, key_pad = masks
     wq, wk, wv, wo = (store.value(f"{prefix}{block}.{w}") for w in _ATTN_WEIGHTS)
-    kv = _with_global(tokens, other) if block == "sa" else other
-    q, k, v = (_split_heads(_rows(x) @ w, x.shape, heads)
-               for x, w in ((tokens, wq), (kv, wk), (kv, wv)))
+    q, k, v = (_split_heads(_rows(x) @ w, x, heads, keep)
+               for x, w, keep in ((tokens, wq, q_keep), (kv, wk, kv_keep), (kv, wv, kv_keep)))
     scores = q @ k.swapaxes(-1, -2) * (1.0 / np.sqrt(q.shape[-1]))  # (..., heads, nq, nk)
     if key_pad is not None:
         scores = np.where(key_pad[..., None, None, :], -np.inf, scores)
     p, _ = softmax_rows(scores)
-    raw = (_merge_heads(p @ v) @ wo).reshape(tokens.shape)
+    ctx = _merge_heads(p @ v, q_keep)
+    raw = (ctx @ wo).reshape(tokens.shape)
     if q_pad is not None:
         raw[q_pad] = 0.0
     out, rc = _norm_residual_forward(tokens, raw, store.value(prefix + _ALPHA[block]))
-    return out, (q, k, v, p, rc, tokens, other, prefix, block)
+    return out, (q, k, v, p, ctx, rc, tokens, kv, prefix, block, q_keep, kv_keep)
 
 
 def _norm_attn_backward(cache, g_out, store):
-    """Returns (g_tokens, g_keys) and accumulates parameter grads; recomputes p @ v."""
-    q, k, v, p, rc, tokens, other, prefix, block = cache
+    """Returns (g_tokens, g_kv) and accumulates parameter grads."""
+    q, k, v, p, ctx, rc, tokens, kv, prefix, block, q_keep, kv_keep = cache
     wq, wk, wv, wo = (store.value(f"{prefix}{block}.{w}") for w in _ATTN_WEIGHTS)
-    kv = _with_global(tokens, other) if block == "sa" else other
     scale = 1.0 / np.sqrt(q.shape[-1])
     g_base, g_raw, g_alpha = _norm_residual_backward(rc, g_out, tokens)
     g_raw = _rows(g_raw)
-    g_ctx = _split_heads(g_raw @ wo.T, tokens.shape, q.shape[-3])
+    g_ctx = _split_heads(g_raw @ wo.T, tokens, q.shape[-3], q_keep)
     g_scores = softmax_rows_backward(p, g_ctx @ v.swapaxes(-1, -2))
-    g_q = _merge_heads((g_scores @ k) * scale)
-    g_k = _merge_heads((g_scores.swapaxes(-1, -2) @ q) * scale)
-    g_v = _merge_heads(p.swapaxes(-1, -2) @ g_ctx)
-    g_weights = (_rows(tokens).T @ g_q, _rows(kv).T @ g_k, _rows(kv).T @ g_v,
-                 _merge_heads(p @ v).T @ g_raw)
+    g_q = _merge_heads((g_scores @ k) * scale, q_keep)
+    g_k = _merge_heads((g_scores.swapaxes(-1, -2) @ q) * scale, kv_keep)
+    g_v = _merge_heads(p.swapaxes(-1, -2) @ g_ctx, kv_keep)
+    g_weights = (_rows(tokens).T @ g_q, _rows(kv).T @ g_k, _rows(kv).T @ g_v, ctx.T @ g_raw)
     store.add_grad(prefix + _ALPHA[block], g_alpha)
     for w, g in zip(_ATTN_WEIGHTS, g_weights):
         store.add_grad(f"{prefix}{block}.{w}", g)
@@ -170,63 +229,57 @@ def norm_self_attn(seq: FeatureSequence, store, prefix: str, heads: int):
     read whole-image context, but only the m keypoint tokens are updated;
     the global token passes through unchanged.
     """
-    pad = seq.pad
-    key_pad = None if pad is None else np.pad(pad, [(0, 0)] * (pad.ndim - 1) + [(0, 1)])
-    out, cache = _norm_attn(seq.tokens, seq.global_token, store, prefix, "sa", heads, pad, key_pad)
-    return FeatureSequence(out, seq.global_token, pad), cache
+    out, cache = _norm_attn(seq.tokens, _with_global(seq.tokens, seq.global_token), store, prefix,
+                            "sa", heads, (None, None, seq.pad, _Layout(seq.pad).pad))
+    return FeatureSequence(out, seq.global_token, seq.pad), cache
 
 
 def norm_cross_attn(seq: FeatureSequence, other: FeatureSequence, store,
                     prefix: str, heads: int):
     """Normalized cross-attention: seq tokens query the other stream's tokens."""
     out, cache = _norm_attn(seq.tokens, other.tokens, store, prefix, "ca", heads,
-                            seq.pad, other.pad)
+                            (None, None, seq.pad, other.pad))
     return FeatureSequence(out, seq.global_token, seq.pad), cache
 
 
 def modulate_global(seq: FeatureSequence):
     """Replace each token by Norm(token * global), element-wise product."""
-    h = seq.tokens * seq.global_token[..., None, :]
-    out, nc = normalize_rows(h)
+    out, nc = normalize_rows(seq.tokens * seq.global_token[..., None, :])
     return FeatureSequence(out, seq.global_token, seq.pad), (seq.tokens, seq.global_token, nc)
 
 
-def _modulate_global_backward(cache, g_tokens, g_global):
-    tokens, glob, nc = cache
-    g_h = normalize_rows_backward(nc, g_tokens)
-    return g_h * glob[..., None, :], g_global + np.sum(g_h * tokens, axis=-2)
-
-
-def norm_mlp(seq: FeatureSequence, store, prefix: str):
-    """Normalized MLP block over the m tokens and the global token."""
-    x = _with_global(seq.tokens, seq.global_token)
+def _norm_mlp(x, store, prefix: str, pad):
+    """The MLP block on rows x of tokens and globals; rows on pad stay zero."""
     w1, b1, w2, b2 = (store.value(f"{prefix}mlp.{w}") for w in ("w1", "b1", "w2", "b2"))
     h = _rows(x) @ w1 + b1
-    raw = (silu(h)[0] @ w2 + b2).reshape(x.shape)
-    if seq.pad is not None:
-        raw[..., :-1, :][seq.pad] = 0.0
+    a, sc = silu(h)
+    raw = (a @ w2 + b2).reshape(x.shape)
+    if pad is not None:
+        raw[pad] = 0.0
     out, rc = _norm_residual_forward(x, raw, store.value(prefix + "alpha_m"))
-    seq_out = FeatureSequence(out[..., :-1, :], out[..., -1, :], seq.pad)
-    return seq_out, (seq.tokens, seq.global_token, h, rc, prefix)
+    return out, (x, a, sc, rc, prefix)
 
 
-def _norm_mlp_backward(cache, g_tokens, g_global, store):
-    """Returns (g_tokens_in, g_global_in) and accumulates parameter grads."""
-    tokens, glob, h, rc, prefix = cache
-    x = _with_global(tokens, glob)
-    g_base, g_raw, g_alpha = _norm_residual_backward(rc, _with_global(g_tokens, g_global), x)
+def _norm_mlp_backward(cache, g_out, store):
+    """Returns g_x and accumulates parameter grads."""
+    x, a, sc, rc, prefix = cache
+    g_base, g_raw, g_alpha = _norm_residual_backward(rc, g_out, x)
     g_raw = _rows(g_raw)
     w1, w2 = store.value(prefix + "mlp.w1"), store.value(prefix + "mlp.w2")
-    # SiLU is recomputed from h rather than cached: two fewer hidden-width arrays
-    a, sc = silu(h)
     g_h = silu_backward(sc, g_raw @ w2.T)
     store.add_grad(prefix + "alpha_m", g_alpha)
     store.add_grad(prefix + "mlp.w2", a.T @ g_raw)
     store.add_grad(prefix + "mlp.b2", g_raw.sum(axis=0))
     store.add_grad(prefix + "mlp.w1", _rows(x).T @ g_h)
     store.add_grad(prefix + "mlp.b1", g_h.sum(axis=0))
-    g_x = (g_h @ w1.T).reshape(x.shape) + g_base
-    return g_x[..., :-1, :], g_x[..., -1, :]
+    return (g_h @ w1.T).reshape(x.shape) + g_base
+
+
+def norm_mlp(seq: FeatureSequence, store, prefix: str):
+    """Normalized MLP block over the m tokens and the global token."""
+    x = _with_global(seq.tokens, seq.global_token)
+    out, cache = _norm_mlp(x, store, prefix, _Layout(seq.pad).pad)
+    return FeatureSequence(out[..., :-1, :], out[..., -1, :], seq.pad), cache
 
 
 def decode(f1: FeatureSequence, f2: FeatureSequence, store, layers: int, heads: int):
@@ -234,27 +287,35 @@ def decode(f1: FeatureSequence, f2: FeatureSequence, store, layers: int, heads: 
 
     Returns (f1, f2, snapshots, caches) where snapshots[k] holds the
     post-layer tokens of stream 1 and stream 2 after layer k, stacked as
-    (2, ..., n, d), feeding the layer-wise uniformity loss.
+    (2, ..., n, d), feeding the layer-wise uniformity loss. Rows that are
+    padding in both streams are dropped on entry (see _Layout) and come
+    back as zero rows.
     """
     if f1.tokens.shape != f2.tokens.shape:
         raise ValueError("both decoder streams must have one token shape; pad the shorter")
-    pad = None if f1.pad is None and f2.pad is None else np.array(
-        [np.zeros(f.tokens.shape[:-1], bool) if f.pad is None else f.pad for f in (f1, f2)])
-    f = FeatureSequence(np.array([f1.tokens, f2.tokens]),
-                        np.array([f1.global_token, f2.global_token]), pad)
-    pad1, pad2 = f1.pad, f2.pad  # a stream without a mask has no padding row
+    lay = _Layout(None if f1.pad is None and f2.pad is None else np.array(
+        [np.zeros(f.tokens.shape[:-1], bool) if f.pad is None else f.pad for f in (f1, f2)]))
+    keep = lay.keep_tok
+    x = _packed(_with_global(np.array([f1.tokens, f2.tokens]),
+                             np.array([f1.global_token, f2.global_token])), lay.keep)
+    q_pad, key_pad = _pick(lay.row_pad, np.s_[..., lay.tok]), _pick(lay.pad, np.s_[..., :-1])
+    ca = [(keep, keep, _pick(q_pad, s), _pick(key_pad, 1 - s)) for s in (0, 1)]
     snapshots, caches = [], []
     for layer in range(layers):
         p = f"dec{layer}."
-        f, c_sa = norm_self_attn(f, store, p, heads)
-        t1, c_ca1 = _norm_attn(f.tokens[0], f.tokens[1], store, p, "ca", heads, pad1, pad2)
-        t2, c_ca2 = _norm_attn(f.tokens[1], t1, store, p, "ca", heads, pad2, pad1)
-        f, c_mod = modulate_global(FeatureSequence(np.array([t1, t2]), f.global_token, pad))
-        f, c_mlp = norm_mlp(f, store, p)
-        snapshots.append(f.tokens)
-        caches.append((c_sa, c_ca1, c_ca2, c_mod, c_mlp))
-    return (FeatureSequence(f.tokens[0], f.global_token[0], pad1),
-            FeatureSequence(f.tokens[1], f.global_token[1], pad2), snapshots, caches)
+        t, c_sa = _norm_attn(x[..., lay.tok, :], x, store, p, "sa", heads,
+                             (keep, lay.keep, q_pad, lay.pad))
+        t1, c_ca1 = _norm_attn(t[0], t[1], store, p, "ca", heads, ca[0])
+        t2, c_ca2 = _norm_attn(t[1], t1, store, p, "ca", heads, ca[1])
+        t, g = np.array([t1, t2]), x[..., lay.gi, :]  # global modulation, per token row
+        h, nc = normalize_rows(t * g)
+        x, c_mlp = _norm_mlp(_with_global(h, x[..., lay.glob, :], lay.order), store, p,
+                             lay.row_pad)
+        snapshots.append(_grid(x, lay.keep)[..., :-1, :])
+        caches.append((c_sa, c_ca1, c_ca2, (t, g, nc), c_mlp))
+    g = x[..., lay.glob, :]
+    return (FeatureSequence(snapshots[-1][0], g[0], f1.pad),
+            FeatureSequence(snapshots[-1][1], g[1], f2.pad), snapshots, (lay, caches))
 
 
 def decode_backward(caches, store, g_f1_tokens, g_f1_global, g_f2_tokens,
@@ -267,14 +328,20 @@ def decode_backward(caches, store, g_f1_tokens, g_f1_global, g_f2_tokens,
     (g_f1_tokens, g_f1_global, g_f2_tokens, g_f2_global). Gradients given on
     padding rows must be zero; those returned there are zero.
     """
-    g_t, g_g = np.array([g_f1_tokens, g_f2_tokens]), np.array([g_f1_global, g_f2_global])
+    lay, caches = caches
+    g_x = _packed(_with_global(np.array([g_f1_tokens, g_f2_tokens]),
+                               np.array([g_f1_global, g_f2_global])), lay.keep)
+    g_snap = np.asarray(snapshot_grads)  # as rows, zero on the global ones
+    g_snap = _packed(_with_global(g_snap, np.zeros_like(g_snap[..., 0, :])), lay.keep)
     for layer in reversed(range(len(caches))):
-        c_sa, c_ca1, c_ca2, c_mod, c_mlp = caches[layer]
-        g_t, g_g = _norm_mlp_backward(c_mlp, g_t + snapshot_grads[layer], g_g, store)
-        g_t, g_g = _modulate_global_backward(c_mod, g_t, g_g)
+        c_sa, c_ca1, c_ca2, (t, g, nc), c_mlp = caches[layer]
+        g_x = _norm_mlp_backward(c_mlp, g_x + g_snap[layer], store)
+        g_h = normalize_rows_backward(nc, g_x[..., lay.tok, :])  # global modulation
+        g_glob = g_x[..., lay.glob, :] + np.sum(_grid(g_h * t, lay.keep_tok), axis=-2)
+        g_t = g_h * g
         g_t2, g_t1_keys = _norm_attn_backward(c_ca2, g_t[1], store)
         g_t1, g_t2_keys = _norm_attn_backward(c_ca1, g_t[0] + g_t1_keys, store)
-        # self-attention keys end with the global token
         g_t, g_kv = _norm_attn_backward(c_sa, np.array([g_t1, g_t2 + g_t2_keys]), store)
-        g_t, g_g = g_t + g_kv[..., :-1, :], g_g + g_kv[..., -1, :]
-    return g_t[0], g_g[0], g_t[1], g_g[1]
+        g_x = g_kv + _with_global(g_t, g_glob, lay.order)  # self-attention's kv are the rows
+    g_x = _grid(g_x, lay.keep)
+    return g_x[0, ..., :-1, :], g_x[0, ..., -1, :], g_x[1, ..., :-1, :], g_x[1, ..., -1, :]

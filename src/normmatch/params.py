@@ -10,9 +10,10 @@ __all__ = ["ParameterStore"]
 class ParameterStore:
     """Maps unique names to (value, gradient, trainable) triples.
 
-    Values and gradients are float64 arrays of identical shape. Gradients
-    accumulate additively until :meth:`zero_grads` or an Adam step resets
-    them. Traversals follow registration order, so they are deterministic.
+    Values and gradients are float64 arrays of identical shape. Gradients of
+    trainable parameters accumulate additively until :meth:`zero_grads` or
+    an Adam step resets them. Traversals follow registration order, so they
+    are deterministic.
     """
 
     def __init__(self) -> None:
@@ -56,7 +57,8 @@ class ParameterStore:
             raise ValueError(
                 f"gradient shape mismatch for {name!r}: {g.shape} vs {grad.shape}"
             )
-        grad += g
+        if self._trainable[name]:
+            grad += g
 
     def zero_grads(self) -> None:
         for g in self._grads.values():

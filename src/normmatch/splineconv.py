@@ -43,8 +43,8 @@ def _max_aggregate(msgs, dst, counts):
 
     counts[v] is the in-degree of node v. Returns (agg, argmax_arc), both
     (m, out_dim). Each node's messages are padded, in stable arc order, into
-    one row of a (m, max in-degree, out_dim) block, so argmax ties resolve
-    to the lowest arc index and the -inf padding never wins.
+    one row of a (m, max in-degree, out_dim) block. The first slot holding
+    the max wins: the lowest arc index on ties, never the -inf padding.
     """
     m, out_dim = len(counts), msgs.shape[1]
     order = np.argsort(dst, kind="stable")
@@ -52,9 +52,9 @@ def _max_aggregate(msgs, dst, counts):
     node = dst[order]
     padded = np.full((m, counts.max(initial=0), out_dim), -np.inf)
     padded[node, np.arange(len(dst)) - starts[node]] = msgs[order]
-    local = padded.argmax(axis=1)
-    agg = np.take_along_axis(padded, local[:, None, :], axis=1)[:, 0]
-    return agg, order[starts[:, None] + local]
+    agg = np.maximum.reduce(padded, axis=1)
+    hit = (padded == agg[:, None]) | np.isnan(padded)  # a NaN is the max, as argmax has it
+    return agg, order[starts[:, None] + hit.transpose(0, 2, 1).argmax(axis=-1)]
 
 
 def _scatter_to_argmax(argmax_arc, g_out, n_arcs):

@@ -80,8 +80,13 @@ def train(config: TrainConfig, train_pairs, val_pairs=None,
     validation accuracy (None when no validation pairs are given). A
     non-finite batch loss aborts training before the parameter update, so
     the model retains the last good state. Train and validation pairs are
-    prepared once, before the first epoch.
+    prepared once, before the first epoch; a training pair needs at least 2
+    keypoints.
     """
+    short = next((pair for pair in train_pairs if pair.m < 2), None)
+    if short is not None:  # InfoNCE has no negatives; fail before any pair is prepared
+        raise ValueError(f"training pair {short.image1}, {short.image2} has {short.m} "
+                         "keypoint, but training needs at least 2")
     if model is None:
         model = MatchingModel(config)
     optimizer = Adam(model.store, backbone_lr_factor=config.backbone_lr_factor)

@@ -10,7 +10,16 @@ import numpy as np
 
 from normmatch import decoder, losses, splineconv
 from normmatch.data import _MARGIN, _MIN_SEP, IMAGE_SIZE
-from normmatch.ops import EPS_GUARD, logsumexp
+from normmatch.ops import (
+    EPS_GUARD,
+    logsumexp,
+    normalize_rows,
+    normalize_rows_backward,
+    silu,
+    silu_backward,
+    softmax_rows,
+    softmax_rows_backward,
+)
 
 
 def l2_normalize(v, eps_guard: float = EPS_GUARD) -> np.ndarray:
@@ -267,6 +276,151 @@ def loop_decode_backward(caches, store, g_t1, g_g1, g_t2, g_g2, snapshot_grads):
         for out, rows, g in zip(outs, (slice(n), (), slice(n), ()), grads):
             out[i][rows] = g
     return tuple(outs)
+
+
+def _pd_rows(x):
+    return x.reshape(-1, x.shape[-1])
+
+
+def _pd_split_heads(rows, shape, heads: int):
+    return rows.reshape(*shape[:-1], heads, shape[-1] // heads).swapaxes(-3, -2)
+
+
+def _pd_merge_heads(x):
+    return x.swapaxes(-3, -2).reshape(-1, x.shape[-3] * x.shape[-1])
+
+
+def _pd_with_global(tokens, glob):
+    return np.concatenate([tokens, glob[..., None, :]], axis=-2)
+
+
+def _pd_residual(base, raw, alpha_raw):
+    f_a, nc1 = normalize_rows(raw)
+    out, nc2 = normalize_rows(base + np.abs(alpha_raw) * (f_a - base))
+    return out, (alpha_raw, nc1, nc2)
+
+
+def _pd_residual_backward(cache, g_out, base):
+    alpha_raw, nc1, nc2 = cache
+    alpha = np.abs(alpha_raw)
+    g_z = normalize_rows_backward(nc2, g_out)
+    g_alpha_raw = np.sign(alpha_raw) * _pd_rows(g_z * (nc1[0] - base)).sum(axis=0)
+    g_raw = normalize_rows_backward(nc1, g_z * alpha)
+    return g_z * (1.0 - alpha), g_raw, g_alpha_raw
+
+
+_PD_WEIGHTS = ("wq", "wk", "wv", "wo")
+_PD_ALPHA = {"sa": "alpha_a", "ca": "alpha_c"}
+
+
+def _pd_attn(tokens, other, store, prefix, block, heads, q_pad, key_pad):
+    wq, wk, wv, wo = (store.value(f"{prefix}{block}.{w}") for w in _PD_WEIGHTS)
+    kv = _pd_with_global(tokens, other) if block == "sa" else other
+    q, k, v = (_pd_split_heads(_pd_rows(x) @ w, x.shape, heads)
+               for x, w in ((tokens, wq), (kv, wk), (kv, wv)))
+    scores = q @ k.swapaxes(-1, -2) * (1.0 / np.sqrt(q.shape[-1]))
+    if key_pad is not None:
+        scores = np.where(key_pad[..., None, None, :], -np.inf, scores)
+    p, _ = softmax_rows(scores)
+    raw = (_pd_merge_heads(p @ v) @ wo).reshape(tokens.shape)
+    if q_pad is not None:
+        raw[q_pad] = 0.0
+    out, rc = _pd_residual(tokens, raw, store.value(prefix + _PD_ALPHA[block]))
+    return out, (q, k, v, p, rc, tokens, other, prefix, block)
+
+
+def _pd_attn_backward(cache, g_out, store):
+    q, k, v, p, rc, tokens, other, prefix, block = cache
+    wq, wk, wv, wo = (store.value(f"{prefix}{block}.{w}") for w in _PD_WEIGHTS)
+    kv = _pd_with_global(tokens, other) if block == "sa" else other
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    g_base, g_raw, g_alpha = _pd_residual_backward(rc, g_out, tokens)
+    g_raw = _pd_rows(g_raw)
+    g_ctx = _pd_split_heads(g_raw @ wo.T, tokens.shape, q.shape[-3])
+    g_scores = softmax_rows_backward(p, g_ctx @ v.swapaxes(-1, -2))
+    g_q = _pd_merge_heads((g_scores @ k) * scale)
+    g_k = _pd_merge_heads((g_scores.swapaxes(-1, -2) @ q) * scale)
+    g_v = _pd_merge_heads(p.swapaxes(-1, -2) @ g_ctx)
+    g_weights = (_pd_rows(tokens).T @ g_q, _pd_rows(kv).T @ g_k, _pd_rows(kv).T @ g_v,
+                 _pd_merge_heads(p @ v).T @ g_raw)
+    store.add_grad(prefix + _PD_ALPHA[block], g_alpha)
+    for w, g in zip(_PD_WEIGHTS, g_weights):
+        store.add_grad(f"{prefix}{block}.{w}", g)
+    g_tokens = g_base + (g_q @ wq.T).reshape(tokens.shape)
+    return g_tokens, (g_k @ wk.T + g_v @ wv.T).reshape(kv.shape)
+
+
+def _pd_mlp(tokens, glob, pad, store, prefix):
+    x = _pd_with_global(tokens, glob)
+    w1, b1, w2, b2 = (store.value(f"{prefix}mlp.{w}") for w in ("w1", "b1", "w2", "b2"))
+    h = _pd_rows(x) @ w1 + b1
+    raw = (silu(h)[0] @ w2 + b2).reshape(x.shape)
+    if pad is not None:
+        raw[..., :-1, :][pad] = 0.0
+    out, rc = _pd_residual(x, raw, store.value(prefix + "alpha_m"))
+    return out[..., :-1, :], out[..., -1, :], (tokens, glob, h, rc, prefix)
+
+
+def _pd_mlp_backward(cache, g_tokens, g_global, store):
+    tokens, glob, h, rc, prefix = cache
+    x = _pd_with_global(tokens, glob)
+    g_base, g_raw, g_alpha = _pd_residual_backward(rc, _pd_with_global(g_tokens, g_global), x)
+    g_raw = _pd_rows(g_raw)
+    w1, w2 = store.value(prefix + "mlp.w1"), store.value(prefix + "mlp.w2")
+    a, sc = silu(h)
+    g_h = silu_backward(sc, g_raw @ w2.T)
+    store.add_grad(prefix + "alpha_m", g_alpha)
+    store.add_grad(prefix + "mlp.w2", a.T @ g_raw)
+    store.add_grad(prefix + "mlp.b2", g_raw.sum(axis=0))
+    store.add_grad(prefix + "mlp.w1", _pd_rows(x).T @ g_h)
+    store.add_grad(prefix + "mlp.b1", g_h.sum(axis=0))
+    g_x = (g_h @ w1.T).reshape(x.shape) + g_base
+    return g_x[..., :-1, :], g_x[..., -1, :]
+
+
+def padded_decode(f1, f2, store, layers: int, heads: int):
+    """The decoder run on zero-padded (2, B, n, d) streams. Oracle for ``decoder.decode``,
+    which must equal it bit for bit.
+
+    Every row of the grid goes through the projections, the residuals and
+    the MLP, padding included: padded keys get -inf scores, and padded rows
+    have their block outputs zeroed so they stay zero. Returns what
+    ``decode`` does, with caches for :func:`padded_decode_backward`.
+    """
+    pad = None if f1.pad is None and f2.pad is None else np.array(
+        [np.zeros(f.tokens.shape[:-1], bool) if f.pad is None else f.pad for f in (f1, f2)])
+    key_pad = None if pad is None else np.pad(pad, [(0, 0)] * (pad.ndim - 1) + [(0, 1)])
+    t, g = np.array([f1.tokens, f2.tokens]), np.array([f1.global_token, f2.global_token])
+    snapshots, caches = [], []
+    for layer in range(layers):
+        p = f"dec{layer}."
+        t, c_sa = _pd_attn(t, g, store, p, "sa", heads, pad, key_pad)
+        t1, c_ca1 = _pd_attn(t[0], t[1], store, p, "ca", heads, f1.pad, f2.pad)
+        t2, c_ca2 = _pd_attn(t[1], t1, store, p, "ca", heads, f2.pad, f1.pad)
+        t = np.array([t1, t2])
+        h, nc = normalize_rows(t * g[..., None, :])
+        c_mod, t = (t, g, nc), h
+        t, g, c_mlp = _pd_mlp(t, g, pad, store, p)
+        snapshots.append(t)
+        caches.append((c_sa, c_ca1, c_ca2, c_mod, c_mlp))
+    return (decoder.FeatureSequence(t[0], g[0], f1.pad),
+            decoder.FeatureSequence(t[1], g[1], f2.pad), snapshots, caches)
+
+
+def padded_decode_backward(caches, store, g_f1_tokens, g_f1_global, g_f2_tokens,
+                           g_f2_global, snapshot_grads):
+    """Backward of :func:`padded_decode`; oracle for ``decoder.decode_backward``."""
+    g_t, g_g = np.array([g_f1_tokens, g_f2_tokens]), np.array([g_f1_global, g_f2_global])
+    for layer in reversed(range(len(caches))):
+        c_sa, c_ca1, c_ca2, (tokens, glob, nc), c_mlp = caches[layer]
+        g_t, g_g = _pd_mlp_backward(c_mlp, g_t + snapshot_grads[layer], g_g, store)
+        g_h = normalize_rows_backward(nc, g_t)
+        g_t, g_g = g_h * glob[..., None, :], g_g + np.sum(g_h * tokens, axis=-2)
+        g_t2, g_t1_keys = _pd_attn_backward(c_ca2, g_t[1], store)
+        g_t1, g_t2_keys = _pd_attn_backward(c_ca1, g_t[0] + g_t1_keys, store)
+        g_t, g_kv = _pd_attn_backward(c_sa, np.array([g_t1, g_t2 + g_t2_keys]), store)
+        g_t, g_g = g_t + g_kv[..., :-1, :], g_g + g_kv[..., -1, :]
+    return g_t[0], g_g[0], g_t[1], g_g[1]
 
 
 def _loop_nce_direction(S, positives, mode: str):

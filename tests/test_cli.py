@@ -106,6 +106,7 @@ class TestConfigErrors:
         ("lr_decay_epochs = 1,x", "line 20: 'lr_decay_epochs': expected comma-separated"),
         ("base_lr = nan", "line 20: 'base_lr': must be finite, got 'nan'"),
         ("val_pairs_per_class = 0", "num_pairs, val_pairs_per_class and num_classes must be >= 1"),
+        ("m_min = 1", "m_min = 1, but training needs at least 2"),
     ])
     def test_bad_value_exits_2_before_training(self, tmp_path, capsys, line, message):
         bad = tmp_path / "bad.cfg"
@@ -115,6 +116,21 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1
         assert not out_dir.exists()  # failed before anything was trained or written
+
+
+class TestTrainingPairSize:
+    def test_data_record_with_one_keypoint_names_file_and_pair(self, tmp_path, capsys):
+        pairs = [generate_pair(DataConfig(m_min=m, m_max=m), class_id=0, seed=m, latent_dim=8)
+                 for m in (4, 1)]
+        pairs_path = tmp_path / "pairs.jsonl"
+        pairs_path.write_text("".join(json.dumps(pair_to_record(p)) + "\n" for p in pairs),
+                              encoding="utf-8")
+        config = tmp_path / "train.cfg"
+        config.write_text(TINY_CONFIG + f"\ndata = {pairs_path}\n", encoding="utf-8")
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {pairs_path}: training pair {pairs[1].image1}, "
+                       f"{pairs[1].image2} has 1 keypoint, but training needs at least 2\n")
 
 
 class TestTrainEvalMatch:

@@ -13,7 +13,13 @@ from normmatch.decoder import (
 )
 from normmatch.gradcheck import all_passed, grad_check
 from normmatch.params import ParameterStore
-from oracles import l2_normalize, loop_decode, loop_decode_backward
+from oracles import (
+    l2_normalize,
+    loop_decode,
+    loop_decode_backward,
+    padded_decode,
+    padded_decode_backward,
+)
 
 
 def _make_store(d_model, layers, mlp_mult=2, seed=0):
@@ -448,3 +454,37 @@ class TestBatchedDecode:
 
         reports = grad_check(forward, store, eps=1e-5, rng=np.random.default_rng(99))
         assert all_passed(reports), "\n".join(str(r) for r in reports if not r.passed)
+
+
+class TestPackedDecode:
+    """decode runs its row-wise steps on the rows real in either stream; it
+    equals the padded decoder of tests/oracles.py bit for bit."""
+
+    LAYERS = 2
+
+    @pytest.mark.parametrize("lengths1,lengths2,d,heads", [
+        ([5, 10, 7, 6, 9, 8, 10, 5], [5, 10, 7, 6, 9, 8, 10, 5], 64, 4),  # a desk minibatch
+        ([1, 2, 5, 2], [1, 2, 5, 2], 16, 4),  # m = 1 and m = 2 pairs
+        ([2, 5], [4, 1], 16, 4),  # streams padded differently
+    ])
+    def test_equals_padded_decoder(self, lengths1, lengths2, d, heads):
+        rng = np.random.default_rng(sum(lengths1) + d)
+        n = max(lengths1 + lengths2)
+        f1, f2 = _padded(rng, lengths1, d, n), _padded(rng, lengths2, d, n)
+        probes = [_probe(rng, f1), rng.standard_normal(f1.global_token.shape),
+                  _probe(rng, f2), rng.standard_normal(f2.global_token.shape)]
+        snap_grads = np.array([(_probe(rng, f1), _probe(rng, f2)) for _ in range(self.LAYERS)])
+
+        packed, padded = _batch_store(d, self.LAYERS), _batch_store(d, self.LAYERS)
+        o1, o2, snaps, caches = decode(f1, f2, packed, self.LAYERS, heads)
+        r1, r2, r_snaps, r_caches = padded_decode(f1, f2, padded, self.LAYERS, heads)
+        grads = decode_backward(caches, packed, *probes, snap_grads)
+        r_grads = padded_decode_backward(r_caches, padded, *probes, snap_grads)
+
+        pairs = [(o1.tokens, r1.tokens), (o1.global_token, r1.global_token),
+                 (o2.tokens, r2.tokens), (o2.global_token, r2.global_token)]
+        pairs += list(zip(snaps, r_snaps)) + list(zip(grads, r_grads))
+        for k, (got, expected) in enumerate(pairs):
+            assert np.array_equal(got, expected), k
+        for name in packed.names():
+            assert np.array_equal(packed.grad(name), padded.grad(name)), name

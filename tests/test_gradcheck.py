@@ -105,6 +105,26 @@ def test_full_pipeline_loss_on_four_keypoint_pair():
     assert all_passed(reports), [str(r) for r in reports if not r.passed]
 
 
+@pytest.mark.slow
+def test_full_pipeline_loss_on_ragged_minibatch():
+    # three pairs of unequal m in one minibatch: the decoder packs their rows
+    # and scatters them into padded per-pair grids for attention only
+    config = TrainConfig(d_model=8, heads=2, decoder_layers=2, gnn_input_dim=8,
+                         kernel_size=5, mlp_mult=2, seed=6)
+    pairs = [generate_pair(DataConfig(m_min=m, m_max=m, num_classes=3, jitter_sigma=0.2,
+                                      noise_level=0.02), class_id=c, seed=106, latent_dim=8)
+             for c, m in enumerate((4, 6, 5))]
+    model = MatchingModel(config)
+    prepared = [model.prepare(pair) for pair in pairs]
+
+    def forward(store):
+        return sum(report.total for report in model.loss_and_grads(prepared))
+
+    reports = grad_check(forward, model.store, eps=1e-5, tol=1e-4)
+    assert len(reports) == 36
+    assert all_passed(reports), [str(r) for r in reports if not r.passed]
+
+
 def test_analytic_gradients_restored_after_check():
     store = _quadratic_store()
 

@@ -279,6 +279,31 @@ class TestTrain:
         for name in before:
             assert np.array_equal(before[name], after[name])
 
+    def test_frozen_parameter_gradient_stays_zero(self):
+        config = _tiny_config()
+        pairs = generate_dataset(_tiny_data(), latent_dim=config.gnn_input_dim, seed=2)
+        model = MatchingModel(config)
+        model.store.set_trainable("backbone.global_proj", False)
+        start = model.store.value("backbone.global_proj").copy()
+        train(config, pairs, model=model)
+        assert not np.any(model.store.grad("backbone.global_proj"))
+        assert np.array_equal(model.store.value("backbone.global_proj"), start)
+
+    def test_pair_with_one_keypoint_rejected_before_preparation(self, monkeypatch):
+        config = _tiny_config()
+        pairs = generate_dataset(_tiny_data(), latent_dim=config.gnn_input_dim, seed=2)
+        lone = generate_pair(_tiny_data(m_min=1, m_max=1), class_id=1, seed=9,
+                             latent_dim=config.gnn_input_dim)
+        renders = []
+        _counted(monkeypatch, PairSample, "backbone_outputs", renders)
+        with pytest.raises(ValueError, match=f"training pair {lone.image1}, {lone.image2} "
+                                             "has 1 keypoint, but training needs at least 2"):
+            train(config, pairs + [lone])
+        assert renders == []
+        # such a pair still validates
+        _, _, history, aborted = train(config, pairs, val_pairs=[lone])
+        assert not aborted and 0.0 <= history[-1]["val_accuracy"] <= 1.0
+
     def test_history_schema_and_lr_column(self):
         config = _tiny_config(epochs=2, lr_decay_epochs=(1,), lr_decay_factor=0.5)
         pairs = generate_dataset(_tiny_data(), latent_dim=config.gnn_input_dim, seed=1)
