@@ -86,22 +86,30 @@ def load_checkpoint(path):
     return config, arrays, meta
 
 
+def _member(path, arrays, key: str, what: str, shape):
+    """arrays[key], which must exist (zipfile silently drops the entries after a
+    corrupt directory entry) and have the model's shape."""
+    if key not in arrays:
+        raise ValueError(f"{path}: checkpoint missing {what} {key!r}")
+    if arrays[key].shape != shape:
+        raise ValueError(f"{path}: checkpoint member {key!r} has shape {arrays[key].shape}, "
+                         f"but the model's {what} has {shape}")
+    return arrays[key]
+
+
 def model_from_checkpoint(path) -> tuple[MatchingModel, Adam | None, dict]:
     """Rebuild a model (and optimizer state if present) from a checkpoint."""
     config, arrays, meta = load_checkpoint(path)
     model = MatchingModel(config)
-    # zipfile silently drops the entries after a corrupt directory entry
-    for name in model.store.names():
-        if f"param.{name}" not in arrays:
-            raise ValueError(f"{path}: checkpoint missing parameter {name!r}")
-        model.store.set_value(name, arrays[f"param.{name}"])
+    for n in model.store.names():
+        model.store.set_value(n, _member(path, arrays, f"param.{n}", "parameter",
+                                         model.store.value(n).shape))
     optimizer = None
     if meta.get("opt_t") is not None:
         optimizer = Adam(model.store, backbone_lr_factor=config.backbone_lr_factor)
         optimizer.t = meta["opt_t"]
         for n in model.store.trainable_names():
             for moments, key in ((optimizer.m, f"opt.m.{n}"), (optimizer.v, f"opt.v.{n}")):
-                if key not in arrays:
-                    raise ValueError(f"{path}: checkpoint missing Adam moment {key!r}")
-                moments[n] = arrays[key].astype(np.float64).reshape(moments[n].shape)
+                moments[n] = _member(path, arrays, key, "Adam moment",
+                                     moments[n].shape).astype(np.float64)
     return model, optimizer, meta

@@ -85,10 +85,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_match(args) -> int:
     model, _, _ = model_from_checkpoint(args.checkpoint)
-    pairs = read_dataset(args.pair)
-    if not pairs:
-        raise ValueError(f"{args.pair}: empty pair file")
-    pair = pairs[0]
+    pair = read_dataset(args.pair)[0]
     matching, plan, C = model.match_pair(pair)
     scores = C[np.arange(len(matching.assignment)), matching.assignment]
     print("assignment:", " ".join(str(int(j)) for j in matching.assignment))

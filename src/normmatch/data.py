@@ -267,7 +267,7 @@ def write_dataset(path, pairs) -> None:
 
 
 def read_dataset(path) -> list[PairSample]:
-    """Pairs of a JSONL file; feature-file paths are relative to its directory."""
+    """Pairs of a nonempty JSONL file; feature-file paths are relative to its directory."""
     pairs = []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -282,4 +282,6 @@ def read_dataset(path) -> list[PairSample]:
                 pairs.append(record_to_pair(record, os.path.dirname(path)))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+    if not pairs:
+        raise ValueError(f"{path}: empty pair file")
     return pairs

@@ -13,9 +13,10 @@ cross-attention stream 1 <- 2 and then stream 2 <- 1 against the
 just-updated stream 1, global-token modulation of each stream, and a shared
 MLP over tokens plus global. Both streams use one set of layer parameters:
 `decode` stacks them and runs all but cross-attention once per layer on
-both. It packs a padded minibatch's rows once: the projections, residuals,
-global modulation and MLP run on rows real in either stream, and only the
-attention core scatters them into per-pair grids.
+both. It packs a padded minibatch's rows once: the two images of a pair
+have one keypoint count, so both streams share one (B, n) padding mask; the
+projections, residuals, global modulation and MLP run on the pair's real
+rows, and only the attention core scatters them into per-pair grids.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ __all__ = [
 class FeatureSequence:
     """Decoder state: unit-norm tokens plus one global token per image.
 
-    tokens is (m, d_model) for one image, (B, n, d_model) for B images or
-    (2, B, n, d_model) for both streams; pad, tokens' shape without d_model,
-    is True on zero padding rows, which attention ignores, or None. decode
-    runs its row-wise steps on real rows only and returns outputs padded.
+    tokens is (m, d_model) for one image or (B, n, d_model) for B images;
+    pad, a (B, n) mask that both streams of a decode share, is True on zero
+    padding rows, which attention ignores, or None. decode runs its row-wise
+    steps on the pair's real rows only and returns outputs padded.
     """
 
     tokens: np.ndarray  # (..., n, d_model)
@@ -80,32 +81,27 @@ def init_decoder_params(store, rng, d_model: int, layers: int, mlp_mult: int) ->
 
 
 class _Layout:
-    """How decode packs the rows of its (2, B, n) padding masks pad (a single
-    stream's (..., n) mask is never packed; it gives the masks only).
+    """How decode packs rows: per pair, its real rows, then its global row.
 
-    Per pair, the rows real in either stream and then the global row are
-    packed. keep (slots, grid shape) places them in the (B, n + 1) grid with
-    the global at slot n, keep_tok the token rows in the (B, n) grid; both
-    are None when the rows are the grid. tok, glob and gi index the token
-    rows, global rows and each token row's global; order interleaves
-    [tokens, globals]. pad (grid) and row_pad (rows) mark padding, or None.
+    keep (slots, grid shape) places them in the (B, n + 1) grid with the
+    global at slot n, keep_tok the token rows in the (B, n) grid; both are
+    None when the rows are the grid. tok, glob and gi index the token rows,
+    global rows and each token row's global; order interleaves [tokens,
+    globals]. pad marks the grid's padding slots, or is None.
     """
 
     def __init__(self, pad):
-        self.keep = self.keep_tok = self.order = None
+        self.keep = self.keep_tok = self.order = self.pad = None
         self.tok, self.glob, self.gi = np.s_[:-1], -1, np.s_[-1:]
-        if pad is not None:  # a global row is never padding
-            pad = np.concatenate([pad, np.zeros(pad.shape[:-1] + (1,), bool)], axis=-1)
-        self.pad = self.row_pad = pad
-        if pad is not None and pad.ndim == 3 and np.any(pad[0] & pad[1]):
-            keep = ~(pad[0] & pad[1])
+        if pad is not None and pad.any():
+            self.pad = np.pad(pad, [(0, 0), (0, 1)])  # a global slot is never padding
+            keep = ~self.pad
             (b, w), slots = keep.shape, np.flatnonzero(keep)
             self.keep, self.keep_tok = (slots, (b, w)), (np.flatnonzero(keep[:, :-1]), (b, w - 1))
             is_glob = slots % w == w - 1
             self.tok, self.glob = np.flatnonzero(~is_glob), np.flatnonzero(is_glob)
             self.gi = self.glob[self.keep_tok[0] // (w - 1)]
             self.order = np.argsort(np.concatenate([self.tok, self.glob]))
-            self.row_pad = pad[:, keep] if pad[:, keep].any() else None
 
 
 def _rows(x):
@@ -128,10 +124,6 @@ def _packed(grid, keep):
     if keep is None:
         return grid
     return np.take(grid.reshape(grid.shape[:-3] + (-1, grid.shape[-1])), keep[0], axis=-2)
-
-
-def _pick(mask, index):
-    return None if mask is None else mask[index]
 
 
 def _split_heads(rows, x, heads: int, keep=None):
@@ -178,15 +170,14 @@ _ATTN_WEIGHTS = ("wq", "wk", "wv", "wo")
 _ALPHA = {"sa": "alpha_a", "ca": "alpha_c"}
 
 
-def _norm_attn(tokens, kv, store, prefix: str, block: str, heads: int, masks):
+def _norm_attn(tokens, kv, store, prefix: str, block: str, heads: int, masks=(None,) * 3):
     """Norm(tokens + |alpha| * (Norm(MHA(tokens, kv)) - tokens)). Returns (out, cache).
 
-    masks is (q_keep, kv_keep, q_pad, key_pad). The keep masks scatter the
-    projected rows into per-pair grids for the scores, or are None when the
-    rows are the grid. Keys on key_pad (a grid mask) get probability 0 and
-    rows on q_pad stay zero; both are None when nothing is padded.
+    masks is (q_keep, kv_keep, key_pad). The keep masks scatter the projected
+    rows into per-pair grids for the scores, or are None when the rows are
+    the grid. Keys on key_pad (a grid mask, or None) get probability 0.
     """
-    q_keep, kv_keep, q_pad, key_pad = masks
+    q_keep, kv_keep, key_pad = masks
     wq, wk, wv, wo = (store.value(f"{prefix}{block}.{w}") for w in _ATTN_WEIGHTS)
     q, k, v = (_split_heads(_rows(x) @ w, x, heads, keep)
                for x, w, keep in ((tokens, wq, q_keep), (kv, wk, kv_keep), (kv, wv, kv_keep)))
@@ -196,8 +187,6 @@ def _norm_attn(tokens, kv, store, prefix: str, block: str, heads: int, masks):
     p, _ = softmax_rows(scores)
     ctx = _merge_heads(p @ v, q_keep)
     raw = (ctx @ wo).reshape(tokens.shape)
-    if q_pad is not None:
-        raw[q_pad] = 0.0
     out, rc = _norm_residual_forward(tokens, raw, store.value(prefix + _ALPHA[block]))
     return out, (q, k, v, p, ctx, rc, tokens, kv, prefix, block, q_keep, kv_keep)
 
@@ -222,6 +211,11 @@ def _norm_attn_backward(cache, g_out, store):
     return g_tokens, (g_k @ wk.T + g_v @ wv.T).reshape(kv.shape)
 
 
+def _unpadded(*seqs):
+    if any(seq.pad is not None for seq in seqs):
+        raise ValueError("a single decoder block takes unpadded sequences; decode takes padded")
+
+
 def norm_self_attn(seq: FeatureSequence, store, prefix: str, heads: int):
     """Normalized self-attention over one stream.
 
@@ -229,17 +223,18 @@ def norm_self_attn(seq: FeatureSequence, store, prefix: str, heads: int):
     read whole-image context, but only the m keypoint tokens are updated;
     the global token passes through unchanged.
     """
+    _unpadded(seq)
     out, cache = _norm_attn(seq.tokens, _with_global(seq.tokens, seq.global_token), store, prefix,
-                            "sa", heads, (None, None, seq.pad, _Layout(seq.pad).pad))
-    return FeatureSequence(out, seq.global_token, seq.pad), cache
+                            "sa", heads)
+    return FeatureSequence(out, seq.global_token), cache
 
 
 def norm_cross_attn(seq: FeatureSequence, other: FeatureSequence, store,
                     prefix: str, heads: int):
     """Normalized cross-attention: seq tokens query the other stream's tokens."""
-    out, cache = _norm_attn(seq.tokens, other.tokens, store, prefix, "ca", heads,
-                            (None, None, seq.pad, other.pad))
-    return FeatureSequence(out, seq.global_token, seq.pad), cache
+    _unpadded(seq, other)
+    out, cache = _norm_attn(seq.tokens, other.tokens, store, prefix, "ca", heads)
+    return FeatureSequence(out, seq.global_token), cache
 
 
 def modulate_global(seq: FeatureSequence):
@@ -248,14 +243,12 @@ def modulate_global(seq: FeatureSequence):
     return FeatureSequence(out, seq.global_token, seq.pad), (seq.tokens, seq.global_token, nc)
 
 
-def _norm_mlp(x, store, prefix: str, pad):
-    """The MLP block on rows x of tokens and globals; rows on pad stay zero."""
+def _norm_mlp(x, store, prefix: str):
+    """The MLP block on rows x of tokens and globals."""
     w1, b1, w2, b2 = (store.value(f"{prefix}mlp.{w}") for w in ("w1", "b1", "w2", "b2"))
     h = _rows(x) @ w1 + b1
     a, sc = silu(h)
     raw = (a @ w2 + b2).reshape(x.shape)
-    if pad is not None:
-        raw[pad] = 0.0
     out, rc = _norm_residual_forward(x, raw, store.value(prefix + "alpha_m"))
     return out, (x, a, sc, rc, prefix)
 
@@ -277,45 +270,42 @@ def _norm_mlp_backward(cache, g_out, store):
 
 def norm_mlp(seq: FeatureSequence, store, prefix: str):
     """Normalized MLP block over the m tokens and the global token."""
-    x = _with_global(seq.tokens, seq.global_token)
-    out, cache = _norm_mlp(x, store, prefix, _Layout(seq.pad).pad)
-    return FeatureSequence(out[..., :-1, :], out[..., -1, :], seq.pad), cache
+    _unpadded(seq)
+    out, cache = _norm_mlp(_with_global(seq.tokens, seq.global_token), store, prefix)
+    return FeatureSequence(out[..., :-1, :], out[..., -1, :]), cache
 
 
 def decode(f1: FeatureSequence, f2: FeatureSequence, store, layers: int, heads: int):
-    """Run the full decoder stack on two streams of one shape.
+    """Run the full decoder stack on two streams of one token shape.
 
-    Returns (f1, f2, snapshots, caches) where snapshots[k] holds the
-    post-layer tokens of stream 1 and stream 2 after layer k, stacked as
-    (2, ..., n, d), feeding the layer-wise uniformity loss. Rows that are
-    padding in both streams are dropped on entry (see _Layout) and come
-    back as zero rows.
+    Both share one padding mask, (B, n) with (B, n, d) tokens: a pair's
+    images have one keypoint count. Returns (f1, f2, snapshots, caches) where
+    snapshots[k] holds the post-layer tokens of both streams after layer k,
+    stacked as (2, ..., n, d), for the layer-wise uniformity loss. Padding
+    rows are dropped on entry (see _Layout) and come back as zero rows.
     """
-    if f1.tokens.shape != f2.tokens.shape:
-        raise ValueError("both decoder streams must have one token shape; pad the shorter")
-    lay = _Layout(None if f1.pad is None and f2.pad is None else np.array(
-        [np.zeros(f.tokens.shape[:-1], bool) if f.pad is None else f.pad for f in (f1, f2)]))
-    keep = lay.keep_tok
+    pad = f1.pad
+    if (f1.tokens.shape != f2.tokens.shape or f2.pad is not pad and not np.array_equal(f2.pad, pad)
+            or pad is not None and (pad.ndim != 2 or pad.shape != f1.tokens.shape[:-1])):
+        raise ValueError("both decoder streams need one token shape and one (B, n) padding mask")
+    lay = _Layout(pad)
     x = _packed(_with_global(np.array([f1.tokens, f2.tokens]),
                              np.array([f1.global_token, f2.global_token])), lay.keep)
-    q_pad, key_pad = _pick(lay.row_pad, np.s_[..., lay.tok]), _pick(lay.pad, np.s_[..., :-1])
-    ca = [(keep, keep, _pick(q_pad, s), _pick(key_pad, 1 - s)) for s in (0, 1)]
+    sa, ca = (lay.keep_tok, lay.keep, lay.pad), (lay.keep_tok, lay.keep_tok, pad)
     snapshots, caches = [], []
     for layer in range(layers):
         p = f"dec{layer}."
-        t, c_sa = _norm_attn(x[..., lay.tok, :], x, store, p, "sa", heads,
-                             (keep, lay.keep, q_pad, lay.pad))
-        t1, c_ca1 = _norm_attn(t[0], t[1], store, p, "ca", heads, ca[0])
-        t2, c_ca2 = _norm_attn(t[1], t1, store, p, "ca", heads, ca[1])
+        t, c_sa = _norm_attn(x[..., lay.tok, :], x, store, p, "sa", heads, sa)
+        t1, c_ca1 = _norm_attn(t[0], t[1], store, p, "ca", heads, ca)
+        t2, c_ca2 = _norm_attn(t[1], t1, store, p, "ca", heads, ca)
         t, g = np.array([t1, t2]), x[..., lay.gi, :]  # global modulation, per token row
         h, nc = normalize_rows(t * g)
-        x, c_mlp = _norm_mlp(_with_global(h, x[..., lay.glob, :], lay.order), store, p,
-                             lay.row_pad)
+        x, c_mlp = _norm_mlp(_with_global(h, x[..., lay.glob, :], lay.order), store, p)
         snapshots.append(_grid(x, lay.keep)[..., :-1, :])
         caches.append((c_sa, c_ca1, c_ca2, (t, g, nc), c_mlp))
     g = x[..., lay.glob, :]
-    return (FeatureSequence(snapshots[-1][0], g[0], f1.pad),
-            FeatureSequence(snapshots[-1][1], g[1], f2.pad), snapshots, (lay, caches))
+    return (FeatureSequence(snapshots[-1][0], g[0], pad),
+            FeatureSequence(snapshots[-1][1], g[1], pad), snapshots, (lay, caches))
 
 
 def decode_backward(caches, store, g_f1_tokens, g_f1_global, g_f2_tokens,

@@ -77,8 +77,8 @@ class MatchingModel:
     def _forward(self, prepared):
         """Decoder outputs (f1, f2, snapshots) and caches of prepared pairs.
 
-        Each layer runs once over all pairs. The decoder takes them zero-padded
-        to (B, n, d) per stream, and no mask is built when every image has n rows.
+        Each layer runs once over all pairs. The decoder takes them zero-padded to
+        (B, n, d) per stream with one (B, n) mask for both, none when no row is padded.
         """
         globs, glob_cache = global_token(np.concatenate([p.pooled for p in prepared]), self.store)
         feats = [f for p in prepared for f in p.features]
@@ -91,10 +91,10 @@ class MatchingModel:
             valid = np.arange(shape[2]) < np.reshape(lengths, (-1, 2, 1))  # (B, 2, n): real rows
             padded = np.zeros(shape)
             padded[valid] = tokens
-        globs = globs.reshape(shape[0], 2, -1)
+        globs, pad = globs.reshape(shape[0], 2, -1), None if valid is None else ~valid[:, 0]
         f1, f2, snapshots, dec_caches = decode(
-            FeatureSequence(padded[:, 0], globs[:, 0], None if valid is None else ~valid[:, 0]),
-            FeatureSequence(padded[:, 1], globs[:, 1], None if valid is None else ~valid[:, 1]),
+            FeatureSequence(padded[:, 0], globs[:, 0], pad),
+            FeatureSequence(padded[:, 1], globs[:, 1], pad),
             self.store, self.config.decoder_layers, self.config.heads,
         )
         return f1, f2, snapshots, (valid, glob_cache, gnn_cache, dec_caches)

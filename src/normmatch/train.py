@@ -80,9 +80,11 @@ def train(config: TrainConfig, train_pairs, val_pairs=None,
     validation accuracy (None when no validation pairs are given). A
     non-finite batch loss aborts training before the parameter update, so
     the model retains the last good state. Train and validation pairs are
-    prepared once, before the first epoch; a training pair needs at least 2
-    keypoints.
+    prepared once, before the first epoch; train_pairs must not be empty, and
+    a training pair needs at least 2 keypoints.
     """
+    if not train_pairs:
+        raise ValueError("no training pairs")
     short = next((pair for pair in train_pairs if pair.m < 2), None)
     if short is not None:  # InfoNCE has no negatives; fail before any pair is prepared
         raise ValueError(f"training pair {short.image1}, {short.image2} has {short.m} "
@@ -117,7 +119,7 @@ def train(config: TrainConfig, train_pairs, val_pairs=None,
         entry = {
             "epoch": epoch,
             "lr": lr,
-            "train_loss": float(np.mean(losses)) if losses else float("nan"),
+            "train_loss": float(np.mean(losses)),
             "val_accuracy": None,
         }
         if val_prepared:

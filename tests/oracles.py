@@ -233,23 +233,19 @@ def _lengths(seq):
 
 
 def loop_decode(f1, f2, store, layers: int, heads: int):
-    """``decoder.decode`` run once per pair, on its rows up to its longer stream's.
+    """``decoder.decode`` run once per pair, on its real rows, unpadded.
 
-    Oracle for ``decode`` on padded (B, n, d) batches; a pair whose streams
-    differ in length is a batch of one with the shorter stream's rows masked.
-    Returns (o1, o2, snapshots, per-pair caches): o1/o2 and the snapshots
-    are padded back with zero rows, like the batched outputs.
+    Oracle for ``decode`` on padded (B, n, d) batches, whose streams share one
+    mask. Returns (o1, o2, snapshots, per-pair caches): o1/o2 and the
+    snapshots are padded back with zero rows, like the batched outputs.
     """
     o1 = decoder.FeatureSequence(np.zeros_like(f1.tokens), np.zeros_like(f1.global_token))
     o2 = decoder.FeatureSequence(np.zeros_like(f2.tokens), np.zeros_like(f2.global_token))
     snapshots = [(np.zeros_like(f1.tokens), np.zeros_like(f2.tokens)) for _ in range(layers)]
     caches = []
-    for i, (m1, m2) in enumerate(zip(_lengths(f1), _lengths(f2))):
-        n = max(m1, m2)
+    for i, n in enumerate(_lengths(f1)):
         p1, p2, snaps, c = decoder.decode(
-            *(decoder.FeatureSequence(f.tokens[i, :n], f.global_token[i],
-                                      None if m == n else np.arange(n) >= m)
-              for f, m in ((f1, m1), (f2, m2))),
+            *(decoder.FeatureSequence(f.tokens[i, :n], f.global_token[i]) for f in (f1, f2)),
             store, layers, heads,
         )
         for out, part in ((o1, p1), (o2, p2)):
@@ -324,7 +320,7 @@ def _pd_attn(tokens, other, store, prefix, block, heads, q_pad, key_pad):
     p, _ = softmax_rows(scores)
     raw = (_pd_merge_heads(p @ v) @ wo).reshape(tokens.shape)
     if q_pad is not None:
-        raw[q_pad] = 0.0
+        raw[..., q_pad, :] = 0.0
     out, rc = _pd_residual(tokens, raw, store.value(prefix + _PD_ALPHA[block]))
     return out, (q, k, v, p, rc, tokens, other, prefix, block)
 
@@ -356,7 +352,7 @@ def _pd_mlp(tokens, glob, pad, store, prefix):
     h = _pd_rows(x) @ w1 + b1
     raw = (silu(h)[0] @ w2 + b2).reshape(x.shape)
     if pad is not None:
-        raw[..., :-1, :][pad] = 0.0
+        raw[..., :-1, :][..., pad, :] = 0.0
     out, rc = _pd_residual(x, raw, store.value(prefix + "alpha_m"))
     return out[..., :-1, :], out[..., -1, :], (tokens, glob, h, rc, prefix)
 
@@ -382,29 +378,29 @@ def padded_decode(f1, f2, store, layers: int, heads: int):
     """The decoder run on zero-padded (2, B, n, d) streams. Oracle for ``decoder.decode``,
     which must equal it bit for bit.
 
-    Every row of the grid goes through the projections, the residuals and
-    the MLP, padding included: padded keys get -inf scores, and padded rows
-    have their block outputs zeroed so they stay zero. Returns what
-    ``decode`` does, with caches for :func:`padded_decode_backward`.
+    Both streams share the (B, n) mask ``f1.pad``. Every row of the grid goes
+    through the projections, the residuals and the MLP, padding included:
+    padded keys get -inf scores, and padded rows have their block outputs
+    zeroed so they stay zero. Returns what ``decode`` does, with caches for
+    :func:`padded_decode_backward`.
     """
-    pad = None if f1.pad is None and f2.pad is None else np.array(
-        [np.zeros(f.tokens.shape[:-1], bool) if f.pad is None else f.pad for f in (f1, f2)])
-    key_pad = None if pad is None else np.pad(pad, [(0, 0)] * (pad.ndim - 1) + [(0, 1)])
+    pad = f1.pad
+    key_pad = None if pad is None else np.pad(pad, [(0, 0), (0, 1)])
     t, g = np.array([f1.tokens, f2.tokens]), np.array([f1.global_token, f2.global_token])
     snapshots, caches = [], []
     for layer in range(layers):
         p = f"dec{layer}."
         t, c_sa = _pd_attn(t, g, store, p, "sa", heads, pad, key_pad)
-        t1, c_ca1 = _pd_attn(t[0], t[1], store, p, "ca", heads, f1.pad, f2.pad)
-        t2, c_ca2 = _pd_attn(t[1], t1, store, p, "ca", heads, f2.pad, f1.pad)
+        t1, c_ca1 = _pd_attn(t[0], t[1], store, p, "ca", heads, pad, pad)
+        t2, c_ca2 = _pd_attn(t[1], t1, store, p, "ca", heads, pad, pad)
         t = np.array([t1, t2])
         h, nc = normalize_rows(t * g[..., None, :])
         c_mod, t = (t, g, nc), h
         t, g, c_mlp = _pd_mlp(t, g, pad, store, p)
         snapshots.append(t)
         caches.append((c_sa, c_ca1, c_ca2, c_mod, c_mlp))
-    return (decoder.FeatureSequence(t[0], g[0], f1.pad),
-            decoder.FeatureSequence(t[1], g[1], f2.pad), snapshots, caches)
+    return (decoder.FeatureSequence(t[0], g[0], pad),
+            decoder.FeatureSequence(t[1], g[1], pad), snapshots, caches)
 
 
 def padded_decode_backward(caches, store, g_f1_tokens, g_f1_global, g_f2_tokens,

@@ -1,3 +1,4 @@
+import re
 import zipfile
 
 import numpy as np
@@ -12,7 +13,7 @@ from normmatch.checkpoint import (
 from normmatch.config import DataConfig, TrainConfig, config_to_text
 from normmatch.data import generate_dataset, generate_pair
 from normmatch.model import MatchingModel
-from normmatch.train import train
+from normmatch.train import Adam, train
 
 
 def _config(**overrides):
@@ -135,6 +136,26 @@ class TestErrors:
         save_checkpoint(path, model)
         _replace_members(path, config=np.array(config_to_text(_config(decoder_layers=3))))
         with pytest.raises(ValueError, match="missing parameter"):
+            model_from_checkpoint(path)
+
+    def test_moment_of_same_size_and_another_shape_rejected(self, tmp_path):
+        model = MatchingModel(_config())
+        path = tmp_path / "run.nmtc"
+        optimizer = Adam(model.store)
+        save_checkpoint(path, model, optimizer)
+        flat = optimizer.m["gnn.w1"].reshape(-1, 16).astype(np.float32)
+        _replace_members(path, **{"opt.m.gnn.w1": flat})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint member "
+                                                       f"'opt.m.gnn.w1' has shape {flat.shape}")):
+            model_from_checkpoint(path)
+
+    def test_edited_config_names_path_and_member(self, tmp_path):
+        model = MatchingModel(_config())
+        path = tmp_path / "run.nmtc"
+        save_checkpoint(path, model)
+        _replace_members(path, config=np.array(config_to_text(_config(d_model=32))))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint member "
+                                                       "'param.gnn.w1' has shape (25, 8, 16)")):
             model_from_checkpoint(path)
 
 

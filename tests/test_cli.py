@@ -133,6 +133,18 @@ class TestTrainingPairSize:
                        f"{pairs[1].image2} has 1 keypoint, but training needs at least 2\n")
 
 
+class TestEmptyPairFile:
+    def test_train_names_empty_data_file_and_writes_nothing(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n", encoding="utf-8")
+        config = tmp_path / "train.cfg"
+        config.write_text(TINY_CONFIG + f"\ndata = {empty}\n", encoding="utf-8")
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {empty}: empty pair file\n"
+        assert not out_dir.exists()  # no checkpoint, no history
+
+
 class TestTrainEvalMatch:
     @pytest.fixture
     def trained(self, tmp_path, config_path, capsys):
@@ -201,6 +213,13 @@ class TestTrainEvalMatch:
         bad.write_text(content, encoding="utf-8")
         assert main(["match", "--checkpoint", str(ckpt), "--pair", str(bad)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_eval_empty_pair_file_exits_2(self, trained, tmp_path, capsys):
+        ckpt, _, _ = trained
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        assert main(["eval", "--checkpoint", str(ckpt), "--pairs", str(empty)]) == 2
+        assert capsys.readouterr().err == f"error: {empty}: empty pair file\n"
 
     @pytest.mark.parametrize("field, corrupt", [
         ("keypoints2", _drop_last_keypoint2),

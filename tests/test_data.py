@@ -301,6 +301,13 @@ class TestDatasetIO:
         path.write_text(text + "\n\n", encoding="utf-8")
         assert len(read_dataset(path)) == 2
 
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_empty_file_rejected(self, tmp_path, text):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: empty pair file")):
+            read_dataset(path)
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "pairs.jsonl"
         pair = generate_pair(DataConfig(), class_id=0, seed=0, latent_dim=8)

@@ -294,11 +294,33 @@ class TestDecode:
         np.testing.assert_allclose(p2.tokens, o2.tokens, atol=1e-12)
 
     def test_streams_of_different_shapes_rejected(self):
-        # both streams run stacked; a shorter one is padded and masked
+        # both streams run stacked and share one (B, n) padding mask, as the
+        # two images of a pair have one keypoint count
         store = _make_store(8, 1)
         rng = np.random.default_rng(5)
-        with pytest.raises(ValueError, match="one token shape"):
-            decode(_seq(rng, 4, 8), _seq(rng, 6, 8), store, 1, heads=2)
+        unpadded = _padded(rng, [5, 5], 8)
+        lone = np.arange(5) >= 3  # an (n,) mask on (m, d) tokens
+        for f1, f2 in [
+            (_seq(rng, 4, 8), _seq(rng, 6, 8)),  # different keypoint counts
+            (_padded(rng, [2, 5], 8), _padded(rng, [4, 1], 8, 5)),  # streams padded differently
+            (_padded(rng, [2, 5], 8), unpadded),  # a mask on one stream only
+            (FeatureSequence(_unit_rows(rng, 5, 8), _unit_rows(rng, 1, 8)[0], lone),
+             FeatureSequence(_unit_rows(rng, 5, 8), _unit_rows(rng, 1, 8)[0], lone)),
+        ]:
+            with pytest.raises(ValueError, match="one token shape and one"):
+                decode(f1, f2, store, 1, heads=2)
+
+    def test_blocks_reject_padded_sequences(self):
+        # a single block takes unpadded sequences; only decode packs padded batches
+        store = _make_store(8, 1)
+        rng = np.random.default_rng(6)
+        padded, plain = _padded(rng, [2, 3], 8), _padded(rng, [3, 3], 8)
+        for block in (lambda: norm_self_attn(padded, store, "dec0.", heads=2),
+                      lambda: norm_cross_attn(plain, padded, store, "dec0.", heads=2),
+                      lambda: norm_cross_attn(padded, plain, store, "dec0.", heads=2),
+                      lambda: norm_mlp(padded, store, "dec0.")):
+            with pytest.raises(ValueError, match="unpadded"):
+                block()
 
     def test_swapping_streams_swaps_outputs_when_cross_step_zero(self):
         # the f2 stream cross-attends to the already-updated f1 stream, so
@@ -398,7 +420,6 @@ class TestBatchedDecode:
         ([1, 2, 5, 3], [1, 2, 5, 3]),  # m = 1 and m = 2 among padded pairs
         ([4], [4]),                    # B = 1: nothing padded, no mask
         ([6, 6, 6, 4], [6, 6, 6, 4]),  # only the last pair padded
-        ([2, 5], [4, 1]),              # streams padded differently
     ])
     def test_matches_per_pair_loop(self, lengths1, lengths2):
         rng = np.random.default_rng(len(lengths1) * 10 + lengths1[-1])
@@ -457,15 +478,14 @@ class TestBatchedDecode:
 
 
 class TestPackedDecode:
-    """decode runs its row-wise steps on the rows real in either stream; it
-    equals the padded decoder of tests/oracles.py bit for bit."""
+    """decode runs its row-wise steps on the pairs' real rows; it equals the
+    padded decoder of tests/oracles.py bit for bit."""
 
     LAYERS = 2
 
     @pytest.mark.parametrize("lengths1,lengths2,d,heads", [
         ([5, 10, 7, 6, 9, 8, 10, 5], [5, 10, 7, 6, 9, 8, 10, 5], 64, 4),  # a desk minibatch
         ([1, 2, 5, 2], [1, 2, 5, 2], 16, 4),  # m = 1 and m = 2 pairs
-        ([2, 5], [4, 1], 16, 4),  # streams padded differently
     ])
     def test_equals_padded_decoder(self, lengths1, lengths2, d, heads):
         rng = np.random.default_rng(sum(lengths1) + d)

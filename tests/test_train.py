@@ -304,6 +304,11 @@ class TestTrain:
         _, _, history, aborted = train(config, pairs, val_pairs=[lone])
         assert not aborted and 0.0 <= history[-1]["val_accuracy"] <= 1.0
 
+    def test_empty_training_list_rejected(self):
+        # an epoch with no minibatch would have no mean loss to record
+        with pytest.raises(ValueError, match="no training pairs"):
+            train(_tiny_config(), [])
+
     def test_history_schema_and_lr_column(self):
         config = _tiny_config(epochs=2, lr_decay_epochs=(1,), lr_decay_factor=0.5)
         pairs = generate_dataset(_tiny_data(), latent_dim=config.gnn_input_dim, seed=1)
