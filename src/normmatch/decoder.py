@@ -275,7 +275,8 @@ def norm_mlp(seq: FeatureSequence, store, prefix: str):
     return FeatureSequence(out[..., :-1, :], out[..., -1, :]), cache
 
 
-def decode(f1: FeatureSequence, f2: FeatureSequence, store, layers: int, heads: int):
+def decode(f1: FeatureSequence, f2: FeatureSequence, store, layers: int, heads: int,
+           keep_caches: bool = True):
     """Run the full decoder stack on two streams of one token shape.
 
     Both share one padding mask, (B, n) with (B, n, d) tokens: a pair's
@@ -283,6 +284,7 @@ def decode(f1: FeatureSequence, f2: FeatureSequence, store, layers: int, heads: 
     snapshots[k] holds the post-layer tokens of both streams after layer k,
     stacked as (2, ..., n, d), for the layer-wise uniformity loss. Padding
     rows are dropped on entry (see _Layout) and come back as zero rows.
+    Without keep_caches (no backward follows), caches is None.
     """
     pad = f1.pad
     if (f1.tokens.shape != f2.tokens.shape or f2.pad is not pad and not np.array_equal(f2.pad, pad)
@@ -302,10 +304,11 @@ def decode(f1: FeatureSequence, f2: FeatureSequence, store, layers: int, heads: 
         h, nc = normalize_rows(t * g)
         x, c_mlp = _norm_mlp(_with_global(h, x[..., lay.glob, :], lay.order), store, p)
         snapshots.append(_grid(x, lay.keep)[..., :-1, :])
-        caches.append((c_sa, c_ca1, c_ca2, (t, g, nc), c_mlp))
-    g = x[..., lay.glob, :]
+        if keep_caches:
+            caches.append((c_sa, c_ca1, c_ca2, (t, g, nc), c_mlp))
+    g, caches = x[..., lay.glob, :], (lay, caches) if keep_caches else None
     return (FeatureSequence(snapshots[-1][0], g[0], pad),
-            FeatureSequence(snapshots[-1][1], g[1], pad), snapshots, (lay, caches))
+            FeatureSequence(snapshots[-1][1], g[1], pad), snapshots, caches)
 
 
 def decode_backward(caches, store, g_f1_tokens, g_f1_global, g_f2_tokens,

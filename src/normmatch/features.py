@@ -56,8 +56,8 @@ class BackboneOutput:
         if (self.last.grid.shape[:2] != self.second_last.grid.shape[:2]
                 or self.last.stride != self.second_last.stride):
             raise ValueError("both maps must share grid shape and stride")
-        self.pooled = np.concatenate([self.last.grid.mean(axis=(0, 1)),
-                                      self.second_last.grid.mean(axis=(0, 1))])
+        sums = [np.add.reduce(m.grid, axis=(0, 1)) for m in (self.last, self.second_last)]
+        self.pooled = np.concatenate(sums) / (self.last.grid.shape[0] * self.last.grid.shape[1])
 
 
 def extract_keypoint_features(backbone_out: BackboneOutput, keypoints) -> np.ndarray:
@@ -131,15 +131,13 @@ def synthetic_backbone(latents, keypoints, noise_level: float, seed,
     d2 = dy[:, None, :] ** 2 + dx[None, :, :] ** 2
     weights = np.exp(-d2 / (2.0 * sigma * sigma))
 
-    rng = np.random.default_rng(seed)
-    maps = []
-    for part in (latents[:, :half], latents[:, half:]):
-        grid = np.tensordot(weights, part, axes=([2], [0]))
-        noise = rng.standard_normal(grid.shape)  # drawn at any level: a fixed stream position
-        if noise_level > 0:
-            grid = grid + noise_level * noise
-        maps.append(FeatureMap(grid=grid, stride=stride))
-    return BackboneOutput(last=maps[0], second_last=maps[1])
+    # both maps' noise in one draw, at any level: fixed stream positions
+    grids = np.random.default_rng(seed).standard_normal((2, h, w, half))
+    grids *= noise_level
+    splat = weights.reshape(h * w, -1)
+    for grid, part in zip(grids, (latents[:, :half], latents[:, half:])):
+        grid += np.dot(splat, part).reshape(h, w, half)  # tensordot's product
+    return BackboneOutput(*(FeatureMap(grid=grid, stride=stride) for grid in grids))
 
 
 def write_feature_file(path, backbone_out: BackboneOutput) -> None:

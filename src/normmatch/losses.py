@@ -174,10 +174,7 @@ def total_loss(f1_tokens, f2_tokens, snapshots, truth, tau_raw: float,
     nce, nce_cache = info_nce(f1_tokens, f2_tokens, truth, tau_raw, mode, pad)
     layers, (hs_cache, weights, pair_h) = layer_hyperspherical(snapshots, p, pad)
     final = 0.5 * pair_h[-1]  # the last layer's snapshot is the decoder output
-    reports = [LossReport(*terms) for terms in zip(
-        nce.ravel().tolist(), final.ravel().tolist(), layers.ravel().tolist())]
-    weights = weights[:, None].copy()  # the final term's weight joins the last layer's
-    weights[-1] += 0.5
+    reports = [LossReport(*t) for t in np.array([nce, final, layers]).reshape(3, -1).T.tolist()]
     return reports if nce.ndim else reports[0], (nce_cache, hs_cache, weights)
 
 
@@ -190,4 +187,6 @@ def total_loss_backward(cache):
     """
     nce_cache, hs_cache, weights = cache
     g_f1, g_f2, g_tau_raw = info_nce_backward(nce_cache)
+    weights = weights[:, None].copy()  # the final term's weight joins the last layer's
+    weights[-1] += 0.5
     return g_f1, g_f2, hyperspherical_backward(hs_cache, weights), g_tau_raw

@@ -40,6 +40,8 @@ def affinity(f1, f2) -> np.ndarray:
     """Pairwise cosine similarities of unit-norm rows: C = f1 @ f2.T."""
     f1 = np.asarray(f1, dtype=np.float64)
     f2 = np.asarray(f2, dtype=np.float64)
+    if f1.ndim != 2 or f2.ndim != 2:
+        raise ValueError(f"f1 and f2 must be 2-D (rows, d), got shapes {f1.shape} and {f2.shape}")
     if f1.shape[1] != f2.shape[1]:
         raise ValueError("feature dimension mismatch")
     return f1 @ f2.T
@@ -54,14 +56,15 @@ def sinkhorn_log(C, temperature: float, iters: int) -> TransportPlan:
     the recorded error as authoritative rather than assuming convergence.
     """
     C = np.asarray(C, dtype=np.float64)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ValueError("affinity matrix must be square (equal keypoint counts)")
+    if C.ndim != 2 or C.shape[0] != C.shape[1] or not C.size:
+        raise ValueError(f"C must be a non-empty square affinity matrix (equal keypoint "
+                         f"counts), got shape {C.shape}")
     if not np.all(np.isfinite(C)):
         raise ValueError("affinity matrix must be finite")
     if not temperature > 0:  # NaN fails too
         raise ValueError("temperature must be positive")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
+    if not isinstance(iters, (int, np.integer)) or iters < 1:
+        raise ValueError(f"iters must be an integer >= 1, got {iters!r}")
     K = C / temperature
     for _ in range(iters):
         K = K - logsumexp(K, axis=1, keepdims=True)
@@ -77,6 +80,8 @@ def sinkhorn_log(C, temperature: float, iters: int) -> TransportPlan:
 def decode_matching(plan: TransportPlan | np.ndarray) -> Matching:
     """Row-argmax decode; ties resolve to the lowest column index."""
     A = plan.values if isinstance(plan, TransportPlan) else np.asarray(plan)
+    if A.ndim != 2 or not A.size:
+        raise ValueError(f"plan must be a non-empty 2-D matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("transport plan must be finite")
     assignment = A.argmax(axis=1)
@@ -90,4 +95,6 @@ def accuracy(pred: Matching | np.ndarray, truth) -> float:
     truth = np.asarray(truth)
     if a.shape != truth.shape:
         raise ValueError("prediction and truth lengths differ")
+    if not truth.size:
+        raise ValueError("pred and truth are empty: the accuracy of no keypoints is undefined")
     return float(np.mean(a == truth))

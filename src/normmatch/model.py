@@ -69,20 +69,22 @@ class MatchingModel:
 
     def forward_pair(self, pair: PairSample):
         """Decoder outputs of one pair, a batch of one: (m, d) rows, snapshots (2, m, d)."""
-        f1, f2, snapshots, _ = self._forward([self.prepare(pair)])
+        f1, f2, snapshots, _ = self._forward([self.prepare(pair)], keep_caches=False)
         return (FeatureSequence(f1.tokens[0], f1.global_token[0]),
                 FeatureSequence(f2.tokens[0], f2.global_token[0]),
                 [s[:, 0] for s in snapshots])
 
-    def _forward(self, prepared):
+    def _forward(self, prepared, keep_caches: bool = True):
         """Decoder outputs (f1, f2, snapshots) and caches of prepared pairs.
 
         Each layer runs once over all pairs. The decoder takes them zero-padded to
         (B, n, d) per stream with one (B, n) mask for both, none when no row is padded.
+        Inference keeps no GNN or decoder cache (keep_caches=False): no backward reads them.
         """
         globs, glob_cache = global_token(np.concatenate([p.pooled for p in prepared]), self.store)
         feats = [f for p in prepared for f in p.features]
-        tokens, gnn_cache = gnn_refine(feats, [g for p in prepared for g in p.graphs], self.store)
+        tokens, gnn_cache = gnn_refine(feats, [g for p in prepared for g in p.graphs], self.store,
+                                       keep_caches)
         lengths = [len(f) for f in feats]
         shape = (len(prepared), 2, max(lengths), tokens.shape[1])
         if min(lengths) == shape[2]:
@@ -95,7 +97,7 @@ class MatchingModel:
         f1, f2, snapshots, dec_caches = decode(
             FeatureSequence(padded[:, 0], globs[:, 0], pad),
             FeatureSequence(padded[:, 1], globs[:, 1], pad),
-            self.store, self.config.decoder_layers, self.config.heads,
+            self.store, self.config.decoder_layers, self.config.heads, keep_caches,
         )
         return f1, f2, snapshots, (valid, glob_cache, gnn_cache, dec_caches)
 
@@ -134,7 +136,7 @@ class MatchingModel:
 
     def match_prepared(self, prepared: PreparedPair):
         """match_pair of a pair already prepared."""
-        f1, f2, _, _ = self._forward([prepared])
+        f1, f2, _, _ = self._forward([prepared], keep_caches=False)
         C = affinity(f1.tokens[0], f2.tokens[0])
         plan = sinkhorn_log(C, self.config.sinkhorn_temperature, self.config.sinkhorn_iters)
         return decode_matching(plan), plan, C

@@ -29,15 +29,14 @@ def normalize_rows(x):
     """Unit-normalize each row of ``x``. Returns (y, cache).
 
     Each row becomes ``x / max(||x||_2, EPS_GUARD)``; the guard keeps the
-    map total, so a zero row comes back as a zero row instead of NaN.
+    map total, so a zero row comes back as a zero row instead of NaN. The
+    cache is (y, row norms); only the backward reads the guard from them.
     """
     x = np.asarray(x, dtype=np.float64)
     # np.linalg.norm's own reduction for ord=None, without its Python prologue
     norms = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
-    denom = np.maximum(norms, EPS_GUARD)
-    y = x / denom
-    active = norms >= EPS_GUARD
-    return y, (y, denom, active)
+    y = x / np.maximum(norms, EPS_GUARD)
+    return y, (y, norms)
 
 
 def normalize_rows_backward(cache, gy):
@@ -46,9 +45,9 @@ def normalize_rows_backward(cache, gy):
     Active rows use d(x/||x||) = (g - y (y.g)) / ||x||; guarded rows are the
     linear map x/EPS_GUARD whose Jacobian is I/EPS_GUARD.
     """
-    y, denom, active = cache
+    y, norms = cache
     dot = np.sum(y * gy, axis=-1, keepdims=True)
-    return (gy - np.where(active, dot, 0.0) * y) / denom
+    return (gy - np.where(norms >= EPS_GUARD, dot, 0.0) * y) / np.maximum(norms, EPS_GUARD)
 
 
 def silu(x):
@@ -76,6 +75,6 @@ def softmax_rows_backward(p, gp):
 
 
 def logsumexp(x, axis=None, keepdims=False):
-    mx = x.max(axis=axis, keepdims=True)
-    out = np.log(np.exp(x - mx).sum(axis=axis, keepdims=True)) + mx
+    mx = np.maximum.reduce(x, axis=axis, keepdims=True)  # x.max's reduction, minus its wrapper
+    out = np.log(np.add.reduce(np.exp(x - mx), axis=axis, keepdims=True)) + mx
     return out if keepdims else out.squeeze(axis)

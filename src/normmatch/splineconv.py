@@ -38,46 +38,43 @@ def _basis_arrays(pseudo: np.ndarray, kernel_size: int):
     return idx, lower_upper[a, :, 0] * lower_upper[b, :, 1]
 
 
-def _max_aggregate(msgs, dst, counts):
-    """Element-wise max of the messages arriving at each node.
+def _max_aggregate(msgs, blocks):
+    """(agg, padded): each node's element-wise max over its incoming messages, (m, out_dim),
+    and the (m, max in-degree, out_dim) block of them that the plan's blocks lay out."""
+    slots, shape, _, _ = blocks
+    padded = np.full(shape + msgs.shape[1:], -np.inf)
+    padded.reshape(-1, msgs.shape[1])[slots] = msgs
+    return np.maximum.reduce(padded, axis=1), padded
 
-    counts[v] is the in-degree of node v. Returns (agg, argmax_arc), both
-    (m, out_dim). Each node's messages are padded, in stable arc order, into
-    one row of a (m, max in-degree, out_dim) block. The first slot holding
-    the max wins: the lowest arc index on ties, never the -inf padding.
+
+def _argmax_arcs(padded, agg, blocks):
+    """The arc of each node's max, per output coordinate: (m, out_dim); backward only.
+
+    The first slot holding the max wins: the lowest arc on ties, never the -inf padding.
     """
-    m, out_dim = len(counts), msgs.shape[1]
-    order = np.argsort(dst, kind="stable")
-    starts = np.cumsum(counts) - counts
-    node = dst[order]
-    padded = np.full((m, counts.max(initial=0), out_dim), -np.inf)
-    padded[node, np.arange(len(dst)) - starts[node]] = msgs[order]
-    agg = np.maximum.reduce(padded, axis=1)
+    _, _, order, starts = blocks
     hit = (padded == agg[:, None]) | np.isnan(padded)  # a NaN is the max, as argmax has it
-    return agg, order[starts[:, None] + hit.transpose(0, 2, 1).argmax(axis=-1)]
-
-
-def _scatter_to_argmax(argmax_arc, g_out, n_arcs):
-    """Per-arc message gradients, each output coordinate's on its argmax arc.
-
-    Every arc feeds one destination, so the argmax arcs never collide.
-    """
-    g_msgs = np.zeros((n_arcs, g_out.shape[1]))
-    g_msgs[argmax_arc, np.arange(g_out.shape[1])] = g_out
-    return g_msgs
+    return order[starts[:, None] + hit.transpose(0, 2, 1).argmax(axis=-1)]
 
 
 def spline_plan(graph, kernel_size: int):
-    """(kernel_size, knots, weights, in_degree) of a graph: its basis, built once per graph.
+    """(kernel_size, knots, weights, blocks) of a graph, built once per graph.
 
     knots[c, a] is the flat knot of corner c of arc a and weights[c, a, 0] its
-    basis weight; in_degree counts the arcs into each node.
+    basis weight. blocks = (slots, shape, order, starts) lays the arcs out for
+    the max: order sorts them stably by destination, node v's from starts[v],
+    and arc a fills flat slot slots[a] of an (m, max in-degree) shape.
     """
-    in_degree = np.bincount(graph.arcs[:, 1], minlength=graph.num_nodes)
+    dst = graph.arcs[:, 1]
+    in_degree = np.bincount(dst, minlength=graph.num_nodes)
     if np.any(in_degree == 0):
         raise ValueError("isolated vertex: aggregation undefined without self-loops")
+    order, starts = np.argsort(dst, kind="stable"), np.cumsum(in_degree) - in_degree
+    shape, node = (graph.num_nodes, in_degree.max(initial=0)), dst[order]
+    slots = np.empty_like(order)
+    slots[order] = node * shape[1] + np.arange(len(dst)) - starts[node]
     knots, weights = _basis_arrays(graph.pseudo, kernel_size)
-    return kernel_size, knots, weights[:, :, None], in_degree
+    return kernel_size, knots, weights[:, :, None], (slots, shape, order, starts)
 
 
 def knot_plan(plan, graph):
@@ -109,7 +106,7 @@ def spline_conv_forward(features, graph, weight, bias, plan, apply_relu: bool):
     """
     features = np.asarray(features, dtype=np.float64)
     k2, in_dim, out_dim = weight.shape
-    kernel_size, knots, weights, in_degree = plan
+    kernel_size, knots, weights, blocks = plan
     if kernel_size**2 != k2:
         raise ValueError(f"plan built for K = {kernel_size}, weight has {k2} knots")
     if features.shape[1] != in_dim:
@@ -123,11 +120,11 @@ def spline_conv_forward(features, graph, weight, bias, plan, apply_relu: bool):
     for c in (1, 2, 3):
         msgs += weights[c] * products[rows[c]]
 
-    agg, argmax_arc = _max_aggregate(msgs, graph.arcs[:, 1], in_degree)
-    pre = agg + bias
-    out = np.maximum(pre, 0.0) if apply_relu else pre
-    cache = (features, graph, weight, plan, argmax_arc, pre if apply_relu else None)
-    return out, cache
+    agg, padded = _max_aggregate(msgs, blocks)
+    out = agg + bias
+    if apply_relu:  # out > 0 exactly where its input is, so the backward reads its mask off out
+        out = np.maximum(out, 0.0)
+    return out, (features, graph, weight, plan, (padded, agg), out if apply_relu else None)
 
 
 def spline_conv_backward(cache, g_out, by_knot, input_grad: bool = True):
@@ -135,14 +132,16 @@ def spline_conv_backward(cache, g_out, by_knot, input_grad: bool = True):
 
     Returns (g_features, g_weight, g_bias), with g_features None unless
     input_grad. by_knot: the graph's :func:`knot_plan`. Max aggregation
-    routes each output coordinate's gradient to its recorded argmax arc only.
+    routes each output coordinate's gradient to its argmax arc only, found
+    here from the forward's padded block.
     """
-    features, graph, weight, plan, argmax_arc, relu_pre = cache
-    if relu_pre is not None:
-        g_out = g_out * (relu_pre > 0.0)
+    features, graph, weight, plan, (padded, agg), relu_out = cache
+    if relu_out is not None:
+        g_out = g_out * (relu_out > 0.0)
     g_bias = g_out.sum(axis=0)
 
-    g_msgs = _scatter_to_argmax(argmax_arc, g_out, len(graph.arcs))
+    g_msgs = np.zeros((len(graph.arcs), g_out.shape[1]))  # every arc feeds one node: no collisions
+    g_msgs[_argmax_arcs(padded, agg, plan[3]), np.arange(g_out.shape[1])] = g_out
     g_weight = np.zeros_like(weight)
     g_arcs = np.zeros((len(graph.arcs), features.shape[1])) if input_grad else None
     segments, (arcs, srcs, weights), (by_source, nodes, starts) = by_knot
@@ -166,12 +165,12 @@ def init_gnn_params(store, rng, in_dim: int, d_model: int, kernel_size: int):
     store.register("gnn.b2", np.zeros(d_model))
 
 
-def gnn_refine(features, graphs, store):
+def gnn_refine(features, graphs, store, keep_caches: bool = True):
     """Two spline convolutions (ReLU after the first only), then unit rows.
 
     Both run once on the disjoint union of the graphs, one per (m_i, in_dim)
-    array of features. Returns (tokens, cache) with tokens of shape
-    (sum m_i, d_model), each row on the unit sphere ready for the decoder.
+    array of features. Returns (tokens, cache; None without keep_caches) with
+    tokens of shape (sum m_i, d_model), each row on the unit sphere.
     """
     graph, features = batch_graphs(graphs), np.concatenate(features)
     w1 = store.value("gnn.w1")
@@ -183,7 +182,7 @@ def gnn_refine(features, graphs, store):
         h1, graph, store.value("gnn.w2"), store.value("gnn.b2"), plan, apply_relu=False
     )
     out, nc = normalize_rows(h2)
-    return out, (c1, c2, nc)
+    return out, (c1, c2, nc) if keep_caches else None
 
 
 def gnn_refine_backward(cache, g_out, store):

@@ -7,9 +7,12 @@ prints one SHA-256 digest per line:
 - ``train seed=<s>`` for seeds 0 and 1: a 2-epoch desk-config training on
   48 generated pairs with batch size 8, covering every parameter, every Adam
   moment and the history JSON;
+- ``prepare``: ``MatchingModel.prepare`` of 400 generated desk pairs (each
+  image's keypoint features, graph arcs and pseudo-coordinates, and the
+  pair's pooled map means), which pins the synthetic render;
 - ``match``: 400 ``match_pair`` results (assignment, plan, affinity) of the
-  frozen desk model read from ``perfbench/frozen_desk.npz``, on 400 generated
-  desk pairs.
+  frozen desk model read from ``perfbench/frozen_desk.npz``, on the same
+  400 pairs.
 
 A change that claims bit-identical results prints the same digests as its
 parent on the same machine. The script imports normmatch from this
@@ -59,13 +62,27 @@ def train_digest(seed: int) -> str:
     return _digest(arrays, json.dumps(history, sort_keys=True))
 
 
-def match_digest() -> str:
+def frozen_model_and_pairs():
     model = MatchingModel(TrainConfig())  # the desk configuration of the frozen model
     with np.load(ROOT / "perfbench" / "frozen_desk.npz") as frozen:
         for name in model.store.names():
             model.store.set_value(name, frozen[name].astype(np.float64))
     pairs = generate_dataset(DataConfig(), model.config.gnn_input_dim, seed=MATCH_DATA_SEED,
                              num_pairs=MATCH_PAIRS)
+    return model, pairs
+
+
+def prepare_digest(model, pairs) -> str:
+    arrays = []
+    for pair in pairs:
+        prepared = model.prepare(pair)
+        arrays += prepared.features
+        arrays += [a for g in prepared.graphs for a in (g.arcs, g.pseudo)]
+        arrays.append(prepared.pooled)
+    return _digest(arrays)
+
+
+def match_digest(model, pairs) -> str:
     arrays = []
     for pair in pairs:
         matching, plan, C = model.match_pair(pair)
@@ -76,7 +93,9 @@ def match_digest() -> str:
 def main() -> None:
     for seed in TRAIN_SEEDS:
         print(f"train seed={seed}: {train_digest(seed)}", flush=True)
-    print(f"match: {match_digest()}", flush=True)
+    model, pairs = frozen_model_and_pairs()
+    print(f"prepare: {prepare_digest(model, pairs)}", flush=True)
+    print(f"match: {match_digest(model, pairs)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -146,7 +146,8 @@ def spline_basis(u, kernel_size: int) -> list[tuple[tuple[int, int], float]]:
 
 
 def loop_max_aggregate(msgs, dst, counts):
-    """Per-node max over incoming messages. Oracle for ``splineconv._max_aggregate``.
+    """Per-node max over incoming messages and its argmax arcs. Oracle for
+    ``splineconv._max_aggregate`` and ``splineconv._argmax_arcs``.
 
     A stable sort keeps arc order inside each destination group, so argmax
     ties resolve to the lowest arc index.
@@ -168,7 +169,7 @@ def loop_max_aggregate(msgs, dst, counts):
 def loop_scatter_to_argmax(argmax_arc, g_out, n_arcs):
     """Per-node accumulation of g_out onto argmax arcs.
 
-    Oracle for ``splineconv._scatter_to_argmax``.
+    Oracle for the argmax scatter in ``splineconv.spline_conv_backward``.
     """
     m, out_dim = g_out.shape
     g_msgs = np.zeros((n_arcs, out_dim))
@@ -197,7 +198,7 @@ def loop_spline_conv_forward(features, graph, weight, bias, apply_relu):
         for b in np.unique(idx[c]):
             rows = np.nonzero(idx[c] == b)[0]
             msgs[rows] += wgt[c, rows, None] * (x_src[rows] @ weight[b])
-    agg, argmax_arc = splineconv._max_aggregate(msgs, dst, counts)
+    agg, argmax_arc = loop_max_aggregate(msgs, dst, counts)
     pre = agg + bias
     out = np.maximum(pre, 0.0) if apply_relu else pre
     return out, (features, graph, weight, idx, wgt, argmax_arc, pre if apply_relu else None)
@@ -213,7 +214,7 @@ def loop_spline_conv_backward(cache, g_out):
     if relu_pre is not None:
         g_out = g_out * (relu_pre > 0.0)
     g_bias = g_out.sum(axis=0)
-    g_msgs = splineconv._scatter_to_argmax(argmax_arc, g_out, len(graph.arcs))
+    g_msgs = loop_scatter_to_argmax(argmax_arc, g_out, len(graph.arcs))
     src = graph.arcs[:, 0]
     x_src = features[src]
     g_weight = np.zeros_like(weight)

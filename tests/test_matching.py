@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -181,3 +182,20 @@ class TestAccuracy:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             accuracy(np.array([0, 1]), np.array([0, 1, 2]))
+
+
+@pytest.mark.parametrize("fn, args, name", [
+    (sinkhorn_log, (np.eye(3), 0.1, 2.5), "iters"),
+    (sinkhorn_log, (np.zeros((0, 0)), 0.1, 5), "C"),
+    (decode_matching, (np.zeros((0, 0)),), "plan"),
+    (accuracy, (np.array([], np.intp), np.array([], np.intp)), "truth"),
+    (affinity, (np.ones(3), np.ones(3)), "f1"),
+], ids=["fractional iters", "empty affinity", "empty plan", "empty accuracy", "1-D rows"])
+def test_bad_input_fails_where_it_enters(fn, args, name):
+    """A ValueError naming the argument, raised by the entry function itself
+    rather than by numpy (or as a NaN with warnings) further in."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"\b{name}\b") as info:
+            fn(*args)
+    assert info.traceback[-1].name == fn.__name__

@@ -5,9 +5,11 @@ import dataclasses
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normmatch import splineconv
 from normmatch.config import DataConfig, TrainConfig
 from normmatch.data import IMAGE_SIZE, PairSample, generate_pair
 from normmatch.model import MatchingModel
@@ -71,6 +73,37 @@ def test_match_pair_on_degenerate_clouds(kind, m, seed):
     assert matching.assignment.shape == (m,)
     assert np.all((0 <= matching.assignment) & (matching.assignment < m))
     assert matching.injective == (len(set(matching.assignment.tolist())) == m)
+
+
+def test_match_pair_never_looks_for_argmax_arcs(monkeypatch):
+    # the arcs of each node's max matter to the backward only
+    def refuse(*args):
+        raise AssertionError("argmax arcs looked up")
+
+    monkeypatch.setattr(splineconv, "_argmax_arcs", refuse)
+    config = TrainConfig()
+    model = MatchingModel(config)
+    pair = generate_pair(DataConfig(), class_id=0, seed=3, latent_dim=config.gnn_input_dim)
+    matching, plan, _ = model.match_pair(pair)
+    assert matching.assignment.shape == (pair.m,) and np.all(np.isfinite(plan.values))
+    with pytest.raises(AssertionError, match="argmax arcs"):  # training does need them
+        model.loss_and_grads([model.prepare(pair)])
+
+
+def test_forward_without_caches_gives_the_same_outputs():
+    # inference keeps no GNN or decoder cache; what it returns is unchanged
+    config = TrainConfig()
+    model = MatchingModel(config)
+    pairs = [generate_pair(DataConfig(m_min=5, m_max=10), class_id=i, seed=40 + i,
+                           latent_dim=config.gnn_input_dim) for i in range(3)]
+    prepared = [model.prepare(p) for p in pairs]
+    f1, f2, snapshots, caches = model._forward(prepared)
+    g1, g2, got_snapshots, got_caches = model._forward(prepared, keep_caches=False)
+    assert caches[2] is not None and caches[3] is not None
+    assert got_caches[2] is None and got_caches[3] is None
+    for want, got in zip([f1.tokens, f1.global_token, f2.tokens, f2.global_token, *snapshots],
+                         [g1.tokens, g1.global_token, g2.tokens, g2.global_token, *got_snapshots]):
+        assert np.array_equal(want, got)
 
 
 def _permuted_image2(pair, rng):

@@ -58,7 +58,7 @@ def test_normalize_rows_matches_vector_form():
 
 @pytest.mark.parametrize("shape", [(9, 5), (3, 4, 6), (1, 1)])
 def test_normalize_rows_bit_equal_to_linalg_norm_form(shape):
-    rng = np.random.default_rng(7)
+    rng, gy_rng = np.random.default_rng(7), np.random.default_rng(17)
     for scale in (1e-300, 1e-14, 1e-6, 1.0, 1e150):
         x = rng.standard_normal(shape) * scale
         rows = x.reshape(-1, shape[-1])
@@ -66,12 +66,15 @@ def test_normalize_rows_bit_equal_to_linalg_norm_form(shape):
         if len(rows) > 2:
             rows[1] = 0.5 * EPS_GUARD / np.sqrt(shape[-1])  # a norm below the guard
             rows[2] = 1e-200  # squares underflow to a zero norm
-        y, (y_cache, denom, active) = normalize_rows(x)
+        y, cache = normalize_rows(x)
         want_y, want_denom, want_active = linalg_normalize_rows(x)
-        assert np.array_equal(y, want_y) and np.array_equal(y_cache, want_y)
-        assert np.array_equal(denom, want_denom)
-        assert np.array_equal(active, want_active)
-        assert not active.reshape(-1)[0]
+        assert np.array_equal(y, want_y) and np.array_equal(cache[0], want_y)
+        assert not want_active.reshape(-1)[0]
+        # the backward derives the denominator and the guard mask from the cache
+        gy = gy_rng.standard_normal(shape)
+        dot = np.sum(want_y * gy, axis=-1, keepdims=True)
+        want_gx = (gy - np.where(want_active, dot, 0.0) * want_y) / want_denom
+        assert np.array_equal(normalize_rows_backward(cache, gy), want_gx)
 
 
 @pytest.mark.parametrize("axis", [0, 1, -1, None])
@@ -112,6 +115,17 @@ def test_normalize_rows_backward_matches_finite_differences():
     gx = normalize_rows_backward(cache, gy)
     gx_num = _numeric_jacobian_product(lambda a: normalize_rows(a)[0], x.copy(), gy)
     np.testing.assert_allclose(gx, gx_num, atol=1e-8)
+
+
+def test_normalize_rows_backward_on_a_guarded_row_matches_finite_differences():
+    # below the guard the map is x / EPS_GUARD, whatever the row's direction
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((1, 5)) * 1e-14
+    gy = rng.standard_normal((1, 5))
+    gx = normalize_rows_backward(normalize_rows(x)[1], gy)
+    gx_num = _numeric_jacobian_product(lambda a: normalize_rows(a)[0], x.copy(), gy, eps=1e-18)
+    np.testing.assert_allclose(gx, gx_num, rtol=1e-6)
+    np.testing.assert_allclose(gx, gy / EPS_GUARD, rtol=1e-15)
 
 
 def test_silu_values_and_gradient():

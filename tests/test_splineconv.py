@@ -20,7 +20,6 @@ from normmatch.splineconv import (
 )
 from oracles import (
     loop_max_aggregate,
-    loop_scatter_to_argmax,
     loop_spline_conv_backward,
     loop_spline_conv_forward,
     spline_basis,
@@ -280,9 +279,11 @@ def _oracle_graphs():
 
 
 class TestMaxAggregationOracle:
-    """The array aggregation reproduces the per-node loop bit for bit."""
+    """The block aggregation, and the argmax arcs that the backward finds in the
+    block, reproduce the per-node loop bit for bit."""
 
-    def _run(self, graph, feats, integer_weights):
+    def _run(self, monkeypatch, graph, feats, integer_weights):
+        """(agg, messages, routed arcs, backward, the backward's args) of one conv."""
         rng = np.random.default_rng(71)
         if integer_weights:
             weight = rng.integers(-1, 2, size=(9, 3, 4)).astype(np.float64)
@@ -291,30 +292,48 @@ class TestMaxAggregationOracle:
         bias = rng.standard_normal(4)
         g_out = rng.standard_normal((graph.num_nodes, 4))
         plan = spline_plan(graph, 3)
-        out, cache = spline_conv_forward(feats, graph, weight, bias, plan, apply_relu=True)
-        argmax_arc = cache[4]
-        return out, argmax_arc, spline_conv_backward(cache, g_out, knot_plan(plan, graph))
+        seen = {}
+        aggregate, argmax_arcs = splineconv._max_aggregate, splineconv._argmax_arcs
+
+        def spy_aggregate(msgs, blocks):
+            seen["msgs"] = msgs
+            return aggregate(msgs, blocks)
+
+        def spy_arcs(*args):
+            seen["arcs"] = argmax_arcs(*args)
+            return seen["arcs"]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(splineconv, "_max_aggregate", spy_aggregate)
+            patch.setattr(splineconv, "_argmax_arcs", spy_arcs)
+            _, cache = spline_conv_forward(feats, graph, weight, bias, plan, apply_relu=True)
+            args = (cache, g_out, knot_plan(plan, graph))
+            grads = spline_conv_backward(*args)
+        return cache[4][1], seen["msgs"], seen["arcs"], grads, args
 
     @pytest.mark.parametrize("integer_weights", [False, True])
     def test_matches_per_node_loop(self, monkeypatch, integer_weights):
         for name, graph, feats in _oracle_graphs():
-            got = self._run(graph, feats, integer_weights)
-            with monkeypatch.context() as patch:
-                patch.setattr(splineconv, "_max_aggregate", loop_max_aggregate)
-                patch.setattr(splineconv, "_scatter_to_argmax", loop_scatter_to_argmax)
-                want = self._run(graph, feats, integer_weights)
-            np.testing.assert_array_equal(got[0], want[0], err_msg=f"{name}: output")
-            np.testing.assert_array_equal(got[1], want[1], err_msg=f"{name}: argmax arcs")
-            for label, g, w in zip(("features", "weight", "bias"), got[2], want[2]):
+            agg, msgs, arcs, grads, args = self._run(monkeypatch, graph, feats, integer_weights)
+            dst = graph.arcs[:, 1]
+            want_agg, want_arcs = loop_max_aggregate(msgs, dst, np.bincount(dst))
+            np.testing.assert_array_equal(agg, want_agg, err_msg=f"{name}: aggregate")
+            np.testing.assert_array_equal(arcs, want_arcs, err_msg=f"{name}: argmax arcs")
+            with monkeypatch.context() as patch:  # gradients go where the loop's arcs say
+                patch.setattr(splineconv, "_argmax_arcs", lambda *_: want_arcs)
+                want = spline_conv_backward(*args)
+            for label, g, w in zip(("features", "weight", "bias"), grads, want):
                 np.testing.assert_array_equal(g, w, err_msg=f"{name}: g_{label}")
 
     def test_ties_and_nan_pick_the_lowest_arc(self):
-        # three arcs into node 0 carry tied messages, except a NaN in arc 1
+        # three arcs into node 0 carry tied messages, except a NaN in arc 1;
+        # node 1 has in-degree 1
         msgs = np.array([[1.0, 2.0], [1.0, np.nan], [1.0, 2.0], [5.0, 5.0]])
-        dst = np.array([0, 0, 0, 1])
-        counts = np.bincount(dst, minlength=2)
-        agg, argmax_arc = splineconv._max_aggregate(msgs, dst, counts)
-        want_agg, want_arc = loop_max_aggregate(msgs, dst, counts)
+        graph = _manual_graph(2, [(0, 0), (1, 0), (1, 0), (1, 1)], [(0.5, 0.5)] * 4)
+        blocks = spline_plan(graph, 2)[3]
+        agg, padded = splineconv._max_aggregate(msgs, blocks)
+        argmax_arc = splineconv._argmax_arcs(padded, agg, blocks)
+        want_agg, want_arc = loop_max_aggregate(msgs, graph.arcs[:, 1], np.array([3, 1]))
         np.testing.assert_array_equal(agg, want_agg)
         np.testing.assert_array_equal(argmax_arc, want_arc)
         np.testing.assert_array_equal(argmax_arc, [[0, 1], [3, 3]])
