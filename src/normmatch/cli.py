@@ -115,7 +115,8 @@ def _cmd_gradcheck(args) -> int:
         model.store.set_trainable(name, any(name.startswith(p) for p in prefixes))
 
     def forward(store):
-        return sum(report.total for report in model.loss_and_grads(prepared))
+        reports, backward = model.loss(prepared)
+        return sum(report.total for report in reports), backward
 
     reports = grad_check(forward, model.store, eps=1e-5, tol=1e-4)
     failures = 0

@@ -9,6 +9,7 @@ DataConfig; both parse from the same file.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 from .losses import INFONCE_MODES
@@ -23,10 +24,14 @@ __all__ = [
 ]
 
 
-def _check_finite(config) -> None:
+def _check_fields(config) -> None:
     for f in fields(config):
-        if isinstance(f.default, float) and not math.isfinite(value := getattr(config, f.name)):
+        value = getattr(config, f.name)
+        if isinstance(f.default, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
+        ints = {int: (value,), tuple: value}.get(type(f.default), ())
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in ints):
+            raise ValueError(f"{f.name} must hold integers, got {value!r}")
 
 
 @dataclass
@@ -56,7 +61,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        _check_finite(self)
+        _check_fields(self)
         if self.d_model <= 0 or self.heads <= 0:
             raise ValueError("d_model and heads must be positive")
         if self.d_model % self.heads:
@@ -112,7 +117,7 @@ class DataConfig:
     data: str = ""  # path to a JSONL dataset; empty = generate on the fly
 
     def validate(self) -> None:
-        _check_finite(self)
+        _check_fields(self)
         if min(self.num_pairs, self.val_pairs_per_class, self.num_classes) < 1:
             raise ValueError("num_pairs, val_pairs_per_class and num_classes must be >= 1")
         if not (1 <= self.m_min <= self.m_max):

@@ -125,6 +125,9 @@ def generate_pair(spec: DataConfig, class_id: int, seed: int,
     spec.validate()
     if latent_dim < 2 or latent_dim % 2:
         raise ValueError(f"latent_dim must be even and >= 2, got {latent_dim}")
+    if seed < 0 or not 0 <= class_id < spec.num_classes:
+        raise ValueError(f"need seed >= 0 and 0 <= class_id < {spec.num_classes}, "
+                         f"got seed {seed}, class_id {class_id}")
     rng = np.random.default_rng([31415, seed])
     m = int(rng.integers(spec.m_min, spec.m_max + 1))
     bank = class_latent_bank(class_id, latent_dim, slots=spec.m_max)
@@ -163,6 +166,8 @@ def generate_dataset(spec: DataConfig, latent_dim: int, seed: int,
                      num_pairs: int | None = None) -> list[PairSample]:
     """num_pairs samples with classes cycling round-robin, seeds derived from seed."""
     n = spec.num_pairs if num_pairs is None else num_pairs
+    if n < 0:
+        raise ValueError(f"num_pairs must be >= 0, got {n}")
     return [
         generate_pair(spec, class_id=i % spec.num_classes,
                       seed=seed * 1_000_003 + i, latent_dim=latent_dim)

@@ -1,11 +1,11 @@
 """Central-finite-difference gradient checking.
 
-The contract: ``forward(params)`` returns a scalar loss and, as a side
-effect, accumulates analytic gradients into the store (which the checker
-zeroes beforehand). The checker then perturbs sampled coordinates of every
-trainable parameter by +-eps and compares the analytic entries against
-central differences. All evaluation happens in 64-bit precision; finite
-differences are not trustworthy in 32-bit.
+The contract: ``forward(params)`` returns ``(loss, backward)``; ``backward()``
+adds the loss's analytic gradients into the store, and nothing else writes them.
+The checker zeroes the store, runs ``backward()`` once, at the unperturbed point,
+and leaves its gradients in the store; each +-eps probe of a sampled coordinate
+of a trainable parameter reads only the loss. All evaluation happens in 64-bit
+precision; finite differences are not trustworthy in 32-bit.
 """
 
 from __future__ import annotations
@@ -46,31 +46,26 @@ def grad_check(forward, params, eps: float = 1e-5, tol: float = 1e-4, max_coords
     rng = np.random.default_rng(0) if rng is None else rng
 
     params.zero_grads()
-    base = float(forward(params))
+    base, backward = forward(params)
     if not np.isfinite(base):
         return [
             ParamReport(name, np.inf, 0, False, "non-finite forward value")
             for name in params.trainable_names()
         ]
-    analytic = {n: params.grad(n).copy() for n in params.trainable_names()}
+    backward()
 
     reports = []
     for name in params.trainable_names():
-        flat = params.value(name).reshape(-1)
-        n_entries = flat.size
-        idxs = (np.arange(n_entries) if n_entries <= max_coords
-                else np.sort(rng.choice(n_entries, size=max_coords, replace=False)))
-
-        a_flat = analytic[name].reshape(-1)
+        flat, a_flat = params.value(name).reshape(-1), params.grad(name).reshape(-1)
+        idxs = (np.arange(flat.size) if flat.size <= max_coords
+                else np.sort(rng.choice(flat.size, size=max_coords, replace=False)))
         max_err, failure = 0.0, None
         for i in idxs:
             orig = flat[i]
             flat[i] = orig + eps
-            params.zero_grads()
-            f_plus = float(forward(params))
+            f_plus = float(forward(params)[0])
             flat[i] = orig - eps
-            params.zero_grads()
-            f_minus = float(forward(params))
+            f_minus = float(forward(params)[0])
             flat[i] = orig
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 failure = "non-finite forward value"
@@ -81,11 +76,6 @@ def grad_check(forward, params, eps: float = 1e-5, tol: float = 1e-4, max_coords
             max_err = max(max_err, rel)
         passed = failure is None and max_err < tol
         reports.append(ParamReport(name, max_err, len(idxs), passed, failure))
-
-    # Leave the store in the analytically differentiated state.
-    params.zero_grads()
-    for name, g in analytic.items():
-        params.add_grad(name, g)
     return reports
 
 

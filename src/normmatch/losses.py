@@ -91,6 +91,8 @@ def info_nce(f1, f2, truth, tau_raw: float, mode: str = "inclusive", pad=None):
     if pad is not None:
         pad = np.reshape(pad, (-1, n))
         truth = np.where(pad, np.arange(n), truth)  # padding rows match themselves
+    if (np.sort(truth, axis=-1) != np.arange(n)).any():
+        raise ValueError("truth must be a permutation of each pair's keypoint indices")
     m = n if pad is None else n - np.count_nonzero(pad, axis=-1)
     if (m if pad is None else m.min()) < 2:
         raise ValueError("InfoNCE needs at least 2 keypoints (no negatives otherwise)")

@@ -7,7 +7,7 @@ Sinkhorn stage is inference-only.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -103,11 +103,9 @@ class MatchingModel:
 
     # ---------------- training ----------------
 
-    def loss_and_grads(self, prepared) -> list[LossReport]:
-        """Loss report per prepared pair; accumulates the summed gradients into the store.
-
-        Every layer, the losses included, runs once over the minibatch.
-        """
+    def loss(self, prepared) -> tuple[list[LossReport], Callable[[], None]]:
+        """(Loss report per prepared pair, backward), each layer run once over the minibatch;
+        backward() adds the summed gradients into the store."""
         f1, f2, snapshots, caches = self._forward(prepared)
         valid, glob_cache, gnn_cache, dec_caches = caches
         cfg, store = self.config, self.store
@@ -117,16 +115,20 @@ class MatchingModel:
         reports, loss_cache = total_loss(f1.tokens, f2.tokens, snapshots, truth,
                                          float(store.value("loss.tau_raw")), cfg.layer_loss_p,
                                          cfg.infonce_mode, f1.pad)
-        g_f1, g_f2, snapshot_grads, g_tau = total_loss_backward(loss_cache)
-        store.add_grad("loss.tau_raw", g_tau)
-        g_glob = np.zeros_like(f1.global_token)
-        g_t1, g_g1, g_t2, g_g2 = decode_backward(dec_caches, store, g_f1, g_glob, g_f2, g_glob,
-                                                 snapshot_grads)
-        # (B, 2, ...) rows: the order of the pooled means and of the GNN's images
-        global_token_backward(glob_cache, np.stack([g_g1, g_g2], 1).reshape(-1, cfg.d_model), store)
-        g_rows = np.stack([g_t1, g_t2], axis=1).reshape(-1, cfg.d_model)
-        gnn_refine_backward(gnn_cache, g_rows if valid is None else g_rows[valid.ravel()], store)
-        return reports
+
+        def backward():
+            g_f1, g_f2, snapshot_grads, g_tau = total_loss_backward(loss_cache)
+            store.add_grad("loss.tau_raw", g_tau)
+            g_glob = np.zeros_like(f1.global_token)
+            g_t1, g_g1, g_t2, g_g2 = decode_backward(dec_caches, store, g_f1, g_glob, g_f2,
+                                                     g_glob, snapshot_grads)
+            # (B, 2, ...) rows: the order of the pooled means and of the GNN's images
+            global_token_backward(glob_cache, np.stack([g_g1, g_g2], 1).reshape(-1, cfg.d_model),
+                                  store)
+            g_rows = np.stack([g_t1, g_t2], axis=1).reshape(-1, cfg.d_model)
+            gnn_refine_backward(gnn_cache, g_rows if valid is None else g_rows[valid.ravel()],
+                                store)
+        return reports, backward
 
     # ---------------- inference ----------------
 

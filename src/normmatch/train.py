@@ -78,10 +78,10 @@ def train(config: TrainConfig, train_pairs, val_pairs=None,
     Returns (model, optimizer, history, aborted). history has one entry per
     completed epoch: epoch index, learning rate, mean train loss, and
     validation accuracy (None when no validation pairs are given). A
-    non-finite batch loss aborts training before the parameter update, so
-    the model retains the last good state. Train and validation pairs are
-    prepared once, before the first epoch; train_pairs must not be empty, and
-    a training pair needs at least 2 keypoints.
+    non-finite batch loss aborts training before its backward pass, so the
+    model keeps the last good state and zero gradients. Train and validation
+    pairs are prepared once, before the first epoch; train_pairs must not be
+    empty, and a training pair needs at least 2 keypoints.
     """
     if not train_pairs:
         raise ValueError("no training pairs")
@@ -106,10 +106,13 @@ def train(config: TrainConfig, train_pairs, val_pairs=None,
         losses = []
         for start in range(0, len(order), config.batch_size):
             batch = [prepared[i] for i in order[start : start + config.batch_size]]
-            batch_loss = sum(r.total for r in model.loss_and_grads(batch)) / len(batch)
+            reports, backward = model.loss(batch)
+            batch_loss = sum(r.total for r in reports) / len(batch)
             if not np.isfinite(batch_loss):
                 aborted = True
                 break
+            backward()
+            del backward  # its caches must not live through the next minibatch's forward
             optimizer.step(lr, len(batch))
             losses.append(batch_loss)
         if aborted:

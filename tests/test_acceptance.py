@@ -139,8 +139,7 @@ def test_criterion_2_gradient_suite():
 
         def fwd_gnn(store):
             out, cache = gnn_refine([feats], [graph], store)
-            gnn_refine_backward(cache, w_gnn, store)
-            return float(np.sum(out * w_gnn))
+            return float(np.sum(out * w_gnn)), lambda: gnn_refine_backward(cache, w_gnn, store)
 
         def fwd_dec(store):
             o1, o2, snaps, caches = decode(f1, f2, store, layers, heads)
@@ -150,17 +149,19 @@ def test_criterion_2_gradient_suite():
                 loss += float(np.sum(s1 * w_snap[kk, 0]) + np.sum(s2 * w_snap[kk, 1]))
                 snap_grads.append((w_snap[kk, 0].copy(), w_snap[kk, 1].copy()))
             d_model = o1.tokens.shape[1]
-            decode_backward(caches, store, w1, np.zeros(d_model), w2,
-                            np.zeros(d_model), snap_grads)
-            return loss
+            return loss, lambda: decode_backward(caches, store, w1, np.zeros(d_model), w2,
+                                                 np.zeros(d_model), snap_grads)
 
         def fwd_loss(store):
             report, cache = total_loss(l1, l2, lsnaps, truth,
                                        float(store.value("loss.tau_raw")),
                                        0.3, "inclusive")
-            _, _, _, g_tau = total_loss_backward(cache)
-            store.add_grad("loss.tau_raw", g_tau)
-            return report.total
+
+            def backward():
+                _, _, _, g_tau = total_loss_backward(cache)
+                store.add_grad("loss.tau_raw", g_tau)
+
+            return report.total, backward
 
         for prefixes, fwd in ((("gnn.",), fwd_gnn), (("dec",), fwd_dec),
                               (("loss.",), fwd_loss)):

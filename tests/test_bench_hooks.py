@@ -21,7 +21,7 @@ from normmatch.train import train
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
 
-# layers reached by match_pair and by loss_and_grads
+# layers reached by match_pair and by loss and its backward
 INFERENCE_LAYERS = (
     "features.render", "features.sample", "features.global", "geometry.build_graph",
     "splineconv.forward", "decoder.forward", "matching.affinity", "matching.sinkhorn",
@@ -64,7 +64,7 @@ def test_traced_layers_present_and_counted(tracer_module):
         for done, run in enumerate((model.match_pair, model.forward_pair), start=1):
             run(p1)
             assert t.calls["splineconv.forward"] == t.calls["decoder.forward"] == done
-        model.loss_and_grads([model.prepare(p1), model.prepare(p2)])
+        model.loss([model.prepare(p1), model.prepare(p2)])[1]()
         # the losses, like every layer, run once over the minibatch
         assert t.calls["losses.forward"] == t.calls["losses.backward"] == 1
     assert t.absent == []

@@ -2,6 +2,7 @@ import math
 import re
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from normmatch.config import (
@@ -156,6 +157,24 @@ class TestValidation:
         # line-numbered check of config files does not cover
         with pytest.raises(ValueError, match=rf"^{name} must be finite, got {bad!r}$"):
             cls(**{name: bad}).validate()
+
+    @pytest.mark.parametrize("cast", [float, bool])
+    @pytest.mark.parametrize("cls, name", [(cls, f.name) for cls in (TrainConfig, DataConfig)
+                                           for f in fields(cls) if type(f.default) is int])
+    def test_integer_fields_hold_integers(self, cls, name, cast):
+        # a float or bool of an in-range value passes every range check, so
+        # only the type check stops it before it fails deep in a run
+        default = getattr(cls(), name)
+        bad = cast(default)
+        with pytest.raises(ValueError, match=rf"^{name} must hold integers, got {bad!r}$"):
+            cls(**{name: bad}).validate()
+        cls(**{name: np.int64(default)}).validate()  # numpy integers are integers
+
+    @pytest.mark.parametrize("bad", [(2.0, 5), (2, True), (np.float64(2.0),)])
+    def test_lr_decay_epochs_entries_are_integers(self, bad):
+        with pytest.raises(ValueError, match=r"^lr_decay_epochs must hold integers"):
+            TrainConfig(lr_decay_epochs=bad).validate()
+        TrainConfig(lr_decay_epochs=(np.int64(2), 5)).validate()
 
     def test_data_range_checks(self):
         with pytest.raises(ValueError, match="m_min"):

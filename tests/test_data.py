@@ -201,18 +201,23 @@ class TestGeneratePair:
         for latent in pair.latents:
             assert any(np.array_equal(latent, row) for row in bank)
 
-    @pytest.mark.parametrize("overrides, latent_dim, message", [
-        (dict(m_min=0, m_max=0), 8, "1 <= m_min <= m_max"),
-        (dict(m_min=6, m_max=5), 8, "1 <= m_min <= m_max"),
-        (dict(jitter_sigma=-0.1), 8, "jitter_sigma"),
-        (dict(scale_min=-0.5), 8, "scale_min"),
-        (dict(), 7, "latent_dim must be even and >= 2, got 7"),
-        (dict(), 0, "latent_dim must be even and >= 2, got 0"),
+    @pytest.mark.parametrize("overrides, args, message", [
+        (dict(m_min=0, m_max=0), {}, "1 <= m_min <= m_max"),
+        (dict(m_min=6, m_max=5), {}, "1 <= m_min <= m_max"),
+        (dict(jitter_sigma=-0.1), {}, "jitter_sigma"),
+        (dict(scale_min=-0.5), {}, "scale_min"),
+        (dict(), dict(latent_dim=7), "latent_dim must be even and >= 2, got 7"),
+        (dict(), dict(latent_dim=0), "latent_dim must be even and >= 2, got 0"),
+        (dict(), dict(class_id=-1), "0 <= class_id < 10, got seed 0, class_id -1"),
+        (dict(num_classes=3), dict(class_id=3), "0 <= class_id < 3, got seed 0, class_id 3"),
+        (dict(), dict(class_id=99), "0 <= class_id < 10, got seed 0, class_id 99"),
+        (dict(), dict(seed=-1), "need seed >= 0 and 0 <= class_id < 10, got seed -1, class_id 0"),
     ], ids=["m_max-0", "m_min-above-m_max", "jitter-negative", "scale_min-negative",
-            "latent_dim-odd", "latent_dim-0"])
-    def test_bad_inputs_rejected_where_they_enter(self, overrides, latent_dim, message):
+            "latent_dim-odd", "latent_dim-0", "class_id-negative", "class_id-num_classes",
+            "class_id-99", "seed-negative"])
+    def test_bad_inputs_rejected_where_they_enter(self, overrides, args, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            generate_pair(DataConfig(**overrides), class_id=0, seed=0, latent_dim=latent_dim)
+            generate_pair(DataConfig(**overrides), **dict(class_id=0, seed=0, latent_dim=8) | args)
 
     def test_latents2_reorders_by_truth(self):
         pair = generate_pair(DataConfig(), class_id=2, seed=5, latent_dim=8)
@@ -231,6 +236,11 @@ class TestGeneratePair:
 
 
 class TestGenerateDataset:
+    def test_negative_num_pairs_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("num_pairs must be >= 0, got -1")):
+            generate_dataset(DataConfig(), latent_dim=8, seed=0, num_pairs=-1)
+        assert generate_dataset(DataConfig(), latent_dim=8, seed=0, num_pairs=0) == []
+
     def test_size_and_round_robin_classes(self):
         spec = DataConfig(num_pairs=7, num_classes=3)
         pairs = generate_dataset(spec, latent_dim=8, seed=0)

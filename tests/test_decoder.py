@@ -371,8 +371,8 @@ class TestDecode:
                 loss += float((s1 * snap_probes[k][0]).sum())
                 loss += float((s2 * snap_probes[k][1]).sum())
                 snap_grads.append((snap_probes[k][0], snap_probes[k][1]))
-            decode_backward(caches, params, r_t1, r_g1, r_t2, r_g2, snap_grads)
-            return loss
+            return loss, lambda: decode_backward(caches, params, r_t1, r_g1, r_t2, r_g2,
+                                                 snap_grads)
 
         reports = grad_check(forward, store, eps=eps, rng=np.random.default_rng(99))
         assert all_passed(reports), "\n".join(str(r) for r in reports if not r.passed)
@@ -470,8 +470,7 @@ class TestBatchedDecode:
             loss = sum(float((o * r).sum()) for o, r in zip(outs, probes))
             for (s1, s2), (r1, r2) in zip(snapshots, snap_probes):
                 loss += float((s1 * r1).sum()) + float((s2 * r2).sum())
-            decode_backward(caches, params, *probes, snap_probes)
-            return loss
+            return loss, lambda: decode_backward(caches, params, *probes, snap_probes)
 
         reports = grad_check(forward, store, eps=1e-5, rng=np.random.default_rng(99))
         assert all_passed(reports), "\n".join(str(r) for r in reports if not r.passed)

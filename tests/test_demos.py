@@ -9,11 +9,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# demos 04 and 05 train or sweep gradients for tens of seconds and are left out
+# demo 05 trains for tens of seconds and is left out
 QUICK_DEMOS = [
     "01_synthetic_pair.py",
     "02_keypoint_graph.py",
     "03_sinkhorn_temperatures.py",
+    "04_gradient_check.py",
     "06_pipeline_tour.py",
 ]
 

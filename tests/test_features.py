@@ -205,10 +205,9 @@ class TestGlobalToken:
         probe = rng.standard_normal((3, 6))
 
         def forward(params):
-            params.zero_grads()
             tokens, cache = global_token(pooled, params)
-            global_token_backward(cache, probe, params)
-            return float(np.sum(tokens * probe))
+            return (float(np.sum(tokens * probe)),
+                    lambda: global_token_backward(cache, probe, params))
 
         reports = grad_check(forward, store, rng=np.random.default_rng(0))
         assert all_passed(reports), [r.failure for r in reports if not r.passed]

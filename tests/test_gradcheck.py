@@ -19,8 +19,7 @@ def test_exact_polynomial_passes():
 
     def forward(params):
         theta = params.value("theta")
-        params.add_grad("theta", 2.0 * theta)
-        return float(np.sum(theta**2))
+        return float(np.sum(theta**2)), lambda: params.add_grad("theta", 2.0 * theta)
 
     reports = grad_check(forward, store, eps=1e-5, tol=1e-4)
     assert len(reports) == 1
@@ -34,8 +33,8 @@ def test_wrong_by_two_gradient_fails():
 
     def forward(params):
         theta = params.value("theta")
-        params.add_grad("theta", 4.0 * theta)  # deliberately 2x the true gradient
-        return float(np.sum(theta**2))
+        # deliberately 2x the true gradient
+        return float(np.sum(theta**2)), lambda: params.add_grad("theta", 4.0 * theta)
 
     reports = grad_check(forward, store, eps=1e-5, tol=1e-4)
     assert not reports[0].passed
@@ -46,13 +45,15 @@ def test_wrong_by_two_gradient_fails():
 
 def test_non_finite_forward_reports_named_failure():
     store = _quadratic_store()
+    backward_calls = []
 
     def forward(params):
-        return float("nan")
+        return float("nan"), lambda: backward_calls.append(1)
 
     reports = grad_check(forward, store, eps=1e-5, tol=1e-4)
     assert reports[0].failure == "non-finite forward value"
     assert not reports[0].passed
+    assert backward_calls == []  # no gradient of a non-finite loss is read
 
 
 def test_coordinate_sampling_respects_cap():
@@ -61,8 +62,7 @@ def test_coordinate_sampling_respects_cap():
 
     def forward(params):
         v = params.value("big")
-        params.add_grad("big", np.cos(v))
-        return float(np.sum(np.sin(v)))
+        return float(np.sum(np.sin(v))), lambda: params.add_grad("big", np.cos(v))
 
     reports = grad_check(forward, store, eps=1e-5, tol=1e-4, max_coords=32)
     assert reports[0].coords_checked == 32
@@ -76,8 +76,7 @@ def test_non_trainable_parameters_skipped():
 
     def forward(params):
         a = params.value("a")
-        params.add_grad("a", 2 * a)
-        return float(a[0] ** 2)
+        return float(a[0] ** 2), lambda: params.add_grad("a", 2 * a)
 
     reports = grad_check(forward, store, eps=1e-5, tol=1e-4)
     assert [r.name for r in reports] == ["a"]
@@ -98,7 +97,8 @@ def test_full_pipeline_loss_on_four_keypoint_pair():
     prepared = [model.prepare(pair)]
 
     def forward(store):
-        return model.loss_and_grads(prepared)[0].total
+        reports, backward = model.loss(prepared)
+        return reports[0].total, backward
 
     reports = grad_check(forward, model.store, eps=1e-5, tol=1e-4)
     assert len(reports) == 36
@@ -118,7 +118,8 @@ def test_full_pipeline_loss_on_ragged_minibatch():
     prepared = [model.prepare(pair) for pair in pairs]
 
     def forward(store):
-        return sum(report.total for report in model.loss_and_grads(prepared))
+        reports, backward = model.loss(prepared)
+        return sum(report.total for report in reports), backward
 
     reports = grad_check(forward, model.store, eps=1e-5, tol=1e-4)
     assert len(reports) == 36
@@ -130,8 +131,30 @@ def test_analytic_gradients_restored_after_check():
 
     def forward(params):
         theta = params.value("theta")
-        params.add_grad("theta", 2.0 * theta)
-        return float(np.sum(theta**2))
+        return float(np.sum(theta**2)), lambda: params.add_grad("theta", 2.0 * theta)
 
     grad_check(forward, store, eps=1e-5, tol=1e-4)
     np.testing.assert_allclose(store.grad("theta"), 2.0 * store.value("theta"))
+
+
+def test_backward_runs_once_and_probes_run_forward_only():
+    store = _quadratic_store()
+    store.grad("theta")[...] = 7.0  # left over from earlier work: zeroed first
+    calls = {"forward": 0, "backward": 0}
+
+    def forward(params):
+        calls["forward"] += 1
+        theta = params.value("theta").copy()
+
+        def backward():
+            calls["backward"] += 1
+            params.add_grad("theta", 2.0 * theta)
+
+        return float(np.sum(theta**2)), backward
+
+    reports = grad_check(forward, store, eps=1e-5, tol=1e-4)
+    assert reports[0].passed and reports[0].coords_checked == 3
+    # the unperturbed forward and its backward, then a forward at +eps and
+    # one at -eps per checked coordinate
+    assert calls == {"forward": 1 + 2 * 3, "backward": 1}
+    np.testing.assert_array_equal(store.grad("theta"), 2.0 * store.value("theta"))

@@ -340,6 +340,19 @@ class TestStackedAgainstLoopOracle:
             single = total_loss(f1[0], f2[0], snaps[:, :, 0], truth[0], -1.7, 0.3, mode)[0]
             assert stacked == [want] and single == want
 
+    @pytest.mark.parametrize("real, bad", [
+        ([3, 4], [-1, 1, 2]),   # wrapped to the last column before
+        ([3, 4], [0, 1, 3]),    # == m: the padding row of a padded pair
+        ([4, 4], [0, 1, 4, 2]),  # == n: an IndexError before
+        ([3, 4], [0, 0, 2]),    # repeated: a wrong inverse before
+    ])
+    def test_truth_that_is_not_a_permutation_rejected(self, real, bad):
+        rng = np.random.default_rng(14)
+        f1, f2, snaps, truth, pad = _padded_minibatch(rng, real, 4, garbage=False)
+        truth[0, :len(bad)] = bad
+        with pytest.raises(ValueError, match="truth must be a permutation"):
+            total_loss(f1, f2, snaps, truth, -1.7, 0.3, "inclusive", pad if pad.any() else None)
+
     def test_all_padding_rows_raise_nothing(self):
         # pairs of 2 real rows among 10, and a pair with a single padding row
         rng = np.random.default_rng(13)

@@ -87,7 +87,7 @@ def test_match_pair_never_looks_for_argmax_arcs(monkeypatch):
     matching, plan, _ = model.match_pair(pair)
     assert matching.assignment.shape == (pair.m,) and np.all(np.isfinite(plan.values))
     with pytest.raises(AssertionError, match="argmax arcs"):  # training does need them
-        model.loss_and_grads([model.prepare(pair)])
+        model.loss([model.prepare(pair)])[1]()
 
 
 def test_forward_without_caches_gives_the_same_outputs():
@@ -144,8 +144,8 @@ class TestPipelinePermutationEquivariance:
         pairs = [generate_pair(DataConfig(m_min=5, m_max=10), class_id=i, seed=100 + i,
                                latent_dim=config.gnn_input_dim) for i in range(4)]
         assert len({p.m for p in pairs}) > 1  # the minibatch is padded
-        reports = model.loss_and_grads([model.prepare(p) for p in pairs])
+        reports, _ = model.loss([model.prepare(p) for p in pairs])
         moved = [_permuted_image2(p, rng)[0] for p in pairs]
-        for got, want in zip(model.loss_and_grads([model.prepare(p) for p in moved]), reports):
+        for got, want in zip(model.loss([model.prepare(p) for p in moved])[0], reports):
             for field in ("infonce", "hyperspherical_final", "hyperspherical_layers"):
                 assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, field

@@ -1,4 +1,5 @@
 import copy
+import weakref
 
 import numpy as np
 import pytest
@@ -133,7 +134,9 @@ class TestTrain:
         prepared = [model.prepare(pair)]
         losses = []
         for _ in range(50):
-            losses.append(model.loss_and_grads(prepared)[0].total)
+            reports, backward = model.loss(prepared)
+            backward()
+            losses.append(reports[0].total)
             opt.step(lr=1e-4, batch_size=1)
         decreases = sum(1 for a, b in zip(losses, losses[1:]) if b < a)
         assert decreases >= 45, f"only {decreases}/49 decreasing steps"
@@ -187,7 +190,8 @@ class TestTrain:
         prepared = [model.prepare(pair) for pair in pairs]
 
         model.store.zero_grads()
-        reports = model.loss_and_grads(prepared)
+        reports, backward = model.loss(prepared)
+        backward()
         batched = {}
         for name in model.store.trainable_names():
             batched[name] = model.store.grad(name) / len(pairs)
@@ -195,7 +199,8 @@ class TestTrain:
         singles = {name: np.zeros_like(g) for name, g in batched.items()}
         for prep, report in zip(prepared, reports, strict=True):
             model.store.zero_grads()
-            single = model.loss_and_grads([prep])[0]
+            [single], backward = model.loss([prep])
+            backward()
             assert single.total == pytest.approx(report.total, rel=1e-12)
             for name in singles:
                 singles[name] += model.store.grad(name) / len(pairs)
@@ -222,7 +227,8 @@ class TestTrain:
 
             monkeypatch.setattr(model_module, name, counted)
         model = MatchingModel(config)
-        reports = model.loss_and_grads([model.prepare(pair) for pair in pairs])
+        reports, backward = model.loss([model.prepare(pair) for pair in pairs])
+        backward()
         assert len(reports) == 3
         assert calls == {"decode": 1, "decode_backward": 1}
 
@@ -242,7 +248,7 @@ class TestTrain:
         for seed in range(3):
             pair = generate_pair(DataConfig(), class_id=seed, seed=seed,
                                  latent_dim=config.gnn_input_dim)
-            batched = model.loss_and_grads([model.prepare(pair)])[0]
+            [batched], _ = model.loss([model.prepare(pair)])
             f1, f2, snapshots = model.forward_pair(pair)
             direct, _ = total_loss(f1.tokens, f2.tokens, snapshots, pair.truth, tau_raw,
                                    config.layer_loss_p, config.infonce_mode)
@@ -260,7 +266,7 @@ class TestTrain:
         pair = generate_pair(_tiny_data(), class_id=0, seed=1,
                              latent_dim=config.gnn_input_dim + 2)
         model = MatchingModel(config)
-        for run in (model.match_pair, lambda p: model.loss_and_grads([model.prepare(p)])):
+        for run in (model.match_pair, lambda p: model.loss([model.prepare(p)])):
             with pytest.raises(ValueError, match="backbone width 10 does not match "
                                                  "gnn_input_dim 8"):
                 run(pair)
@@ -278,6 +284,26 @@ class TestTrain:
         after = _snapshot(model.store)
         for name in before:
             assert np.array_equal(before[name], after[name])
+        # the aborted minibatch ran no backward
+        for name in model.store.names():
+            assert not model.store.grad(name).any(), name
+
+    def test_minibatch_caches_freed_before_the_next_forward(self, monkeypatch):
+        # a step's backward closure holds its minibatch's caches; two
+        # minibatches' caches must never be alive at once
+        config = _tiny_config()
+        pairs = generate_dataset(_tiny_data(), latent_dim=config.gnn_input_dim, seed=2)
+        original, closures = MatchingModel.loss, []
+
+        def loss(self, prepared):
+            assert all(ref() is None for ref in closures)
+            reports, backward = original(self, prepared)
+            closures.append(weakref.ref(backward))
+            return reports, backward
+
+        monkeypatch.setattr(MatchingModel, "loss", loss)
+        train(config, pairs, model=MatchingModel(config))
+        assert len(closures) == 2 * 3  # 2 epochs of 3 minibatches
 
     def test_frozen_parameter_gradient_stays_zero(self):
         config = _tiny_config()
@@ -405,7 +431,7 @@ class TestKnotPlan:
         assert plans == []  # inference runs the stacked forward only
 
         prepared = [model.prepare(pair) for pair in pairs[:3]]
-        model.loss_and_grads(prepared)
+        model.loss(prepared)[1]()
         _, (arcs, _, _), _ = plans[0]
         assert len(plans) == 1  # one plan for the minibatch union, shared by both layers
         assert len(arcs) == 4 * sum(len(g.arcs) for p in prepared for g in p.graphs)
