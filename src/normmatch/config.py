@@ -24,13 +24,20 @@ __all__ = [
 ]
 
 
+# each field's kind, its default's type, is checked before validate()'s ranges
+_KINDS = {int: (numbers.Integral, "hold integers"), float: (numbers.Real, "be a real number"),
+          tuple: (tuple, "be a tuple"), str: (str, "be a str")}
+
+
 def _check_fields(config) -> None:
     for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(f.default, float) and not math.isfinite(value):
+        value, (kind, must) = getattr(config, f.name), _KINDS[type(f.default)]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{f.name} must {must}, got {value!r}")
+        if kind is numbers.Real and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
-        ints = {int: (value,), tuple: value}.get(type(f.default), ())
-        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in ints):
+        if kind is tuple and any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
+                                 for v in value):
             raise ValueError(f"{f.name} must hold integers, got {value!r}")
 
 

@@ -59,6 +59,29 @@ class PairSample:
     seed: int = 0
     feature_files: tuple[str, str] | None = None
 
+    def __post_init__(self):
+        """Checks the arrays against keypoints1's m however the pair is built; truth is intp."""
+        kp1 = np.asarray(self.keypoints1)
+        m = len(kp1) if kp1.ndim else 0
+        for key in ("keypoints1", "keypoints2"):
+            kp = np.asarray(getattr(self, key))
+            if m < 1 or kp.shape != (m, 2):
+                raise ValueError(f"{key!r} must have shape (m, 2) with m >= 1 matching "
+                                 f"'keypoints1', got {kp.shape}")
+            if not np.isfinite(kp).all():
+                raise ValueError(f"{key!r} must be finite")
+        truth = np.asarray(self.truth)
+        if truth.shape != (m,):
+            raise ValueError(f"'truth' must have shape ({m},), got {truth.shape}")
+        if sorted(truth.tolist()) != list(range(m)):
+            raise ValueError("'truth' must be a permutation")
+        self.truth = truth.astype(np.intp, copy=False)
+        if self.feature_files is None or self.latents is not None:  # latents render the maps
+            latents = np.asarray(self.latents)
+            if latents.ndim != 2 or len(latents) != m or latents.shape[1] % 2:
+                raise ValueError(f"'latents' must have shape ({m}, even width), "
+                                 f"got {latents.shape}")
+
     @property
     def m(self) -> int:
         return len(self.keypoints1)
@@ -155,7 +178,7 @@ def generate_pair(spec: DataConfig, class_id: int, seed: int,
         class_id=class_id,
         keypoints1=kp1,
         keypoints2=kp2,
-        truth=truth.astype(np.intp),
+        truth=truth,
         latents=latents,
         noise_level=spec.noise_level,
         seed=seed,
@@ -227,37 +250,18 @@ def record_to_pair(record: dict, base_dir: str = "") -> PairSample:
     has_files = "features1" in record and "features2" in record
     if not has_latents and not has_files:
         raise ValueError("pair record needs either 'latents' or 'features1'/'features2'")
-    kp1, kp2 = _numeric_field(record, "keypoints1"), _numeric_field(record, "keypoints2")
-    m = len(kp1) if kp1.ndim else 0
-    for key, kp in (("keypoints1", kp1), ("keypoints2", kp2)):
-        if m < 1 or kp.shape != (m, 2):
-            raise ValueError(f"{key!r} must have shape (m, 2) with m >= 1 matching "
-                             f"'keypoints1', got {kp.shape}")
-        if not np.all(np.isfinite(kp)):
-            raise ValueError(f"{key!r} must be finite")
-    truth = _numeric_field(record, "truth")
-    if truth.shape != (m,):
-        raise ValueError(f"'truth' must have shape ({m},), got {truth.shape}")
-    if sorted(truth.tolist()) != list(range(m)):
-        raise ValueError("'truth' must be a permutation")
     noise_level = record.get("noise_level", 0.0)
     if (isinstance(noise_level, bool) or not isinstance(noise_level, (int, float))
             or not 0 <= noise_level <= sys.float_info.max):
         raise ValueError(f"'noise_level' must be finite and >= 0, got {noise_level!r}")
-    latents = None
-    if has_latents:
-        latents = _numeric_field(record, "latents")
-        if latents.ndim != 2 or len(latents) != m or latents.shape[1] % 2:
-            raise ValueError(f"'latents' must have shape ({m}, even width), "
-                             f"got {latents.shape}")
-    return PairSample(
+    return PairSample(  # which checks the arrays' shapes and values
         image1=str(record["image1"]),
         image2=str(record["image2"]),
         class_id=_integer_field(record, "class_id"),
-        keypoints1=kp1,
-        keypoints2=kp2,
-        truth=truth.astype(np.intp),
-        latents=latents,
+        keypoints1=_numeric_field(record, "keypoints1"),
+        keypoints2=_numeric_field(record, "keypoints2"),
+        truth=_numeric_field(record, "truth"),
+        latents=_numeric_field(record, "latents") if has_latents else None,
         noise_level=float(noise_level),
         seed=_integer_field(record, "seed"),
         feature_files=tuple(_feature_file(record, key, base_dir)

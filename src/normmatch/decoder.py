@@ -13,10 +13,10 @@ cross-attention stream 1 <- 2 and then stream 2 <- 1 against the
 just-updated stream 1, global-token modulation of each stream, and a shared
 MLP over tokens plus global. Both streams use one set of layer parameters:
 `decode` stacks them and runs all but cross-attention once per layer on
-both. It packs a padded minibatch's rows once: the two images of a pair
-have one keypoint count, so both streams share one (B, n) padding mask; the
-projections, residuals, global modulation and MLP run on the pair's real
-rows, and only the attention core scatters them into per-pair grids.
+both. It packs a padded minibatch's rows once: a pair's images have one
+keypoint count, so decode takes one (B, n) padding mask for both streams;
+the projections, residuals, global modulation and MLP run on the pair's
+real rows, and only the attention core scatters them into per-pair grids.
 """
 
 from __future__ import annotations
@@ -50,15 +50,12 @@ __all__ = [
 class FeatureSequence:
     """Decoder state: unit-norm tokens plus one global token per image.
 
-    tokens is (m, d_model) for one image or (B, n, d_model) for B images;
-    pad, a (B, n) mask that both streams of a decode share, is True on zero
-    padding rows, which attention ignores, or None. decode runs its row-wise
-    steps on the pair's real rows only and returns outputs padded.
+    tokens is (m, d_model) for one image or (B, n, d_model) for B images,
+    zero on the padding rows that decode's mask marks.
     """
 
     tokens: np.ndarray  # (..., n, d_model)
     global_token: np.ndarray  # (..., d_model)
-    pad: np.ndarray | None = None
 
 
 def init_decoder_params(store, rng, d_model: int, layers: int, mlp_mult: int) -> None:
@@ -211,11 +208,6 @@ def _norm_attn_backward(cache, g_out, store):
     return g_tokens, (g_k @ wk.T + g_v @ wv.T).reshape(kv.shape)
 
 
-def _unpadded(*seqs):
-    if any(seq.pad is not None for seq in seqs):
-        raise ValueError("a single decoder block takes unpadded sequences; decode takes padded")
-
-
 def norm_self_attn(seq: FeatureSequence, store, prefix: str, heads: int):
     """Normalized self-attention over one stream.
 
@@ -223,7 +215,6 @@ def norm_self_attn(seq: FeatureSequence, store, prefix: str, heads: int):
     read whole-image context, but only the m keypoint tokens are updated;
     the global token passes through unchanged.
     """
-    _unpadded(seq)
     out, cache = _norm_attn(seq.tokens, _with_global(seq.tokens, seq.global_token), store, prefix,
                             "sa", heads)
     return FeatureSequence(out, seq.global_token), cache
@@ -232,7 +223,6 @@ def norm_self_attn(seq: FeatureSequence, store, prefix: str, heads: int):
 def norm_cross_attn(seq: FeatureSequence, other: FeatureSequence, store,
                     prefix: str, heads: int):
     """Normalized cross-attention: seq tokens query the other stream's tokens."""
-    _unpadded(seq, other)
     out, cache = _norm_attn(seq.tokens, other.tokens, store, prefix, "ca", heads)
     return FeatureSequence(out, seq.global_token), cache
 
@@ -240,7 +230,7 @@ def norm_cross_attn(seq: FeatureSequence, other: FeatureSequence, store,
 def modulate_global(seq: FeatureSequence):
     """Replace each token by Norm(token * global), element-wise product."""
     out, nc = normalize_rows(seq.tokens * seq.global_token[..., None, :])
-    return FeatureSequence(out, seq.global_token, seq.pad), (seq.tokens, seq.global_token, nc)
+    return FeatureSequence(out, seq.global_token), (seq.tokens, seq.global_token, nc)
 
 
 def _norm_mlp(x, store, prefix: str):
@@ -270,25 +260,23 @@ def _norm_mlp_backward(cache, g_out, store):
 
 def norm_mlp(seq: FeatureSequence, store, prefix: str):
     """Normalized MLP block over the m tokens and the global token."""
-    _unpadded(seq)
     out, cache = _norm_mlp(_with_global(seq.tokens, seq.global_token), store, prefix)
     return FeatureSequence(out[..., :-1, :], out[..., -1, :]), cache
 
 
 def decode(f1: FeatureSequence, f2: FeatureSequence, store, layers: int, heads: int,
-           keep_caches: bool = True):
+           pad: np.ndarray | None = None, keep_caches: bool = True):
     """Run the full decoder stack on two streams of one token shape.
 
-    Both share one padding mask, (B, n) with (B, n, d) tokens: a pair's
-    images have one keypoint count. Returns (f1, f2, snapshots, caches) where
-    snapshots[k] holds the post-layer tokens of both streams after layer k,
-    stacked as (2, ..., n, d), for the layer-wise uniformity loss. Padding
-    rows are dropped on entry (see _Layout) and come back as zero rows.
-    Without keep_caches (no backward follows), caches is None.
+    pad, (B, n) with (B, n, d) tokens or None, is True on the padding rows of
+    both streams: a pair's images have one keypoint count. Returns (f1, f2,
+    snapshots, caches) where snapshots[k] holds the post-layer tokens of both
+    streams after layer k, stacked as (2, ..., n, d), for the layer-wise
+    uniformity loss. Padding rows are dropped on entry (see _Layout) and come
+    back as zero rows. Without keep_caches (no backward follows), caches is None.
     """
-    pad = f1.pad
-    if (f1.tokens.shape != f2.tokens.shape or f2.pad is not pad and not np.array_equal(f2.pad, pad)
-            or pad is not None and (pad.ndim != 2 or pad.shape != f1.tokens.shape[:-1])):
+    if f1.tokens.shape != f2.tokens.shape or pad is not None and (
+            pad.ndim != 2 or pad.shape != f1.tokens.shape[:-1]):
         raise ValueError("both decoder streams need one token shape and one (B, n) padding mask")
     lay = _Layout(pad)
     x = _packed(_with_global(np.array([f1.tokens, f2.tokens]),
@@ -306,9 +294,9 @@ def decode(f1: FeatureSequence, f2: FeatureSequence, store, layers: int, heads: 
         snapshots.append(_grid(x, lay.keep)[..., :-1, :])
         if keep_caches:
             caches.append((c_sa, c_ca1, c_ca2, (t, g, nc), c_mlp))
-    g, caches = x[..., lay.glob, :], (lay, caches) if keep_caches else None
-    return (FeatureSequence(snapshots[-1][0], g[0], pad),
-            FeatureSequence(snapshots[-1][1], g[1], pad), snapshots, caches)
+    (t1, t2), (g1, g2) = snapshots[-1], x[..., lay.glob, :]
+    caches = (lay, caches) if keep_caches else None
+    return FeatureSequence(t1, g1), FeatureSequence(t2, g2), snapshots, caches
 
 
 def decode_backward(caches, store, g_f1_tokens, g_f1_global, g_f2_tokens,

@@ -33,6 +33,7 @@ __all__ = [
 
 FEATURE_MAGIC = b"NMTF"
 FEATURE_VERSION = 1
+_GRID_SHAPE, _STRIDE, _SIGMA = (16, 16), 2.0, 2.0  # synthetic maps: cells, pixels per cell, splat
 
 
 @dataclass
@@ -103,10 +104,8 @@ def global_token_backward(cache, g_tokens, store):
     store.add_grad("backbone.global_proj", pooled.T @ normalize_rows_backward(nc, g_tokens))
 
 
-def synthetic_backbone(latents, keypoints, noise_level: float, seed,
-                       grid_shape=(16, 16), stride: float = 2.0,
-                       sigma: float = 2.0) -> BackboneOutput:
-    """Render per-keypoint latents into two feature maps as Gaussian splats.
+def synthetic_backbone(latents, keypoints, noise_level: float, seed) -> BackboneOutput:
+    """Render per-keypoint latents into two feature maps (_GRID_SHAPE) as Gaussian splats.
 
     The latent width splits equally between the maps (last half first), so
     sampling the concatenated maps at a well-separated keypoint recovers a
@@ -121,7 +120,7 @@ def synthetic_backbone(latents, keypoints, noise_level: float, seed,
         raise ValueError("latent width must be even (equal split across maps)")
     if noise_level < 0:
         raise ValueError("noise_level must be >= 0")
-    h, w = grid_shape
+    (h, w), stride = _GRID_SHAPE, _STRIDE
     half = latents.shape[1] // 2
     ys = (np.arange(h) + 0.5) * stride
     xs = (np.arange(w) + 0.5) * stride
@@ -129,7 +128,7 @@ def synthetic_backbone(latents, keypoints, noise_level: float, seed,
     dx = xs[:, None] - keypoints[:, 0][None, :]
     # (h, w, m) splat weights from squared distances to cell centers
     d2 = dy[:, None, :] ** 2 + dx[None, :, :] ** 2
-    weights = np.exp(-d2 / (2.0 * sigma * sigma))
+    weights = np.exp(-d2 / (2.0 * _SIGMA * _SIGMA))
 
     # both maps' noise in one draw, at any level: fixed stream positions
     grids = np.random.default_rng(seed).standard_normal((2, h, w, half))

@@ -3,7 +3,7 @@
 All pieces operate on unit-norm feature rows, so dot products are cosines,
 and take one image as (n, d) rows or a stack as (..., n, d): a minibatch
 runs each piece once, and an (n, d) call is a batch of one on that path.
-``pad`` (the stack's shape without d, as ``FeatureSequence.pad``) is True on
+``pad`` (the stack's shape without d, the mask ``decode`` takes) is True on
 padding rows, which add nothing and take zero gradient; a pair's images
 share it. The InfoNCE temperature is tau = exp(tau_raw), positive by
 construction. Its denominator is "exclusive" of the positive pair (the

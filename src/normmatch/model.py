@@ -78,8 +78,8 @@ class MatchingModel:
         """Decoder outputs (f1, f2, snapshots) and caches of prepared pairs.
 
         Each layer runs once over all pairs. The decoder takes them zero-padded to
-        (B, n, d) per stream with one (B, n) mask for both, none when no row is padded.
-        Inference keeps no GNN or decoder cache (keep_caches=False): no backward reads them.
+        (B, n, d) per stream and one (B, n) mask for both, None when no row is padded,
+        which the caches carry. Inference keeps no cache (keep_caches=False): no backward.
         """
         globs, glob_cache = global_token(np.concatenate([p.pooled for p in prepared]), self.store)
         feats = [f for p in prepared for f in p.features]
@@ -95,11 +95,10 @@ class MatchingModel:
             padded[valid] = tokens
         globs, pad = globs.reshape(shape[0], 2, -1), None if valid is None else ~valid[:, 0]
         f1, f2, snapshots, dec_caches = decode(
-            FeatureSequence(padded[:, 0], globs[:, 0], pad),
-            FeatureSequence(padded[:, 1], globs[:, 1], pad),
-            self.store, self.config.decoder_layers, self.config.heads, keep_caches,
+            FeatureSequence(padded[:, 0], globs[:, 0]), FeatureSequence(padded[:, 1], globs[:, 1]),
+            self.store, self.config.decoder_layers, self.config.heads, pad, keep_caches,
         )
-        return f1, f2, snapshots, (valid, glob_cache, gnn_cache, dec_caches)
+        return f1, f2, snapshots, (valid, glob_cache, gnn_cache, dec_caches, pad)
 
     # ---------------- training ----------------
 
@@ -107,14 +106,14 @@ class MatchingModel:
         """(Loss report per prepared pair, backward), each layer run once over the minibatch;
         backward() adds the summed gradients into the store."""
         f1, f2, snapshots, caches = self._forward(prepared)
-        valid, glob_cache, gnn_cache, dec_caches = caches
+        valid, glob_cache, gnn_cache, dec_caches, pad = caches
         cfg, store = self.config, self.store
         truth = np.zeros(f1.tokens.shape[:2], np.intp)  # the losses ignore its padding rows
         real = np.ones(truth.shape, bool) if valid is None else valid[:, 0]
         truth[real] = np.concatenate([prep.pair.truth for prep in prepared])
         reports, loss_cache = total_loss(f1.tokens, f2.tokens, snapshots, truth,
                                          float(store.value("loss.tau_raw")), cfg.layer_loss_p,
-                                         cfg.infonce_mode, f1.pad)
+                                         cfg.infonce_mode, pad)
 
         def backward():
             g_f1, g_f2, snapshot_grads, g_tau = total_loss_backward(loss_cache)

@@ -228,23 +228,20 @@ def loop_spline_conv_backward(cache, g_out):
     return g_features, g_weight, g_bias
 
 
-def _lengths(seq):
-    b, n = seq.tokens.shape[:2]
-    return [n] * b if seq.pad is None else list((~seq.pad).sum(axis=1))
-
-
-def loop_decode(f1, f2, store, layers: int, heads: int):
+def loop_decode(f1, f2, store, layers: int, heads: int, pad=None):
     """``decoder.decode`` run once per pair, on its real rows, unpadded.
 
-    Oracle for ``decode`` on padded (B, n, d) batches, whose streams share one
-    mask. Returns (o1, o2, snapshots, per-pair caches): o1/o2 and the
-    snapshots are padded back with zero rows, like the batched outputs.
+    Oracle for ``decode`` on padded (B, n, d) batches, whose streams share the
+    (B, n) mask pad. Returns (o1, o2, snapshots, per-pair caches): o1/o2 and
+    the snapshots are padded back with zero rows, like the batched outputs.
     """
+    b, n = f1.tokens.shape[:2]
+    lengths = [n] * b if pad is None else list((~pad).sum(axis=1))
     o1 = decoder.FeatureSequence(np.zeros_like(f1.tokens), np.zeros_like(f1.global_token))
     o2 = decoder.FeatureSequence(np.zeros_like(f2.tokens), np.zeros_like(f2.global_token))
     snapshots = [(np.zeros_like(f1.tokens), np.zeros_like(f2.tokens)) for _ in range(layers)]
     caches = []
-    for i, n in enumerate(_lengths(f1)):
+    for i, n in enumerate(lengths):
         p1, p2, snaps, c = decoder.decode(
             *(decoder.FeatureSequence(f.tokens[i, :n], f.global_token[i]) for f in (f1, f2)),
             store, layers, heads,
@@ -375,17 +372,16 @@ def _pd_mlp_backward(cache, g_tokens, g_global, store):
     return g_x[..., :-1, :], g_x[..., -1, :]
 
 
-def padded_decode(f1, f2, store, layers: int, heads: int):
+def padded_decode(f1, f2, store, layers: int, heads: int, pad=None):
     """The decoder run on zero-padded (2, B, n, d) streams. Oracle for ``decoder.decode``,
     which must equal it bit for bit.
 
-    Both streams share the (B, n) mask ``f1.pad``. Every row of the grid goes
+    Both streams share the (B, n) mask pad. Every row of the grid goes
     through the projections, the residuals and the MLP, padding included:
     padded keys get -inf scores, and padded rows have their block outputs
     zeroed so they stay zero. Returns what ``decode`` does, with caches for
     :func:`padded_decode_backward`.
     """
-    pad = f1.pad
     key_pad = None if pad is None else np.pad(pad, [(0, 0), (0, 1)])
     t, g = np.array([f1.tokens, f2.tokens]), np.array([f1.global_token, f2.global_token])
     snapshots, caches = [], []
@@ -400,8 +396,8 @@ def padded_decode(f1, f2, store, layers: int, heads: int):
         t, g, c_mlp = _pd_mlp(t, g, pad, store, p)
         snapshots.append(t)
         caches.append((c_sa, c_ca1, c_ca2, c_mod, c_mlp))
-    return (decoder.FeatureSequence(t[0], g[0], pad),
-            decoder.FeatureSequence(t[1], g[1], pad), snapshots, caches)
+    return (decoder.FeatureSequence(t[0], g[0]),
+            decoder.FeatureSequence(t[1], g[1]), snapshots, caches)
 
 
 def padded_decode_backward(caches, store, g_f1_tokens, g_f1_global, g_f2_tokens,

@@ -176,6 +176,23 @@ class TestValidation:
             TrainConfig(lr_decay_epochs=bad).validate()
         TrainConfig(lr_decay_epochs=(np.int64(2), 5)).validate()
 
+    @pytest.mark.parametrize("cls, name, bad, kind", [
+        (TrainConfig, "lr_decay_epochs", 3, "a tuple"),
+        (TrainConfig, "lr_decay_epochs", [2, 5], "a tuple"),
+        (TrainConfig, "base_lr", "1", "a real number"),
+        (TrainConfig, "base_lr", True, "a real number"),
+        (TrainConfig, "sinkhorn_temperature", None, "a real number"),
+        (TrainConfig, "infonce_mode", 1, "a str"),
+        (DataConfig, "noise_level", "0.1", "a real number"),
+        (DataConfig, "data", 5, "a str"),
+    ])
+    def test_fields_of_the_wrong_kind_named(self, cls, name, bad, kind):
+        # the kind is checked before any range check could fail inside Python
+        # or numpy (or, for data, open a file descriptor), against the default's
+        message = f"{name} must be {kind}, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls(**{name: bad}).validate()
+
     def test_data_range_checks(self):
         with pytest.raises(ValueError, match="m_min"):
             DataConfig(m_min=5, m_max=3).validate()

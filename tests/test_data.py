@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -233,6 +234,38 @@ class TestGeneratePair:
         assert np.array_equal(b2a.last.grid, b2b.last.grid)
         # the two images get independent noise streams
         assert not np.array_equal(b1a.last.grid, b2a.last.grid)
+
+
+class TestPairSample:
+    # a pair built directly is checked as a pair file's record is, and fails
+    # when built, not later inside numpy when it is matched or rendered
+    @pytest.mark.parametrize("field, value", [
+        ("keypoints1", np.zeros((0, 2))),
+        ("keypoints1", np.ones((5, 3))),
+        ("keypoints1", np.full((5, 2), np.inf)),
+        ("keypoints2", np.ones((4, 2))),
+        ("keypoints2", np.full((5, 2), np.nan)),
+        ("truth", np.arange(4)),
+        ("truth", np.arange(6)),
+        ("truth", np.zeros(5, np.intp)),
+        ("truth", np.array([0.5, 1, 2, 3, 4])),
+        ("latents", np.ones((4, 8))),
+        ("latents", np.ones((5, 7))),
+        ("latents", np.ones(5)),
+        ("latents", None),  # and no feature files to load instead
+    ], ids=["kp1-empty", "kp1-3-columns", "kp1-inf", "kp2-short", "kp2-nan", "truth-short",
+            "truth-long", "truth-repeated", "truth-fractional", "latents-short",
+            "latents-odd-width", "latents-1d", "latents-none"])
+    def test_bad_arrays_rejected_where_built(self, field, value):
+        pair = generate_pair(DataConfig(m_min=5, m_max=5), class_id=0, seed=0, latent_dim=8)
+        with pytest.raises(ValueError, match=repr(field)):
+            dataclasses.replace(pair, **{field: value})
+
+    def test_truth_stored_as_intp(self):
+        pair = generate_pair(DataConfig(m_min=5, m_max=5), class_id=0, seed=0, latent_dim=8)
+        rebuilt = dataclasses.replace(pair, truth=pair.truth.astype(np.float64))
+        assert rebuilt.truth.dtype == np.intp
+        assert np.array_equal(rebuilt.latents2(), pair.latents2())
 
 
 class TestGenerateDataset:

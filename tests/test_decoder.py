@@ -298,29 +298,12 @@ class TestDecode:
         # two images of a pair have one keypoint count
         store = _make_store(8, 1)
         rng = np.random.default_rng(5)
-        unpadded = _padded(rng, [5, 5], 8)
-        lone = np.arange(5) >= 3  # an (n,) mask on (m, d) tokens
-        for f1, f2 in [
-            (_seq(rng, 4, 8), _seq(rng, 6, 8)),  # different keypoint counts
-            (_padded(rng, [2, 5], 8), _padded(rng, [4, 1], 8, 5)),  # streams padded differently
-            (_padded(rng, [2, 5], 8), unpadded),  # a mask on one stream only
-            (FeatureSequence(_unit_rows(rng, 5, 8), _unit_rows(rng, 1, 8)[0], lone),
-             FeatureSequence(_unit_rows(rng, 5, 8), _unit_rows(rng, 1, 8)[0], lone)),
+        for f1, f2, pad in [
+            (_seq(rng, 4, 8), _seq(rng, 6, 8), None),  # different keypoint counts
+            (_seq(rng, 5, 8), _seq(rng, 5, 8), np.arange(5) >= 3),  # an (n,) mask on (m, d) tokens
         ]:
             with pytest.raises(ValueError, match="one token shape and one"):
-                decode(f1, f2, store, 1, heads=2)
-
-    def test_blocks_reject_padded_sequences(self):
-        # a single block takes unpadded sequences; only decode packs padded batches
-        store = _make_store(8, 1)
-        rng = np.random.default_rng(6)
-        padded, plain = _padded(rng, [2, 3], 8), _padded(rng, [3, 3], 8)
-        for block in (lambda: norm_self_attn(padded, store, "dec0.", heads=2),
-                      lambda: norm_cross_attn(plain, padded, store, "dec0.", heads=2),
-                      lambda: norm_cross_attn(padded, plain, store, "dec0.", heads=2),
-                      lambda: norm_mlp(padded, store, "dec0.")):
-            with pytest.raises(ValueError, match="unpadded"):
-                block()
+                decode(f1, f2, store, 1, heads=2, pad=pad)
 
     def test_swapping_streams_swaps_outputs_when_cross_step_zero(self):
         # the f2 stream cross-attends to the already-updated f1 stream, so
@@ -379,19 +362,19 @@ class TestDecode:
 
 
 def _padded(rng, lengths, d, n=None):
-    """Unit-norm tokens of len(lengths) images, zero-padded to a (B, n, d) batch;
-    n defaults to the longest."""
+    """Unit-norm tokens of len(lengths) images, zero-padded to a (B, n, d) batch
+    (n defaults to the longest), and its (B, n) padding mask, None if nothing is padded."""
     lengths = np.asarray(lengths)
     pad = np.arange(n or lengths.max()) >= lengths[:, None]
     tokens = _unit_rows(rng, pad.size, d).reshape(pad.shape + (d,))
     tokens[pad] = 0.0
-    return FeatureSequence(tokens, _unit_rows(rng, len(lengths), d), pad if pad.any() else None)
+    return FeatureSequence(tokens, _unit_rows(rng, len(lengths), d)), pad if pad.any() else None
 
 
-def _probe(rng, seq):
+def _probe(rng, seq, pad):
     g = rng.standard_normal(seq.tokens.shape)
-    if seq.pad is not None:
-        g[seq.pad] = 0.0
+    if pad is not None:
+        g[pad] = 0.0
     return g
 
 
@@ -423,16 +406,16 @@ class TestBatchedDecode:
     ])
     def test_matches_per_pair_loop(self, lengths1, lengths2):
         rng = np.random.default_rng(len(lengths1) * 10 + lengths1[-1])
-        n = max(lengths1 + lengths2)  # both streams share one shape
-        f1 = _padded(rng, lengths1, self.D, n)
-        f2 = _padded(rng, lengths2, self.D, n)
-        probes = [_probe(rng, f1), rng.standard_normal(f1.global_token.shape),
-                  _probe(rng, f2), rng.standard_normal(f2.global_token.shape)]
-        snap_grads = [(_probe(rng, f1), _probe(rng, f2)) for _ in range(self.LAYERS)]
+        n = max(lengths1 + lengths2)  # both streams share one shape and one mask
+        f1, pad = _padded(rng, lengths1, self.D, n)
+        f2, _ = _padded(rng, lengths2, self.D, n)
+        probes = [_probe(rng, f1, pad), rng.standard_normal(f1.global_token.shape),
+                  _probe(rng, f2, pad), rng.standard_normal(f2.global_token.shape)]
+        snap_grads = [(_probe(rng, f1, pad), _probe(rng, f2, pad)) for _ in range(self.LAYERS)]
 
         batched, looped = _batch_store(self.D, self.LAYERS), _batch_store(self.D, self.LAYERS)
-        o1, o2, snaps, caches = decode(f1, f2, batched, self.LAYERS, self.HEADS)
-        r1, r2, r_snaps, r_caches = loop_decode(f1, f2, looped, self.LAYERS, self.HEADS)
+        o1, o2, snaps, caches = decode(f1, f2, batched, self.LAYERS, self.HEADS, pad)
+        r1, r2, r_snaps, r_caches = loop_decode(f1, f2, looped, self.LAYERS, self.HEADS, pad)
         grads = decode_backward(caches, batched, *probes, snap_grads)
         r_grads = loop_decode_backward(r_caches, looped, *probes, snap_grads)
 
@@ -448,24 +431,24 @@ class TestBatchedDecode:
             _assert_rel(batched.grad(name), looped.grad(name), name)
 
         # padding rows stay zero and finite, and take exactly zero gradient
-        for seq, out, g_in in ((f1, o1, grads[0]), (f2, o2, grads[2])):
-            if seq.pad is None:
+        for out, g_in in ((o1, grads[0]), (o2, grads[2])):
+            if pad is None:
                 continue
             assert np.all(np.isfinite(out.tokens))
-            assert not np.any(out.tokens[seq.pad])
-            assert not np.any(g_in[seq.pad])
+            assert not np.any(out.tokens[pad])
+            assert not np.any(g_in[pad])
 
     def test_gradients_pass_check_on_padded_batch(self):
         rng = np.random.default_rng(41)
         d, layers, heads = 8, 2, 2
         store = _batch_store(d, layers, seed=43)
-        f1, f2 = _padded(rng, [3, 5], d), _padded(rng, [3, 5], d)
-        probes = [_probe(rng, f1), rng.standard_normal((2, d)),
-                  _probe(rng, f2), rng.standard_normal((2, d))]
-        snap_probes = [(_probe(rng, f1), _probe(rng, f2)) for _ in range(layers)]
+        (f1, pad), (f2, _) = _padded(rng, [3, 5], d), _padded(rng, [3, 5], d)
+        probes = [_probe(rng, f1, pad), rng.standard_normal((2, d)),
+                  _probe(rng, f2, pad), rng.standard_normal((2, d))]
+        snap_probes = [(_probe(rng, f1, pad), _probe(rng, f2, pad)) for _ in range(layers)]
 
         def forward(params):
-            o1, o2, snapshots, caches = decode(f1, f2, params, layers, heads)
+            o1, o2, snapshots, caches = decode(f1, f2, params, layers, heads, pad)
             outs = [o1.tokens, o1.global_token, o2.tokens, o2.global_token]
             loss = sum(float((o * r).sum()) for o, r in zip(outs, probes))
             for (s1, s2), (r1, r2) in zip(snapshots, snap_probes):
@@ -489,14 +472,15 @@ class TestPackedDecode:
     def test_equals_padded_decoder(self, lengths1, lengths2, d, heads):
         rng = np.random.default_rng(sum(lengths1) + d)
         n = max(lengths1 + lengths2)
-        f1, f2 = _padded(rng, lengths1, d, n), _padded(rng, lengths2, d, n)
-        probes = [_probe(rng, f1), rng.standard_normal(f1.global_token.shape),
-                  _probe(rng, f2), rng.standard_normal(f2.global_token.shape)]
-        snap_grads = np.array([(_probe(rng, f1), _probe(rng, f2)) for _ in range(self.LAYERS)])
+        (f1, pad), (f2, _) = _padded(rng, lengths1, d, n), _padded(rng, lengths2, d, n)
+        probes = [_probe(rng, f1, pad), rng.standard_normal(f1.global_token.shape),
+                  _probe(rng, f2, pad), rng.standard_normal(f2.global_token.shape)]
+        snap_grads = np.array([(_probe(rng, f1, pad), _probe(rng, f2, pad))
+                               for _ in range(self.LAYERS)])
 
         packed, padded = _batch_store(d, self.LAYERS), _batch_store(d, self.LAYERS)
-        o1, o2, snaps, caches = decode(f1, f2, packed, self.LAYERS, heads)
-        r1, r2, r_snaps, r_caches = padded_decode(f1, f2, padded, self.LAYERS, heads)
+        o1, o2, snaps, caches = decode(f1, f2, packed, self.LAYERS, heads, pad)
+        r1, r2, r_snaps, r_caches = padded_decode(f1, f2, padded, self.LAYERS, heads, pad)
         grads = decode_backward(caches, packed, *probes, snap_grads)
         r_grads = padded_decode_backward(r_caches, padded, *probes, snap_grads)
 

@@ -222,7 +222,7 @@ class TestTrain:
             def counted(*args, _name=name, _original=original):
                 calls[_name] += 1
                 if _name == "decode":
-                    pads.append([seq.pad for seq in args[:2]])
+                    pads.append(args[5])  # the one mask of both streams
                 return _original(*args)
 
             monkeypatch.setattr(model_module, name, counted)
@@ -231,13 +231,14 @@ class TestTrain:
         backward()
         assert len(reports) == 3
         assert calls == {"decode": 1, "decode_backward": 1}
+        assert np.array_equal(pads[0], np.arange(5) >= np.array([[3], [5], [4]]))
 
         # a single pair is a batch of one: one decode call, nothing padded
         for run in (model.match_pair, model.forward_pair):
             calls["decode"], pads[:] = 0, []
             run(pairs[1])
             assert calls == {"decode": 1, "decode_backward": 1}
-            assert pads == [[None, None]]
+            assert pads == [None]
 
     def test_batch_of_one_equals_forward_pair(self):
         # a pair's training loss and its match are computed from the same
