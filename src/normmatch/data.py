@@ -115,6 +115,13 @@ def class_latent_bank(class_id: int, latent_dim: int, slots: int) -> np.ndarray:
     return bank
 
 
+def _require_integers(**values) -> None:
+    """ValueError naming the first value that is not an integer >= 0 (a bool is not one)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            raise ValueError(f"{name!r} must be a non-negative integer, got {value!r}")
+
+
 def _sample_keypoints(rng, m: int) -> np.ndarray:
     lo, hi = _MARGIN, IMAGE_SIZE - _MARGIN
     pts = np.empty((m, 2))
@@ -151,6 +158,7 @@ def generate_pair(spec: DataConfig, class_id: int, seed: int,
     if seed < 0 or not 0 <= class_id < spec.num_classes:
         raise ValueError(f"need seed >= 0 and 0 <= class_id < {spec.num_classes}, "
                          f"got seed {seed}, class_id {class_id}")
+    _require_integers(class_id=class_id, seed=seed, latent_dim=latent_dim)  # a float passes above
     rng = np.random.default_rng([31415, seed])
     m = int(rng.integers(spec.m_min, spec.m_max + 1))
     bank = class_latent_bank(class_id, latent_dim, slots=spec.m_max)
@@ -191,6 +199,7 @@ def generate_dataset(spec: DataConfig, latent_dim: int, seed: int,
     n = spec.num_pairs if num_pairs is None else num_pairs
     if n < 0:
         raise ValueError(f"num_pairs must be >= 0, got {n}")
+    _require_integers(latent_dim=latent_dim, seed=seed, num_pairs=n)
     return [
         generate_pair(spec, class_id=i % spec.num_classes,
                       seed=seed * 1_000_003 + i, latent_dim=latent_dim)
@@ -223,13 +232,6 @@ def _numeric_field(record: dict, key: str) -> np.ndarray:
         raise ValueError(f"{key!r} is not a numeric array ({exc})") from None
 
 
-def _integer_field(record: dict, key: str) -> int:
-    value = record.get(key, 0)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{key!r} must be a non-negative integer, got {value!r}")
-    return value
-
-
 def _feature_file(record: dict, key: str, base_dir: str) -> str:
     value = record[key]
     path = os.path.join(base_dir, value) if isinstance(value, str) else ""
@@ -254,16 +256,18 @@ def record_to_pair(record: dict, base_dir: str = "") -> PairSample:
     if (isinstance(noise_level, bool) or not isinstance(noise_level, (int, float))
             or not 0 <= noise_level <= sys.float_info.max):
         raise ValueError(f"'noise_level' must be finite and >= 0, got {noise_level!r}")
+    class_id, seed = record["class_id"], record.get("seed", 0)
+    _require_integers(class_id=class_id, seed=seed)
     return PairSample(  # which checks the arrays' shapes and values
         image1=str(record["image1"]),
         image2=str(record["image2"]),
-        class_id=_integer_field(record, "class_id"),
+        class_id=class_id,
         keypoints1=_numeric_field(record, "keypoints1"),
         keypoints2=_numeric_field(record, "keypoints2"),
         truth=_numeric_field(record, "truth"),
         latents=_numeric_field(record, "latents") if has_latents else None,
         noise_level=float(noise_level),
-        seed=_integer_field(record, "seed"),
+        seed=seed,
         feature_files=tuple(_feature_file(record, key, base_dir)
                             for key in ("features1", "features2")) if has_files else None,
     )

@@ -51,7 +51,7 @@ class FeatureSequence:
     """Decoder state: unit-norm tokens plus one global token per image.
 
     tokens is (m, d_model) for one image or (B, n, d_model) for B images,
-    zero on the padding rows that decode's mask marks.
+    zero on the padding rows that decode's mask marks (none when it is all False).
     """
 
     tokens: np.ndarray  # (..., n, d_model)
@@ -81,24 +81,25 @@ class _Layout:
     """How decode packs rows: per pair, its real rows, then its global row.
 
     keep (slots, grid shape) places them in the (B, n + 1) grid with the
-    global at slot n, keep_tok the token rows in the (B, n) grid; both are
-    None when the rows are the grid. tok, glob and gi index the token rows,
-    global rows and each token row's global; order interleaves [tokens,
-    globals]. pad marks the grid's padding slots, or is None.
+    global at slot n, keep_tok the token rows in the (B, n) grid; sa and ca
+    hold _norm_attn's masks. Unless a row is padding, all hold None: the rows
+    are the grid. tok, glob and gi index the token rows, global rows and each
+    token row's global; order interleaves [tokens, globals].
     """
 
     def __init__(self, pad):
-        self.keep = self.keep_tok = self.order = self.pad = None
+        self.keep = self.keep_tok = self.order = None
         self.tok, self.glob, self.gi = np.s_[:-1], -1, np.s_[-1:]
+        self.sa = self.ca = (None,) * 3
         if pad is not None and pad.any():
-            self.pad = np.pad(pad, [(0, 0), (0, 1)])  # a global slot is never padding
-            keep = ~self.pad
-            (b, w), slots = keep.shape, np.flatnonzero(keep)
-            self.keep, self.keep_tok = (slots, (b, w)), (np.flatnonzero(keep[:, :-1]), (b, w - 1))
+            grid_pad = np.pad(pad, [(0, 0), (0, 1)])  # a global slot is never padding
+            (b, w), slots = grid_pad.shape, np.flatnonzero(~grid_pad)
+            self.keep, self.keep_tok = (slots, (b, w)), (np.flatnonzero(~pad), (b, w - 1))
             is_glob = slots % w == w - 1
             self.tok, self.glob = np.flatnonzero(~is_glob), np.flatnonzero(is_glob)
             self.gi = self.glob[self.keep_tok[0] // (w - 1)]
             self.order = np.argsort(np.concatenate([self.tok, self.glob]))
+            self.sa, self.ca = (self.keep_tok, self.keep, grid_pad), (self.keep_tok,) * 2 + (pad,)
 
 
 def _rows(x):
@@ -268,12 +269,13 @@ def decode(f1: FeatureSequence, f2: FeatureSequence, store, layers: int, heads: 
            pad: np.ndarray | None = None, keep_caches: bool = True):
     """Run the full decoder stack on two streams of one token shape.
 
-    pad, (B, n) with (B, n, d) tokens or None, is True on the padding rows of
-    both streams: a pair's images have one keypoint count. Returns (f1, f2,
+    pad, (B, n) with (B, n, d) tokens, is True on the padding rows of both
+    streams: a pair's images have one keypoint count. Returns (f1, f2,
     snapshots, caches) where snapshots[k] holds the post-layer tokens of both
     streams after layer k, stacked as (2, ..., n, d), for the layer-wise
-    uniformity loss. Padding rows are dropped on entry (see _Layout) and come
-    back as zero rows. Without keep_caches (no backward follows), caches is None.
+    uniformity loss. Padding rows are dropped on entry and come back as zero
+    rows; _Layout alone decides if any is, so an all-False pad does None's work.
+    Without keep_caches (no backward follows), caches is None.
     """
     if f1.tokens.shape != f2.tokens.shape or pad is not None and (
             pad.ndim != 2 or pad.shape != f1.tokens.shape[:-1]):
@@ -281,13 +283,12 @@ def decode(f1: FeatureSequence, f2: FeatureSequence, store, layers: int, heads: 
     lay = _Layout(pad)
     x = _packed(_with_global(np.array([f1.tokens, f2.tokens]),
                              np.array([f1.global_token, f2.global_token])), lay.keep)
-    sa, ca = (lay.keep_tok, lay.keep, lay.pad), (lay.keep_tok, lay.keep_tok, pad)
     snapshots, caches = [], []
     for layer in range(layers):
         p = f"dec{layer}."
-        t, c_sa = _norm_attn(x[..., lay.tok, :], x, store, p, "sa", heads, sa)
-        t1, c_ca1 = _norm_attn(t[0], t[1], store, p, "ca", heads, ca)
-        t2, c_ca2 = _norm_attn(t[1], t1, store, p, "ca", heads, ca)
+        t, c_sa = _norm_attn(x[..., lay.tok, :], x, store, p, "sa", heads, lay.sa)
+        t1, c_ca1 = _norm_attn(t[0], t[1], store, p, "ca", heads, lay.ca)
+        t2, c_ca2 = _norm_attn(t[1], t1, store, p, "ca", heads, lay.ca)
         t, g = np.array([t1, t2]), x[..., lay.gi, :]  # global modulation, per token row
         h, nc = normalize_rows(t * g)
         x, c_mlp = _norm_mlp(_with_global(h, x[..., lay.glob, :], lay.order), store, p)

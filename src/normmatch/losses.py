@@ -5,7 +5,8 @@ and take one image as (n, d) rows or a stack as (..., n, d): a minibatch
 runs each piece once, and an (n, d) call is a batch of one on that path.
 ``pad`` (the stack's shape without d, the mask ``decode`` takes) is True on
 padding rows, which add nothing and take zero gradient; a pair's images
-share it. The InfoNCE temperature is tau = exp(tau_raw), positive by
+share it, and an entry given none makes it all False: one masked path runs
+every call. The InfoNCE temperature is tau = exp(tau_raw), positive by
 construction. Its denominator is "exclusive" of the positive pair (the
 contrastive ratio as the loss equation is written) or "inclusive" (the
 standard form, bounded below by zero; the training default).
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 INFONCE_MODES = ("exclusive", "inclusive")
+_DIRECTIONS = np.arange(2)[:, None, None]  # InfoNCE's image-1 and image-2 anchors
 
 
 @dataclass
@@ -52,27 +54,12 @@ class LossReport:
         return self.infonce + self.hyperspherical_final + self.hyperspherical_layers
 
 
-def _nce_direction(S, positives, mode: str, pad, index):
-    """Summed -log softmax ratio per pair, anchors the rows of S (B, n, n), and a cache."""
-    pos = S[index + (positives,)]
-    if pad is not None:  # a real anchor ignores the other image's padding rows
-        S = np.where(pad[:, None, :] > pad[:, :, None], -np.inf, S)
-    if mode == "exclusive":
-        S = S.copy() if pad is None else S
-        S[index + (positives,)] = -np.inf
-    lse = logsumexp(S, axis=-1)
-    terms = lse - pos
-    if pad is not None:
-        terms[pad] = 0.0
-    return np.add.reduce(terms, axis=-1), (S, lse, positives)
-
-
-def _nce_direction_backward(S, lse, positives, pad, index):
-    dS = np.exp(S - lse[..., None])  # softmax; entries out of the denominator give 0
-    dS[index + (positives,)] -= 1.0
-    if pad is not None:
-        dS[pad] = 0.0
-    return dS
+def _padding_mask(pad, shape):
+    """The padding mask of rows of shape (..., n): pad, all False for None."""
+    pad = np.zeros(shape, bool) if pad is None else np.asarray(pad)
+    if pad.dtype != bool or pad.shape != shape:
+        raise ValueError(f"pad must be a bool array of shape {shape}, got {pad.dtype} {pad.shape}")
+    return pad
 
 
 def info_nce(f1, f2, truth, tau_raw: float, mode: str = "inclusive", pad=None):
@@ -85,36 +72,49 @@ def info_nce(f1, f2, truth, tau_raw: float, mode: str = "inclusive", pad=None):
         raise ValueError(f"unknown InfoNCE mode {mode!r}")
     f1 = np.asarray(f1, dtype=np.float64)
     f2 = np.asarray(f2, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.intp)
+    if f1.ndim < 2 or f1.shape != f2.shape or truth.shape != f1.shape[:-1]:
+        raise ValueError(f"f1 and f2 need one shape (..., n, d) and truth its (..., n), got "
+                         f"{f1.shape}, {f2.shape} and {truth.shape}")
+    pad = _padding_mask(pad, truth.shape).reshape(-1, truth.shape[-1])
     shape, n = f1.shape[:-2], f1.shape[-2]
     f1, f2 = f1.reshape(-1, n, f1.shape[-1]), f2.reshape(-1, n, f2.shape[-1])
-    truth = np.asarray(truth, dtype=np.intp).reshape(-1, n)
-    if pad is not None:
-        pad = np.reshape(pad, (-1, n))
-        truth = np.where(pad, np.arange(n), truth)  # padding rows match themselves
-    if (np.sort(truth, axis=-1) != np.arange(n)).any():
+    rows = np.arange(n)
+    truth = np.where(pad, rows, truth.reshape(-1, n))  # padding rows match themselves
+    if (np.sort(truth, axis=-1) != rows).any():
         raise ValueError("truth must be a permutation of each pair's keypoint indices")
-    m = n if pad is None else n - np.count_nonzero(pad, axis=-1)
-    if (m if pad is None else m.min()) < 2:
+    m = n - np.add.reduce(pad, axis=-1)
+    if np.minimum.reduce(m) < 2:
         raise ValueError("InfoNCE needs at least 2 keypoints (no negatives otherwise)")
     tau = float(np.exp(tau_raw))
     C = f1 @ f2.swapaxes(-1, -2)
     S = C / tau
-    index = (np.arange(len(S))[:, None], np.arange(n))
-    loss12, cache12 = _nce_direction(S, truth, mode, pad, index)
-    # image-2 anchors: the transposed scores and the inverse permutation
-    loss21, cache21 = _nce_direction(S.swapaxes(-1, -2), truth.argsort(axis=-1),
-                                     mode, pad, index)
-    scale = 1.0 / (2 * m)
-    loss = (loss12 + loss21) * scale
-    return loss.reshape(shape), (f1, f2, C, tau, scale, cache12, cache21, pad, index, shape)
+    # both directions' scores (2, B, n, n) and positives; the image-2 anchors take the
+    # transposed scores, copied in C order, and the inverse permutation. A real anchor
+    # ignores the other image's padding rows, which spares every positive.
+    S = np.where(pad[:, None, :] > pad[:, :, None], -np.inf, np.array([S, S.swapaxes(-1, -2)]))
+    positives = (_DIRECTIONS, np.arange(len(C))[:, None], rows,
+                 np.array([truth, truth.argsort(axis=-1)]))
+    pos = S[positives]
+    if mode == "exclusive":
+        S[positives] = -np.inf
+    lse = logsumexp(S, axis=-1)
+    terms = lse - pos
+    terms[:, pad] = 0.0  # padding anchors add nothing
+    sums = np.add.reduce(terms, axis=-1)
+    scale = 0.5 / m  # 1 / (2m), to the bit
+    loss = np.add.reduce(sums) * scale  # the two directions' sums
+    return loss.reshape(shape), (f1, f2, C, tau, scale, S, lse, positives, pad, shape)
 
 
 def info_nce_backward(cache):
     """Returns (g_f1, g_f2, g_tau_raw), g_tau_raw summed over the pairs."""
-    f1, f2, C, tau, scale, cache12, cache21, pad, index, shape = cache
-    dS = (_nce_direction_backward(*cache12, pad, index)
-          + _nce_direction_backward(*cache21, pad, index).swapaxes(-1, -2))
-    dS *= np.reshape(scale, (-1, 1, 1))
+    f1, f2, C, tau, scale, S, lse, positives, pad, shape = cache
+    dS = np.exp(S - lse[..., None])  # softmax; entries out of the denominator give 0
+    dS[positives] -= 1.0
+    dS[:, pad] = 0.0
+    dS = dS[0] + dS[1].swapaxes(-1, -2)
+    dS *= scale[:, None, None]
     dC = dS / tau
     g_f1 = dC @ f2
     g_f2 = dC.swapaxes(-1, -2) @ f1
@@ -130,15 +130,18 @@ def hyperspherical(f, pad=None):
     than 2 real rows. Returns (loss of each image, shaped (...), cache).
     """
     f = np.asarray(f, dtype=np.float64)
-    n = f.shape[-2]
+    if f.ndim < 2:
+        raise ValueError(f"f must have shape (..., n, d), got {f.shape}")
+    return _hyperspherical(f, _padding_mask(pad, f.shape[:-1]))
+
+
+def _hyperspherical(f, pad):
+    """hyperspherical of checked rows f; pad (..., n) may leave out leading axes of f's."""
     G = f @ f.swapaxes(-1, -2)
-    G.reshape(G.shape[:-2] + (n * n,))[..., :: n + 1] = -np.inf  # the diagonals
-    if pad is not None:
-        G = np.where(pad[..., None, :], -np.inf, G)
+    G.reshape(G.shape[:-2] + (-1,))[..., :: G.shape[-1] + 1] = -np.inf  # the diagonals
+    G = np.where(pad[..., None, :], -np.inf, G)
     best = np.maximum.reduce(G, axis=-1)
-    lone = best == -np.inf  # rows with no other real row, and padding rows, add nothing
-    if pad is not None:
-        lone |= pad
+    lone = (best == -np.inf) | pad  # rows with no other real row, and padding rows, add nothing
     return np.add.reduce(np.where(lone, 0.0, best), axis=-1), (f, G, lone)
 
 
@@ -158,7 +161,8 @@ def layer_hyperspherical(snapshots, p: float, pad=None):
     layer k adds k * p times the mean of its two streams' losses. Returns
     (loss, shaped (...), cache); the cache keeps each layer's stream sums.
     """
-    h, cache = hyperspherical(np.asarray(snapshots, dtype=np.float64), pad)  # (L, 2, ...)
+    snapshots = np.asarray(snapshots, dtype=np.float64)
+    h, cache = _hyperspherical(snapshots, _padding_mask(pad, snapshots.shape[2:-1]))  # (L, 2, ...)
     pair_h = np.add.reduce(h, axis=1)
     weights = (np.arange(1, len(h) + 1) * (0.5 * p)).reshape((-1,) + (1,) * (h.ndim - 2))
     return np.add.reduce(weights * pair_h, axis=0), (cache, weights, pair_h)
@@ -174,6 +178,9 @@ def total_loss(f1_tokens, f2_tokens, snapshots, truth, tau_raw: float,
     keeps the total's three unweighted terms apart for ablation bookkeeping.
     """
     nce, nce_cache = info_nce(f1_tokens, f2_tokens, truth, tau_raw, mode, pad)
+    snapshots, shape = np.asarray(snapshots, dtype=np.float64), np.shape(f1_tokens)
+    if snapshots.shape[1:] != (2,) + shape or not snapshots.shape[0]:
+        raise ValueError(f"snapshots must have shape (L, 2) + {shape}, got {snapshots.shape}")
     layers, (hs_cache, weights, pair_h) = layer_hyperspherical(snapshots, p, pad)
     final = 0.5 * pair_h[-1]  # the last layer's snapshot is the decoder output
     reports = [LossReport(*t) for t in np.array([nce, final, layers]).reshape(3, -1).T.tolist()]

@@ -7,6 +7,7 @@ Sinkhorn stage is inference-only.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,6 +32,17 @@ class PreparedPair(NamedTuple):
     features: list  # (m, gnn_input_dim) keypoint features of each image
     graphs: list  # KeypointGraph of each image
     pooled: np.ndarray  # (2, gnn_input_dim) pooled map means
+
+
+@functools.lru_cache(maxsize=256)
+def _real_rows(lengths: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(B, 2, n) mask of the real rows of images with these row counts, a pair's images
+    in turn, and the pairs' (B, n) padding mask; memoized per counts, so read-only."""
+    valid = np.arange(max(lengths)) < np.array(lengths).reshape(-1, 2, 1)
+    pad = ~valid[:, 0]
+    for mask in (valid, pad):
+        mask.setflags(write=False)
+    return valid, pad
 
 
 class MatchingModel:
@@ -77,43 +89,36 @@ class MatchingModel:
     def _forward(self, prepared, keep_caches: bool = True):
         """Decoder outputs (f1, f2, snapshots) and caches of prepared pairs.
 
-        Each layer runs once over all pairs. The decoder takes them zero-padded to
-        (B, n, d) per stream and one (B, n) mask for both, None when no row is padded,
-        which the caches carry. Inference keeps no cache (keep_caches=False): no backward.
+        Each layer runs once over all pairs. The decoder takes them zero-padded to (B, n, d)
+        per stream and one (B, n) mask for both, all False when no row is padded (a batch
+        of one); the caches carry its real rows. Inference keeps no cache: no backward.
         """
         globs, glob_cache = global_token(np.concatenate([p.pooled for p in prepared]), self.store)
         feats = [f for p in prepared for f in p.features]
         tokens, gnn_cache = gnn_refine(feats, [g for p in prepared for g in p.graphs], self.store,
                                        keep_caches)
-        lengths = [len(f) for f in feats]
-        shape = (len(prepared), 2, max(lengths), tokens.shape[1])
-        if min(lengths) == shape[2]:
-            valid, padded = None, tokens.reshape(shape)
-        else:
-            valid = np.arange(shape[2]) < np.reshape(lengths, (-1, 2, 1))  # (B, 2, n): real rows
-            padded = np.zeros(shape)
-            padded[valid] = tokens
-        globs, pad = globs.reshape(shape[0], 2, -1), None if valid is None else ~valid[:, 0]
-        f1, f2, snapshots, dec_caches = decode(
-            FeatureSequence(padded[:, 0], globs[:, 0]), FeatureSequence(padded[:, 1], globs[:, 1]),
+        valid, pad = _real_rows(tuple(map(len, feats)))
+        padded = np.zeros((valid.size, tokens.shape[1]))
+        padded[valid.ravel()] = tokens
+        padded = padded.reshape(valid.shape + (-1,))
+        f1, f2, snapshots, dec_caches = decode(  # globs: (B, 2) rows, as the pooled means
+            FeatureSequence(padded[:, 0], globs[0::2]), FeatureSequence(padded[:, 1], globs[1::2]),
             self.store, self.config.decoder_layers, self.config.heads, pad, keep_caches,
         )
-        return f1, f2, snapshots, (valid, glob_cache, gnn_cache, dec_caches, pad)
+        return f1, f2, snapshots, (valid, glob_cache, gnn_cache, dec_caches)
 
     # ---------------- training ----------------
 
     def loss(self, prepared) -> tuple[list[LossReport], Callable[[], None]]:
         """(Loss report per prepared pair, backward), each layer run once over the minibatch;
         backward() adds the summed gradients into the store."""
-        f1, f2, snapshots, caches = self._forward(prepared)
-        valid, glob_cache, gnn_cache, dec_caches, pad = caches
+        f1, f2, snapshots, (valid, glob_cache, gnn_cache, dec_caches) = self._forward(prepared)
         cfg, store = self.config, self.store
         truth = np.zeros(f1.tokens.shape[:2], np.intp)  # the losses ignore its padding rows
-        real = np.ones(truth.shape, bool) if valid is None else valid[:, 0]
-        truth[real] = np.concatenate([prep.pair.truth for prep in prepared])
+        truth[valid[:, 0]] = np.concatenate([prep.pair.truth for prep in prepared])
         reports, loss_cache = total_loss(f1.tokens, f2.tokens, snapshots, truth,
                                          float(store.value("loss.tau_raw")), cfg.layer_loss_p,
-                                         cfg.infonce_mode, pad)
+                                         cfg.infonce_mode, ~valid[:, 0])
 
         def backward():
             g_f1, g_f2, snapshot_grads, g_tau = total_loss_backward(loss_cache)
@@ -124,9 +129,7 @@ class MatchingModel:
             # (B, 2, ...) rows: the order of the pooled means and of the GNN's images
             global_token_backward(glob_cache, np.stack([g_g1, g_g2], 1).reshape(-1, cfg.d_model),
                                   store)
-            g_rows = np.stack([g_t1, g_t2], axis=1).reshape(-1, cfg.d_model)
-            gnn_refine_backward(gnn_cache, g_rows if valid is None else g_rows[valid.ravel()],
-                                store)
+            gnn_refine_backward(gnn_cache, np.stack([g_t1, g_t2], axis=1)[valid], store)
         return reports, backward
 
     # ---------------- inference ----------------

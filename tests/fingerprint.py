@@ -13,6 +13,10 @@ prints one SHA-256 digest per line:
 - ``match``: 400 ``match_pair`` results (assignment, plan, affinity) of the
   frozen desk model read from ``perfbench/frozen_desk.npz``, on the same
   400 pairs.
+- ``loss``: for the same frozen model and pairs, ``forward_pair``, then
+  ``total_loss`` without a padding mask in both InfoNCE modes and
+  ``total_loss_backward``: the three loss terms and every backward output,
+  which pins the unpadded loss entry.
 
 A change that claims bit-identical results prints the same digests as its
 parent on the same machine. The script imports normmatch from this
@@ -35,6 +39,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from normmatch import DataConfig, MatchingModel, TrainConfig, generate_dataset, train  # noqa: E402
+from normmatch.losses import total_loss, total_loss_backward  # noqa: E402
 
 TRAIN_SEEDS = (0, 1)
 TRAIN_PAIRS, MATCH_PAIRS = 48, 400
@@ -90,12 +95,27 @@ def match_digest(model, pairs) -> str:
     return _digest(arrays)
 
 
+def loss_digest(model, pairs) -> str:
+    cfg, arrays = model.config, []
+    tau_raw = float(model.store.value("loss.tau_raw"))
+    for pair in pairs:
+        f1, f2, snapshots = model.forward_pair(pair)
+        for mode in ("exclusive", "inclusive"):
+            report, cache = total_loss(f1.tokens, f2.tokens, snapshots, pair.truth, tau_raw,
+                                       cfg.layer_loss_p, mode)
+            g_f1, g_f2, g_snaps, g_tau = total_loss_backward(cache)
+            arrays += [np.array([report.infonce, report.hyperspherical_final,
+                                 report.hyperspherical_layers, g_tau]), g_f1, g_f2, g_snaps]
+    return _digest(arrays)
+
+
 def main() -> None:
     for seed in TRAIN_SEEDS:
         print(f"train seed={seed}: {train_digest(seed)}", flush=True)
     model, pairs = frozen_model_and_pairs()
     print(f"prepare: {prepare_digest(model, pairs)}", flush=True)
     print(f"match: {match_digest(model, pairs)}", flush=True)
+    print(f"loss: {loss_digest(model, pairs)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -213,9 +213,14 @@ class TestGeneratePair:
         (dict(num_classes=3), dict(class_id=3), "0 <= class_id < 3, got seed 0, class_id 3"),
         (dict(), dict(class_id=99), "0 <= class_id < 10, got seed 0, class_id 99"),
         (dict(), dict(seed=-1), "need seed >= 0 and 0 <= class_id < 10, got seed -1, class_id 0"),
+        (dict(), dict(class_id=1.5), "'class_id' must be a non-negative integer, got 1.5"),
+        (dict(), dict(class_id=True), "'class_id' must be a non-negative integer, got True"),
+        (dict(), dict(seed=1.5), "'seed' must be a non-negative integer, got 1.5"),
+        (dict(), dict(latent_dim=4.0), "'latent_dim' must be a non-negative integer, got 4.0"),
     ], ids=["m_max-0", "m_min-above-m_max", "jitter-negative", "scale_min-negative",
             "latent_dim-odd", "latent_dim-0", "class_id-negative", "class_id-num_classes",
-            "class_id-99", "seed-negative"])
+            "class_id-99", "seed-negative", "class_id-float", "class_id-bool", "seed-float",
+            "latent_dim-float"])
     def test_bad_inputs_rejected_where_they_enter(self, overrides, args, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             generate_pair(DataConfig(**overrides), **dict(class_id=0, seed=0, latent_dim=8) | args)
@@ -270,8 +275,15 @@ class TestPairSample:
 
 class TestGenerateDataset:
     def test_negative_num_pairs_rejected(self):
-        with pytest.raises(ValueError, match=re.escape("num_pairs must be >= 0, got -1")):
-            generate_dataset(DataConfig(), latent_dim=8, seed=0, num_pairs=-1)
+        for args, message in [
+            (dict(num_pairs=-1), "num_pairs must be >= 0, got -1"),
+            (dict(num_pairs=2.5), "'num_pairs' must be a non-negative integer, got 2.5"),
+            (dict(seed=1.5), "'seed' must be a non-negative integer, got 1.5"),
+            (dict(latent_dim=8.0, num_pairs=0),
+             "'latent_dim' must be a non-negative integer, got 8.0"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                generate_dataset(DataConfig(), **dict(latent_dim=8, seed=0) | args)
         assert generate_dataset(DataConfig(), latent_dim=8, seed=0, num_pairs=0) == []
 
     def test_size_and_round_robin_classes(self):

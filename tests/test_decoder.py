@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from normmatch import decoder as decoder_module
 from normmatch.decoder import (
     FeatureSequence,
     decode,
@@ -437,6 +438,32 @@ class TestBatchedDecode:
             assert np.all(np.isfinite(out.tokens))
             assert not np.any(out.tokens[pad])
             assert not np.any(g_in[pad])
+
+    def test_all_false_mask_is_no_mask(self, monkeypatch):
+        # an all-False (B, n) mask runs the unpadded path: outputs, snapshots and
+        # gradients equal the unmasked call's to the bit, and no key is masked
+        rng = np.random.default_rng(47)
+        (f1, _), (f2, _) = _padded(rng, [5, 5, 5], self.D), _padded(rng, [5, 5, 5], self.D)
+        probes = [rng.standard_normal(f1.tokens.shape), rng.standard_normal((3, self.D)),
+                  rng.standard_normal(f2.tokens.shape), rng.standard_normal((3, self.D))]
+        snap_grads = [rng.standard_normal((2,) + f1.tokens.shape) for _ in range(self.LAYERS)]
+        key_pads, norm_attn = [], decoder_module._norm_attn
+
+        def spy(*args):
+            key_pads.append(args[6][2])  # decode passes (q_keep, kv_keep, key_pad)
+            return norm_attn(*args)
+
+        monkeypatch.setattr(decoder_module, "_norm_attn", spy)
+        results = []
+        for pad in (None, np.zeros((3, 5), bool)):
+            store = _batch_store(self.D, self.LAYERS)
+            o1, o2, snaps, caches = decode(f1, f2, store, self.LAYERS, self.HEADS, pad)
+            grads = decode_backward(caches, store, *probes, snap_grads)
+            results.append([o1.tokens, o1.global_token, o2.tokens, o2.global_token, *snaps,
+                            *grads, *(store.grad(name) for name in store.names())])
+        for got, expected in zip(*results):
+            assert np.array_equal(got, expected)
+        assert len(key_pads) == 2 * 3 * self.LAYERS and all(k is None for k in key_pads)
 
     def test_gradients_pass_check_on_padded_batch(self):
         rng = np.random.default_rng(41)

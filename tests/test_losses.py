@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -334,11 +336,15 @@ class TestStackedAgainstLoopOracle:
     def test_batch_of_one_is_bit_equal(self, mode):
         rng = np.random.default_rng(12)
         for m in range(2, 11):
-            f1, f2, snaps, truth, _ = _padded_minibatch(rng, [m], m)
+            f1, f2, snaps, truth, pad = _padded_minibatch(rng, [m], m)  # pad is all False
             want = loop_total_loss(f1, f2, snaps, truth, -1.7, 0.3, mode)[0][0]
-            stacked = total_loss(f1, f2, snaps, truth, -1.7, 0.3, mode)[0]
+            stacked, cache = total_loss(f1, f2, snaps, truth, -1.7, 0.3, mode)
+            masked, masked_cache = total_loss(f1, f2, snaps, truth, -1.7, 0.3, mode, pad)
             single = total_loss(f1[0], f2[0], snaps[:, :, 0], truth[0], -1.7, 0.3, mode)[0]
-            assert stacked == [want] and single == want
+            assert stacked == [want] and masked == [want] and single == want
+            # an all-False mask is no mask, to the bit, in every backward output
+            for got, exp in zip(total_loss_backward(masked_cache), total_loss_backward(cache)):
+                assert np.array_equal(got, exp)
 
     @pytest.mark.parametrize("real, bad", [
         ([3, 4], [-1, 1, 2]),   # wrapped to the last column before
@@ -374,3 +380,33 @@ class TestStackedAgainstLoopOracle:
             total_loss(f1, f2, snaps, truth, -1.7, 0.3, "inclusive", pad)
         with pytest.raises(ValueError, match="InfoNCE needs at least 2 keypoints"):
             total_loss(f1[1, :1], f2[1, :1], snaps[:, :, 1, :1], truth[1, :1], -1.7, 0.3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda f1, f2, s, t, p: total_loss(f1, f2[..., :5], s, t, -1.7, 0.3),
+     "f1 and f2 need one shape (..., n, d) and truth its (..., n), got (3, 4, 6), (3, 4, 5)"),
+    (lambda f1, f2, s, t, p: info_nce(f1[0, :3], f2[0], t[0, :3], -1.7),
+     "got (3, 6), (4, 6) and (3,)"),
+    (lambda f1, f2, s, t, p: info_nce(f1[0, 0], f2[0, 0], t[0, :1], -1.7),
+     "got (6,), (6,) and (1,)"),
+    (lambda f1, f2, s, t, p: total_loss(f1, f2, s, t[0], -1.7, 0.3),
+     "got (3, 4, 6), (3, 4, 6) and (4,)"),
+    (lambda f1, f2, s, t, p: total_loss(f1, f2, s, t, -1.7, 0.3, "inclusive", p[0]),
+     "pad must be a bool array of shape (3, 4), got bool (4,)"),
+    (lambda f1, f2, s, t, p: total_loss(f1, f2, s, t, -1.7, 0.3, "inclusive", p.astype(np.int64)),
+     "pad must be a bool array of shape (3, 4), got int64 (3, 4)"),
+    (lambda f1, f2, s, t, p: total_loss(f1, f2, s[..., :3, :], t, -1.7, 0.3),
+     "snapshots must have shape (L, 2) + (3, 4, 6), got (2, 2, 3, 3, 6)"),
+    (lambda f1, f2, s, t, p: total_loss(f1, f2, s[:0], t, -1.7, 0.3),
+     "snapshots must have shape (L, 2) + (3, 4, 6), got (0, 2, 3, 4, 6)"),
+    (lambda f1, f2, s, t, p: hyperspherical(f1[0, 0]), "f must have shape (..., n, d), got (6,)"),
+    (lambda f1, f2, s, t, p: hyperspherical(f1, p.astype(np.int64)),
+     "pad must be a bool array of shape (3, 4), got int64 (3, 4)"),
+], ids=["f2-width", "rows-3-of-4", "tokens-1d", "truth-of-one-pair", "pad-of-one-pair",
+        "pad-int", "snapshots-n", "snapshots-no-layer", "hyperspherical-1d",
+        "hyperspherical-pad-int"])
+def test_bad_input_fails_where_it_enters(call, message):
+    # each fails with a ValueError naming its argument, not deep in numpy or not at all
+    f1, f2, snaps, truth, pad = _padded_minibatch(np.random.default_rng(15), [4, 4, 4], 4)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(f1, f2, snaps, truth, pad)

@@ -233,12 +233,12 @@ class TestTrain:
         assert calls == {"decode": 1, "decode_backward": 1}
         assert np.array_equal(pads[0], np.arange(5) >= np.array([[3], [5], [4]]))
 
-        # a single pair is a batch of one: one decode call, nothing padded
+        # a single pair is a batch of one: one decode call, an all-False mask
         for run in (model.match_pair, model.forward_pair):
             calls["decode"], pads[:] = 0, []
             run(pairs[1])
             assert calls == {"decode": 1, "decode_backward": 1}
-            assert pads == [None]
+            assert len(pads) == 1 and pads[0].shape == (1, 5) and not pads[0].any()
 
     def test_batch_of_one_equals_forward_pair(self):
         # a pair's training loss and its match are computed from the same
